@@ -7,10 +7,18 @@ polynomials) or by total degree (used for the simple-permutation series,
 whose natural grade is u-degree + x-degree).
 
 No floating point anywhere: coefficients are ints or
-:class:`fractions.Fraction`.  On top of the arithmetic sit a registry of
-named series, a fixed-point solver for the functional equations those
-series satisfy, and a registry of checkable identities, each with a
-deliberately corrupted variant for mutation testing.
+:class:`fractions.Fraction`.  ``reciprocal`` and ``sqrt1`` solve for one
+grade at a time, so each costs about one multiplication's worth of
+work rather than ``order`` of them.
+
+On top of the arithmetic sit a registry of named series, a fixed-point
+solver for the functional equations those series satisfy, and a
+registry of checkable identities, each with a deliberately corrupted
+variant for mutation testing.  The solver is Picard iteration with
+ramped precision: each pass works only to the grade the iterate can
+have gained (Brent & Kung, "Fast algorithms for manipulating formal
+power series", JACM 1978), and the parts of an equation that do not
+depend on the iterate are built once per solve, not once per pass.
 """
 
 from __future__ import annotations
@@ -47,12 +55,22 @@ class SeriesError(ValueError):
 
 
 class NonContractionError(RuntimeError):
-    def __init__(self, equation_id: str):
+    """A fixed-point pass failed to raise the agreement degree.
+
+    ``agreement`` is the agreement degree the solve had reached (see
+    :func:`fixed_point_solve`) and ``passes`` the number of passes run,
+    the stalled one included.
+    """
+
+    def __init__(self, equation_id: str, agreement: int, passes: int):
         super().__init__(
             f"fixed-point iteration for {equation_id!r} stopped gaining "
-            "agreement degree; the registered map is not a contraction"
+            "agreement degree; the registered map is not a contraction "
+            f"(stalled at agreement degree {agreement} after {passes} passes)"
         )
         self.equation_id = equation_id
+        self.agreement = agreement
+        self.passes = passes
 
 
 def _norm_coeff(c):
@@ -65,6 +83,39 @@ def _norm_coeff(c):
 
 def _grade(key: Key, grading: str) -> int:
     return key[0] if grading == X_GRADED else key[0] + key[1] + key[2]
+
+
+# Per-grade solves (reciprocal, sqrt1) keep a series as {grade: {key: coeff}}.
+
+
+def _add_products(acc: dict[Key, object], left, right) -> None:
+    """acc += left * right for two grade slices; a missing slice is zero."""
+    if not left or not right:
+        return
+    for (x1, t1, u1), c1 in left.items():
+        for (x2, t2, u2), c2 in right.items():
+            key = (x1 + x2, t1 + t2, u1 + u2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def _store_slice(slices: dict[int, dict[Key, object]], d: int,
+                 acc: dict[Key, object], scale) -> None:
+    """slices[d] = scale * acc, without zero coefficients."""
+    out = {}
+    for key, c in acc.items():
+        c = _norm_coeff(c * scale)
+        if c:
+            out[key] = c
+    if out:
+        slices[d] = out
+
+
+def _from_slices(slices: dict[int, dict[Key, object]], order: int,
+                 grading: str) -> "MSeries":
+    out: dict[Key, object] = {}
+    for sl in slices.values():
+        out.update(sl)
+    return MSeries(out, order, grading)
 
 
 class MSeries:
@@ -258,50 +309,52 @@ class MSeries:
                 )
         return self.coeffs.get((0, 0, 0), 0)
 
+    def _by_grade(self) -> dict[int, dict[Key, object]]:
+        by_grade: dict[int, dict[Key, object]] = {}
+        for key, c in self.coeffs.items():
+            by_grade.setdefault(_grade(key, self.grading), {})[key] = c
+        return by_grade
+
     def reciprocal(self) -> "MSeries":
-        """Multiplicative inverse; requires a nonzero rational constant term."""
+        """Multiplicative inverse; requires a nonzero rational constant term.
+
+        Solves a * inv = 1 one grade at a time:
+        inv_d = -inv_0 * sum(a_i * inv_(d-i) for i in 1..d).
+
+        >>> x = MSeries.var("x", 5)
+        >>> (1 - x - x * x).reciprocal().x_coefficients() == [1, 1, 2, 3, 5, 8]
+        True
+        >>> (2 - x).reciprocal().coefficient(x=3)
+        Fraction(1, 16)
+        """
         c0 = self._constant_term()
         if not c0:
             raise SeriesError("not invertible: zero constant term")
-        inv0 = Fraction(1, 1) / Fraction(c0)
-        m = MSeries(
-            {k: -c * inv0 for k, c in self.coeffs.items() if k != (0, 0, 0)},
-            self.order,
-            self.grading,
-        )
-        # 1/a = inv0 * (1 + m + m^2 + ...) with m of positive valuation
-        acc = MSeries.const(1, self.order, self.grading)
-        for _ in range(self.order):
-            acc = acc * m + 1
-        return acc * inv0
+        inv0 = _norm_coeff(1 / Fraction(c0))
+        by_grade = self._by_grade()
+        inv: dict[int, dict[Key, object]] = {0: {(0, 0, 0): inv0}}
+        for d in range(1, self.order + 1):
+            acc: dict[Key, object] = {}
+            for i in range(1, d + 1):
+                _add_products(acc, by_grade.get(i), inv.get(d - i))
+            _store_slice(inv, d, acc, -inv0)
+        return _from_slices(inv, self.order, self.grading)
 
     def sqrt1(self) -> "MSeries":
         """Square root with constant term 1, by per-grade convolution."""
         if self._constant_term() != 1:
             raise SeriesError("sqrt1 requires constant term exactly 1")
-        by_grade: dict[int, dict[Key, object]] = {}
-        for key, c in self.coeffs.items():
-            by_grade.setdefault(_grade(key, self.grading), {})[key] = c
+        by_grade = self._by_grade()
         root: dict[int, dict[Key, object]] = {0: {(0, 0, 0): 1}}
-        half = Fraction(1, 2)
         for d in range(1, self.order + 1):
-            rhs = dict(by_grade.get(d, {}))
+            acc: dict[Key, object] = {}
             for i in range(1, d):
-                for k1, c1 in root.get(i, {}).items():
-                    for k2, c2 in root.get(d - i, {}).items():
-                        key = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                        rhs[key] = rhs.get(key, 0) - c1 * c2
-            slice_d = {}
-            for key, c in rhs.items():
-                c = _norm_coeff(Fraction(c) * half)
-                if c:
-                    slice_d[key] = c
-            if slice_d:
-                root[d] = slice_d
-        out: dict[Key, object] = {}
-        for sl in root.values():
-            out.update(sl)
-        return MSeries(out, self.order, self.grading)
+                _add_products(acc, root.get(i), root.get(d - i))
+            rhs = dict(by_grade.get(d, {}))
+            for key, c in acc.items():
+                rhs[key] = rhs.get(key, 0) - c
+            _store_slice(root, d, rhs, Fraction(1, 2))
+        return _from_slices(root, self.order, self.grading)
 
     def divide_one_minus(self, var: str) -> "MSeries":
         """Exact division by (1 - var); raises if the division is inexact."""
@@ -658,11 +711,23 @@ def decomposable_gf_enum(basis_name: str, order: int, kind: str) -> MSeries:
 # fixed-point equation registry
 
 
+def _no_invariants(order: int) -> tuple[MSeries, ...]:
+    return ()
+
+
 @dataclass(frozen=True)
 class _Equation:
+    """A contraction y = step(y) on a tuple of series.
+
+    ``invariants(order)`` builds the parts of the map that do not depend
+    on the iterate; the solver builds them once and passes them, cut to
+    each pass's precision, to ``step`` after the iterate's components.
+    """
+
     names: tuple[str, ...]
     initial: Callable[[int], tuple[MSeries, ...]]
     step: Callable[..., tuple[MSeries, ...]]
+    invariants: Callable[[int], tuple[MSeries, ...]] = _no_invariants
 
 
 def _catalan_step(y: MSeries) -> tuple[MSeries, ...]:
@@ -674,11 +739,15 @@ def _stat132_initial(order: int) -> tuple[MSeries, ...]:
     return (_one(order), _one(order))
 
 
-def _stat132_step(h: MSeries, g: MSeries) -> tuple[MSeries, ...]:
+def _stat132_invariants(order: int) -> tuple[MSeries, ...]:
+    x, t, u = _x(order), _t(order), _u(order)
+    return (1 - t * x).reciprocal(), (1 - t * u * x).reciprocal()
+
+
+def _stat132_step(h: MSeries, g: MSeries, tx_inv: MSeries,
+                  tux_inv: MSeries) -> tuple[MSeries, ...]:
     order = h.order
     x, t, u = _x(order), _t(order), _u(order)
-    tx_inv = (1 - t * x).reciprocal()
-    tux_inv = (1 - t * u * x).reciprocal()
     p = (h - 1) * (t * x * tx_inv) + h + t * u * x * tx_inv - 1
     q = (u * x * tux_inv) * g + g - 1
     r = (t * u * x * tux_inv) * g + g - 1
@@ -688,22 +757,25 @@ def _stat132_step(h: MSeries, g: MSeries) -> tuple[MSeries, ...]:
     return h_new, g_new
 
 
-def _gf263514_step(f: MSeries) -> tuple[MSeries, ...]:
+def _gf263514_invariants(order: int) -> tuple[MSeries, ...]:
+    x = _x(order)
+    return simples_gf_closed(order), x * (1 - x).reciprocal()
+
+
+def _gf263514_step(f: MSeries, s: MSeries, u_bind: MSeries) -> tuple[MSeries, ...]:
     order = f.order
     x = _x(order)
     f_skew = f * f * (1 + f).reciprocal()
     f_sum = 2 * x * f - x * x * (f + 1)
-    s = simples_gf_closed(order)
-    u_bind = x * (1 - x).reciprocal()
     s_at = s.substitute({"u": u_bind, "x": f})
     return (x + f_skew + f_sum + s_at,)
 
 
-def _kernel_root_step(t_cur: MSeries) -> tuple[MSeries, ...]:
+def _kernel_root_step(t_cur: MSeries, catalan: MSeries) -> tuple[MSeries, ...]:
     order = t_cur.order
     x = _x(order)
     z = x * (1 - t_cur * x).reciprocal()
-    c_star = catalan_series(order).substitute({"x": z})
+    c_star = catalan.substitute({"x": z})
     return (1 + t_cur * t_cur * x * (1 - x * c_star).reciprocal(),)
 
 
@@ -715,12 +787,19 @@ EQUATIONS: dict[str, _Equation] = {
         ("stat132-last-not-max", "stat132-first-not-max"),
         _stat132_initial,
         _stat132_step,
+        _stat132_invariants,
     ),
     "gf-263514-fixed": _Equation(
-        ("gf-263514",), lambda order: (MSeries({}, order),), _gf263514_step
+        ("gf-263514",),
+        lambda order: (MSeries({}, order),),
+        _gf263514_step,
+        _gf263514_invariants,
     ),
     "kernel-root": _Equation(
-        ("kernel-root",), lambda order: (_one(order),), _kernel_root_step
+        ("kernel-root",),
+        lambda order: (_one(order),),
+        _kernel_root_step,
+        lambda order: (catalan_series(order),),
     ),
 }
 
@@ -728,25 +807,44 @@ EQUATIONS: dict[str, _Equation] = {
 def fixed_point_solve(equation_id: str, order: int):
     """Iterate a registered contraction to its unique truncated solution.
 
-    Stops when two successive iterates agree to the full order; raises
-    :class:`NonContractionError` if the agreement degree ever fails to
-    increase.
+    Picard iteration with ramped precision.  A pass maps the iterate y
+    to y' = step(y) and measures the agreement degree, the valuation of
+    y - y' (capped at the pass's precision).  If y and y' first differ
+    at grade a, both are exact below a and y' is exact through a, so the
+    next pass only needs precision a + 1; it runs at
+    ``min(order, a + 2)``, which also lets it gain two grades at once.
+    The iterate is lifted to that precision by relabelling its order:
+    the grades it lacks are unknown anyway and the pass recomputes them.
+    The equation's invariants are built once at full order and cut down
+    to each pass's precision.
+
+    The solve returns only from a pass at full order whose two iterates
+    agree beyond ``order``, the same stopping rule as full-order Picard
+    iteration, so it returns the same series.  A contraction raises the
+    agreement degree on every pass; :class:`NonContractionError` is
+    raised as soon as a pass does not.
     """
     if equation_id not in EQUATIONS:
         raise SeriesError(f"unknown equation {equation_id!r}")
     eq = EQUATIONS[equation_id]
+    invariants = eq.invariants(order)
     cur = eq.initial(order)
     agreement = -1
-    for _ in range(order + 3):
-        nxt = eq.step(*cur)
+    passes = 0
+    # agreement rises every pass and stays <= order, so the loop ends
+    while True:
+        prec = min(order, agreement + 2)
+        cur = tuple(MSeries(c.coeffs, prec, c.grading) for c in cur)
+        nxt = eq.step(*cur, *(s.truncate(prec) for s in invariants))
+        passes += 1
         diff = min((a - b).valuation() for a, b in zip(cur, nxt))
-        if diff > order:
+        if prec == order and diff > order:
             return nxt if len(nxt) > 1 else nxt[0]
         if diff <= agreement:
-            raise NonContractionError(equation_id)
-        agreement = diff
+            raise NonContractionError(equation_id, agreement, passes)
+        # agreeing through prec says nothing about grade prec + 1
+        agreement = min(diff, prec)
         cur = nxt
-    raise NonContractionError(equation_id)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,9 +1102,8 @@ def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, 
 def _identity_stat132_system(order: int, corrupt: bool) -> list[tuple[MSeries, MSeries]]:
     h, g = stat132_system(order)
     x, t, u = _x(order), _t(order), _u(order)
-    tx_inv = (1 - t * x).reciprocal()
-    tux_inv = (1 - t * u * x).reciprocal()
-    p = (h - 1) * (t * x * tx_inv) + h + t * u * x * tx_inv - 1
+    tx_inv, tux_inv = _stat132_invariants(order)
+    p =(h - 1) * (t * x * tx_inv) + h + t * u * x * tx_inv - 1
     q = (u * x * tux_inv) * g + g - 1
     r = (t * u * x * tux_inv) * g + g - 1
     last = (u * u if corrupt else u) * x * r

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from permlab.series import (
     ENUM_DEPTH_LIMIT,
+    EQUATIONS,
     IDENTITIES,
     MSeries,
     NonContractionError,
@@ -44,6 +45,55 @@ def t(order, grading=X_GRADED):
 
 def geometric(order):
     return MSeries({(n, 0, 0): 1 for n in range(order + 1)}, order)
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+
+
+def geometric_reciprocal(s: MSeries) -> MSeries:
+    """Oracle: 1/s = inv0 * (1 + m + m^2 + ...) with m = 1 - inv0 * s.
+
+    Costs ``order`` full multiplications; ``MSeries.reciprocal`` solves
+    grade by grade instead and must give the same series.
+    """
+    inv0 = 1 / Fraction(s.coefficient())
+    m = MSeries(
+        {k: -c * inv0 for k, c in s.coeffs.items() if k != (0, 0, 0)},
+        s.order,
+        s.grading,
+    )
+    acc = MSeries.const(1, s.order, s.grading)
+    for _ in range(s.order):
+        acc = acc * m + 1
+    return acc * inv0
+
+
+def full_order_picard(equation_id: str, order: int):
+    """Oracle: plain Picard iteration with every pass at full order."""
+    eq = EQUATIONS[equation_id]
+    invariants = eq.invariants(order)
+    cur = eq.initial(order)
+    agreement = -1
+    for passes in range(1, order + 4):
+        nxt = eq.step(*cur, *invariants)
+        diff = min((a - b).valuation() for a, b in zip(cur, nxt))
+        if diff > order:
+            return nxt if len(nxt) > 1 else nxt[0]
+        if diff <= agreement:
+            raise NonContractionError(equation_id, agreement, passes)
+        agreement = diff
+        cur = nxt
+    raise NonContractionError(equation_id, agreement, order + 3)
+
+
+def _oscillating_step(y: MSeries) -> tuple[MSeries, ...]:
+    """y -> 1 + x*y below grade 3, and [x^3] y -> 1 - [x^3] y."""
+    low = {k: c for k, c in (1 + x(y.order) * y).coeffs.items() if k[0] < 3}
+    low[(3, 0, 0)] = 1 - y.coefficient(x=3)
+    return (MSeries(low, y.order),)
 
 
 class TestArithmetic:
@@ -137,6 +187,26 @@ class TestReciprocal:
     def test_polynomial_grade_zero_rejected(self):
         with pytest.raises(SeriesError, match="constant"):
             (1 - t(5)).reciprocal()
+        with pytest.raises(SeriesError, match="constant"):
+            (3 + MSeries.var("u", 5) * x(5) + MSeries.var("u", 5)).reciprocal()
+
+    def test_zero_constant_term_rejected_total_graded(self):
+        with pytest.raises(SeriesError, match="not invertible"):
+            (t(5, TOTAL_GRADED) + x(5, TOTAL_GRADED)).reciprocal()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_geometric_series_oracle(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        order = data.draw(st.integers(0, 6))
+        # in x grading a t/u-only term would have grade 0; keep x >= 1
+        min_x = 1 if grading == X_GRADED else 0
+        keys = st.tuples(st.integers(min_x, 4), st.integers(0, 3), st.integers(0, 3))
+        tail = data.draw(st.dictionaries(keys, COEFFS, max_size=6))
+        c0 = data.draw(COEFFS.filter(bool))
+        tail.pop((0, 0, 0), None)
+        s = MSeries({**tail, (0, 0, 0): c0}, order, grading)
+        assert s.reciprocal() == geometric_reciprocal(s)
 
 
 class TestSqrt:
@@ -224,7 +294,7 @@ class TestFixedPoints:
             fixed_point_solve("no-such", 5)
 
     def test_non_contraction_detected(self):
-        from permlab.series import EQUATIONS, _Equation
+        from permlab.series import _Equation
 
         EQUATIONS["bad-equation"] = _Equation(
             ("bad",),
@@ -232,10 +302,49 @@ class TestFixedPoints:
             lambda y: (1 - y,),
         )
         try:
-            with pytest.raises(NonContractionError):
+            with pytest.raises(NonContractionError) as info:
                 fixed_point_solve("bad-equation", 6)
         finally:
             del EQUATIONS["bad-equation"]
+        err = info.value
+        assert err.equation_id == "bad-equation"
+        # 0 -> 1 differs at grade 0, and so does 1 -> 0
+        assert (err.agreement, err.passes) == (0, 2)
+        assert str(err).startswith(
+            "fixed-point iteration for 'bad-equation' stopped gaining agreement degree"
+        )
+        assert "agreement degree 0 after 2 passes" in str(err)
+
+
+class TestRampedSolver:
+    """Ramped-precision solves against full-order Picard iteration."""
+
+    @pytest.mark.parametrize("equation_id", sorted(EQUATIONS))
+    def test_matches_full_order_picard(self, equation_id):
+        for order in range(13):
+            got = fixed_point_solve(equation_id, order)
+            want = full_order_picard(equation_id, order)
+            got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+            assert len(got) == len(want) == len(EQUATIONS[equation_id].names)
+            for g, w in zip(got, want):
+                assert g.order == w.order == order and g.grading == w.grading
+                assert g == w, (equation_id, order)
+
+    def test_oscillation_above_a_contracting_part(self):
+        from permlab.series import _Equation
+
+        EQUATIONS["oscillating"] = _Equation(
+            ("oscillating",), lambda order: (MSeries({}, order),), _oscillating_step
+        )
+        try:
+            for solve in (fixed_point_solve, full_order_picard):
+                with pytest.raises(NonContractionError) as info:
+                    solve("oscillating", 6)
+                # grades 0-2 settle; grade 3 flips between 0 and 1 forever
+                assert info.value.agreement == 3
+        finally:
+            del EQUATIONS["oscillating"]
+        assert "stalled at agreement degree 3" in str(info.value)
 
 
 class TestNamedSeries:
