@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification or capacity failure, 2 usage error.
 All output is deterministic for fixed flags, including with
-``--parallelism`` above 1.
+``--parallelism`` above 1 (at most ``os.cpu_count()``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,20 @@ OK, FAILURE, USAGE = 0, 1, 2
 
 def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("PERMLAB_CACHE_DIR")
+
+
+def _parallelism(text: str) -> int:
+    """argparse type for --parallelism: an int in 1..os.cpu_count()."""
+    limit = os.cpu_count() or 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {limit} (the CPU count), got {value}"
+        )
+    return value
 
 
 def _print_rows(rows, header, fmt):
@@ -158,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated digit-string patterns, e.g. 2143,3142")
         p.add_argument("--max-n", type=int, default=8)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        p.add_argument("--parallelism", type=int, default=1)
+        p.add_argument("--parallelism", type=_parallelism, default=1,
+                       help="worker processes, 1..CPU count (default 1)")
         p.add_argument("--cache-dir", default=None,
                        help="count cache directory (or PERMLAB_CACHE_DIR)")
 

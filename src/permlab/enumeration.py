@@ -3,9 +3,10 @@
 Generation proceeds level by level: every member of Av_n(basis) arises
 exactly once by inserting the new maximum n into a member of
 Av_{n-1}(basis), so only occurrences through the new maximum need to be
-tested.  The frequent patterns (2143, 3142, 132, 4132) get dedicated
-per-parent precomputations; everything else falls back to the generic
-pinned-maximum search in :mod:`permlab.perms`.
+tested.  The frequent patterns (2143, 3142, 132, 4132) each map a
+parent, in one O(n) pass, to a bitmask of the slots they block; only the
+slots no mask blocks get the generic pinned-maximum search in
+:mod:`permlab.perms` for the remaining patterns.
 
 Output is deterministic: each level is sorted lexicographically, with or
 without worker processes.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from bisect import bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
@@ -36,11 +36,13 @@ from permlab.perms import (
 
 DEFAULT_CAP = 10_000_000
 
-_INF = 1 << 30
-
 
 class CapacityError(RuntimeError):
-    """Raised when a level exceeds the configured class-size cap."""
+    """Raised when a level exceeds the configured class-size cap.
+
+    Building stops as soon as the partial level passes the cap, so
+    ``size`` is a lower bound on the level's true size.
+    """
 
     def __init__(self, n: int, size: int, cap: int):
         super().__init__(f"Av_{n} exceeds capacity cap ({size} > {cap})")
@@ -103,172 +105,143 @@ class PatternBasis:
 
 
 # ---------------------------------------------------------------------------
-# per-pattern insertion checkers
+# blocked-slot masks
 #
-# Each checker decides, for a parent known to avoid the pattern, whether
-# inserting a new maximum at a given slot creates an occurrence.  The
-# prepare() step may build whatever per-parent tables make the per-slot
-# query cheap.
+# Inserting the new maximum n+1 into a parent of length n at slot s gives
+# parent[:s] + (n+1,) + parent[s:].  For each special pattern a function
+# maps the parent to the int whose bit s is set exactly when that child
+# has an occurrence of the pattern through the new maximum.  Value sets
+# are ints too (bit v for value v), so each mask costs one O(n) pass.
+# The conditions are exact for any parent, not only for avoiders.
 
 
-class _GenericChecker:
-    cost = 10
-
-    def __init__(self, pattern: Perm):
-        self.pattern = pattern
-
-    def prepare(self, parent: Perm):
-        return None
-
-    def occurs(self, parent: Perm, state, slot: int) -> bool:
-        return occurs_with_new_max(parent, slot, self.pattern)
-
-
-class _Checker2143:
-    # New max plays the 4.  Occurrence iff some inversion left of the
-    # slot has its top below some value right of the slot; only the
-    # minimal inversion top matters.
-    cost = 1
-    pattern = (2, 1, 4, 3)
-
-    def prepare(self, parent: Perm):
-        n = len(parent)
-        min_inv_top = [_INF] * (n + 1)
-        prefix_sorted: list[int] = []
-        for j, v in enumerate(parent):
-            best = min_inv_top[j]
-            idx = bisect_right(prefix_sorted, v)
-            if idx < len(prefix_sorted) and prefix_sorted[idx] < best:
-                best = prefix_sorted[idx]
-            min_inv_top[j + 1] = best
-            insort(prefix_sorted, v)
-        max_suffix = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            max_suffix[j] = max(max_suffix[j + 1], parent[j])
-        return min_inv_top, max_suffix
-
-    def occurs(self, parent: Perm, state, slot: int) -> bool:
-        min_inv_top, max_suffix = state
-        return max_suffix[slot] > min_inv_top[slot]
+def _blocked_2143(parent: Perm) -> int:
+    # New max plays the 4: blocked iff the smallest inversion top left of
+    # the slot lies below the largest value right of it.
+    n = len(parent)
+    suffix_max = [0] * (n + 1)
+    top = 0
+    for j in range(n - 1, -1, -1):
+        v = parent[j]
+        if v > top:
+            top = v
+        suffix_max[j] = top
+    mask = 0
+    seen = 0
+    min_top = n + 1
+    for s, v in enumerate(parent):
+        if suffix_max[s] > min_top:
+            mask |= 1 << s
+        above = seen >> (v + 1)  # prefix values above v, shifted down
+        if above:
+            t = (above & -above).bit_length() + v
+            if t < min_top:
+                min_top = t
+        seen |= 1 << v
+    return mask
 
 
-class _Checker3142:
-    # New max plays the 4: need prefix values straddling a suffix value.
-    cost = 2
-    pattern = (3, 1, 4, 2)
-
-    def prepare(self, parent: Perm):
-        n = len(parent)
-        min_gt = [[_INF] * (n + 2)]
-        max_lt = [[-1] * (n + 2)]
-        for p in range(1, n + 1):
-            w = parent[p - 1]
-            row_gt = min_gt[p - 1].copy()
-            row_lt = max_lt[p - 1].copy()
-            for v in range(1, w):
-                if row_gt[v] == _INF:
-                    row_gt[v] = p - 1
-            for v in range(w + 1, n + 1):
-                if row_lt[v] < p - 1:
-                    row_lt[v] = p - 1
-            min_gt.append(row_gt)
-            max_lt.append(row_lt)
-        return min_gt, max_lt
-
-    def occurs(self, parent: Perm, state, slot: int) -> bool:
-        min_gt, max_lt = state
-        row_gt = min_gt[slot]
-        row_lt = max_lt[slot]
-        for l in range(slot, len(parent)):
-            v = parent[l]
-            if row_gt[v] < row_lt[v]:
-                return True
-        return False
+def _blocked_3142(parent: Perm) -> int:
+    # New max plays the 4: blocked iff a value right of the slot lies in
+    # (w, max-so-far) for some inversion bottom w left of the slot.
+    n = len(parent)
+    suffix = [0] * (n + 1)
+    acc = 0
+    for j in range(n - 1, -1, -1):
+        acc |= 1 << parent[j]
+        suffix[j] = acc
+    mask = 0
+    covered = 0
+    top = 0
+    for s, v in enumerate(parent):
+        if covered & suffix[s]:
+            mask |= 1 << s
+        if v < top:
+            covered |= (1 << top) - (2 << v)  # values v+1 .. top-1
+        else:
+            top = v
+    return mask
 
 
-class _Checker132:
-    # New max plays the 3: any prefix value below any suffix value.
-    cost = 0
-    pattern = (1, 3, 2)
-
-    def prepare(self, parent: Perm):
-        n = len(parent)
-        min_prefix = [_INF] * (n + 1)
-        for j, v in enumerate(parent):
-            min_prefix[j + 1] = min(min_prefix[j], v)
-        max_suffix = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            max_suffix[j] = max(max_suffix[j + 1], parent[j])
-        return min_prefix, max_suffix
-
-    def occurs(self, parent: Perm, state, slot: int) -> bool:
-        min_prefix, max_suffix = state
-        return max_suffix[slot] > min_prefix[slot]
+def _blocked_132(parent: Perm) -> int:
+    # New max plays the 3: blocked iff some value left of the slot lies
+    # below some value right of it, i.e. unless the prefix holds exactly
+    # the top s values (its minimum is n+1-s).
+    n = len(parent)
+    mask = 0
+    low = n + 1
+    for s, v in enumerate(parent):
+        if low != n + 1 - s:
+            mask |= 1 << s
+        if v < low:
+            low = v
+    return mask
 
 
-class _Checker4132:
-    # New max plays the 4 in front: occurrence iff the suffix from the
-    # slot contains a 132.
-    cost = 1
-    pattern = (4, 1, 3, 2)
-
-    def prepare(self, parent: Perm):
-        n = len(parent)
-        has132_from = [False] * (n + 2)
-        suffix_sorted: list[int] = []
-        max_inv_bottom = -1  # max bottom over inversions in the suffix
-        for j in range(n - 1, -1, -1):
-            w = parent[j]
-            starts_here = max_inv_bottom > w
-            has132_from[j] = has132_from[j + 1] or starts_here
-            idx = bisect_right(suffix_sorted, w) - 1
-            if idx >= 0 and suffix_sorted[idx] > max_inv_bottom:
-                max_inv_bottom = suffix_sorted[idx]
-            insort(suffix_sorted, w)
-        return has132_from
-
-    def occurs(self, parent: Perm, state, slot: int) -> bool:
-        return state[slot]
+def _blocked_4132(parent: Perm) -> int:
+    # New max plays the 4 in front: blocked iff the suffix from the slot
+    # contains a 132, i.e. for every slot up to the last start of a 132.
+    seen = 0
+    max_bottom = 0  # largest inversion bottom right of j
+    for j in range(len(parent) - 1, -1, -1):
+        v = parent[j]
+        if max_bottom > v:
+            return (2 << j) - 1
+        below = (seen & ((1 << v) - 1)).bit_length() - 1
+        if below > max_bottom:
+            max_bottom = below
+        seen |= 1 << v
+    return 0
 
 
-_SPECIAL: dict[Perm, type] = {
-    (2, 1, 4, 3): _Checker2143,
-    (3, 1, 4, 2): _Checker3142,
-    (1, 3, 2): _Checker132,
-    (4, 1, 3, 2): _Checker4132,
+_BLOCKED_SLOTS: dict[Perm, Callable[[Perm], int]] = {
+    (2, 1, 4, 3): _blocked_2143,
+    (3, 1, 4, 2): _blocked_3142,
+    (1, 3, 2): _blocked_132,
+    (4, 1, 3, 2): _blocked_4132,
 }
 
 
-def _compile_checkers(patterns: Sequence[Perm], generic_only: bool = False):
-    checkers = []
-    for p in patterns:
-        cls = None if generic_only else _SPECIAL.get(p)
-        checkers.append(cls() if cls else _GenericChecker(p))
-    checkers.sort(key=lambda c: c.cost)
-    return checkers
-
-
 def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
-                  generic_only: bool = False) -> list[Perm]:
-    """Children of ``parents`` under max-insertion that stay in the class."""
-    checkers = _compile_checkers(patterns, generic_only)
+                  generic_only: bool = False, cap: int = DEFAULT_CAP) -> list[Perm]:
+    """Children of ``parents`` under max-insertion that stay in the class.
+
+    Slots blocked by a special pattern are skipped; the rest get the
+    pinned-maximum search for the other patterns, in basis order.
+    ``generic_only`` searches every pattern, as an oracle.  The scan stops
+    after the first parent that takes the output past ``cap``.
+    """
+    if generic_only:
+        masks, generic = (), tuple(patterns)
+    else:
+        masks = tuple(_BLOCKED_SLOTS[p] for p in patterns if p in _BLOCKED_SLOTS)
+        generic = tuple(p for p in patterns if p not in _BLOCKED_SLOTS)
+    occurs = occurs_with_new_max  # read per call, so a rebound module name is used
     out: list[Perm] = []
     append = out.append
     for parent in parents:
         new_val = len(parent) + 1
-        states = [c.prepare(parent) for c in checkers]
-        for slot in range(new_val):
-            for c, st in zip(checkers, states):
-                if c.occurs(parent, st, slot):
+        blocked = 0
+        for blocked_slots in masks:
+            blocked |= blocked_slots(parent)
+        free = ~blocked & ((1 << new_val) - 1)
+        while free:
+            low = free & -free
+            free ^= low
+            slot = low.bit_length() - 1
+            for p in generic:
+                if occurs(parent, slot, p):
                     break
             else:
                 append(parent[:slot] + (new_val,) + parent[slot:])
+        if len(out) > cap:
+            break
     return out
 
 
 def _extend_level_chunk(args) -> list[Perm]:
-    parents, patterns = args
-    return _extend_level(parents, patterns)
+    parents, patterns, cap = args
+    return _extend_level(parents, patterns, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +264,19 @@ def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
         if parallelism > 1 and len(parents) >= 4 * parallelism:
             chunk = (len(parents) + parallelism - 1) // parallelism
             jobs = [
-                (parents[i : i + chunk], patterns)
+                (parents[i : i + chunk], patterns, cap)
                 for i in range(0, len(parents), chunk)
             ]
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
                 parts = list(pool.map(_extend_level_chunk, jobs))
-            children = [p for part in parts for p in part]
         else:
-            children = _extend_level(parents, patterns)
-        if len(children) > cap:
-            raise CapacityError(len(levels), len(children), cap)
+            parts = [_extend_level(parents, patterns, cap=cap)]
+        size = sum(len(part) for part in parts)
+        if size > cap:
+            raise CapacityError(len(levels), size, cap)
+        children = parts[0]
+        for part in parts[1:]:
+            children += part
         children.sort()
         levels.append(children)
     return levels[: max_n + 1]

@@ -1,6 +1,9 @@
 """Command-line interface tests: output formats, exit codes, determinism."""
 
 import json
+import os
+
+import pytest
 
 from permlab.cli import main
 
@@ -60,6 +63,27 @@ class TestCount:
                              "--max-n", "6", "--parallelism", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("value", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+    def test_parallelism_out_of_range_rejected_at_parse_time(
+        self, capsys, monkeypatch, value
+    ):
+        from permlab import cli, enumeration
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        def no_command(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "cmd_count", no_command)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--basis", "132", "--max-n", "9", "--parallelism", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--parallelism" in err
+        assert f"between 1 and {os.cpu_count() or 1}" in err
 
     def test_cache_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMLAB_CACHE_DIR", str(tmp_path))

@@ -8,6 +8,8 @@ small lengths are checked against the brute-force S_n filter.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_class
 from permlab.enumeration import (
@@ -21,9 +23,16 @@ from permlab.enumeration import (
     export_counts,
     refined_count,
     simples_by_insertion,
+    _BLOCKED_SLOTS,
     _extend_level,
 )
-from permlab.perms import avoids_all, is_simple, parse_permutation, standardize
+from permlab.perms import (
+    avoids_all,
+    is_simple,
+    occurs_with_new_max,
+    parse_permutation,
+    standardize,
+)
 
 P = parse_permutation
 
@@ -118,13 +127,16 @@ class TestEnumerate:
             assert counts[n] == len(enumerate_class(basis, n))
 
     def test_generic_and_fast_checkers_agree(self):
-        basis = PatternBasis.from_text("2143,3142,4132")
-        level = [()]
-        for n in range(1, 8):
-            fast = sorted(_extend_level(level, basis.patterns))
-            slow = sorted(_extend_level(level, basis.patterns, generic_only=True))
-            assert fast == slow
-            level = fast
+        bases = ["2143,3142,4132", "132", "2143,3142,615243",
+                 *(f"2143,3142,{t}" for t in SCHRODER_TAUS)]
+        for text in bases:
+            basis = PatternBasis.from_text(text)
+            level = [()]
+            for n in range(1, 8):
+                fast = _extend_level(level, basis.patterns)
+                slow = _extend_level(level, basis.patterns, generic_only=True)
+                assert fast == slow, (text, n)
+                level = fast
 
     def test_parallel_matches_sequential(self):
         basis = PatternBasis.from_text("2413,3142")
@@ -144,8 +156,40 @@ class TestEnumerate:
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
         with pytest.raises(CapacityError) as exc:
             class_levels(basis, 6, cap=100)
-        assert exc.value.n <= 6
+        n = exc.value.n
+        assert n <= 6
+        # building stopped after the parent that took the level past the
+        # cap, and the partial level never entered the cache
+        assert 100 < exc.value.size <= 100 + n
+        assert len(enumeration._LEVELS_CACHE[basis.patterns]) == n
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+    def test_capacity_error_parallel(self):
+        from permlab import enumeration
+
+        basis = PatternBasis.from_text("654321")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        with pytest.raises(CapacityError) as exc:
+            class_levels(basis, 6, parallelism=2, cap=50)
+        # 24 parents in two chunks; each chunk stops once it passes the cap
+        assert exc.value.n == 5
+        assert 50 < exc.value.size <= 2 * (50 + 5)
+        assert len(enumeration._LEVELS_CACHE[basis.patterns]) == 5
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_blocked_slot_masks_match_pinned_search(parent_list):
+    # exact for any parent, not only for members of the class
+    parent = tuple(parent_list)
+    for pattern, blocked_slots in _BLOCKED_SLOTS.items():
+        mask = blocked_slots(parent)
+        assert mask >> (len(parent) + 1) == 0
+        for slot in range(len(parent) + 1):
+            assert bool(mask >> slot & 1) == occurs_with_new_max(parent, slot, pattern), (
+                pattern, parent, slot)
 
 
 class TestKnownCounts:
