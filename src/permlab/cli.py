@@ -15,6 +15,7 @@ import sys
 from permlab.enumeration import (
     CapacityError,
     PatternBasis,
+    check_parallelism,
     class_levels,
     count_class,
     enumerate_simples,
@@ -39,16 +40,14 @@ def _cache_dir(args) -> str | None:
 
 def _parallelism(text: str) -> int:
     """argparse type for --parallelism: an int in 1..os.cpu_count()."""
-    limit = os.cpu_count() or 1
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be between 1 and {limit} (the CPU count), got {value}"
-        )
-    return value
+    try:
+        return check_parallelism(value)
+    except ValueError as exc:  # argparse already names the option
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("parallelism ")) from None
 
 
 def _print_rows(rows, header, fmt):

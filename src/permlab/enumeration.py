@@ -250,9 +250,20 @@ def _extend_level_chunk(args) -> list[Perm]:
 _LEVELS_CACHE: dict[tuple[Perm, ...], list[list[Perm]]] = {}
 
 
+def check_parallelism(value: int) -> int:
+    """Return ``value`` if it is a worker count in 1..os.cpu_count(), else raise."""
+    limit = os.cpu_count() or 1
+    if not 1 <= value <= limit:
+        raise ValueError(
+            f"parallelism must be between 1 and {limit} (the CPU count), got {value}"
+        )
+    return value
+
+
 def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
                  cap: int = DEFAULT_CAP) -> list[list[Perm]]:
     """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis)."""
+    check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if len(basis) == 0:
@@ -291,6 +302,7 @@ def enumerate_class(basis: PatternBasis, n: int, *, parallelism: int = 1,
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
                 cap: int = DEFAULT_CAP, cache_dir: str | None = None) -> list[int]:
     """(|Av_0|, ..., |Av_max_n|), optionally resumable via a cache directory."""
+    check_parallelism(parallelism)
     cached = _read_count_cache(cache_dir, basis) if cache_dir else {}
     if cached and all(n in cached for n in range(max_n + 1)):
         return [cached[n] for n in range(max_n + 1)]
@@ -321,7 +333,10 @@ def _read_count_cache(cache_dir: str, basis: PatternBasis) -> dict[int, int]:
         for line in fh:
             parts = line.strip().split(",")
             if len(parts) == 3 and parts[0] == want:
-                out[int(parts[1])] = int(parts[2])
+                try:
+                    out[int(parts[1])] = int(parts[2])
+                except ValueError:
+                    continue  # a damaged line: its count is recomputed
     return out
 
 
@@ -329,7 +344,15 @@ def _write_count_cache(cache_dir: str, basis: PatternBasis, counts: list[int]) -
     os.makedirs(cache_dir, exist_ok=True)
     known = _read_count_cache(cache_dir, basis)
     h = _basis_hash(basis)
-    with open(_count_cache_path(cache_dir), "a", encoding="utf-8") as fh:
+    path = _count_cache_path(cache_dir)
+    torn = False  # a truncated last line must not swallow the next entry
+    if os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        if torn:
+            fh.write("\n")
         for n, c in enumerate(counts):
             if n not in known:
                 fh.write(f"{h},{n},{c}\n")

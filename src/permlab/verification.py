@@ -546,40 +546,55 @@ def check_inflation_rules(max_n: int = 8) -> VerificationReport:
 
 def _all_decompositions(p: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
     """Every way to write p as simple-skeleton[blocks] honoring the
-    12/21 first-block conventions, found by brute force over cut sets."""
+    12/21 first-block conventions.
+
+    Exhaustive over the cut sets whose segments are all intervals of
+    values (no other cut set can give a decomposition): an inline
+    O(n^2) table lists, for each start a, every end b with p[a:b] an
+    interval, and a depth-first walk over it from 0 to n yields those
+    cut sets.  The single-segment cut set is skipped, since a skeleton
+    of length 1 is only for length-1 hosts.  Results come in the order
+    of the cut-set integer (bit b-1 set for each inner bound b)."""
     n = len(p)
     if n == 1:
         return [((1,), ((1,),))]
+    ends: list[list[tuple[int, int]]] = []  # ends[a]: (b, min p[a:b])
+    for a in range(n):
+        lo = hi = p[a]
+        row = []
+        for b in range(a + 1, n + 1):
+            v = p[b - 1]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo + 1 == b - a:
+                row.append((b, lo))
+        ends.append(row)
+    cut_sets = []  # (cut-set integer, segments as (start, end, min))
+    stack = [(0, 0, ())]
+    while stack:
+        a, cuts, segments = stack.pop()
+        for b, lo in ends[a]:
+            grown = segments + ((a, b, lo),)
+            if b < n:
+                stack.append((b, cuts | 1 << (b - 1), grown))
+            elif a:
+                cut_sets.append((cuts, grown))
+    cut_sets.sort()
     out = []
-    for cuts in range(1 << (n - 1)):
-        bounds = [0]
-        for b in range(n - 1):
-            if cuts >> b & 1:
-                bounds.append(b + 1)
-        bounds.append(n)
-        if len(bounds) == 2:
-            continue  # skeleton of length 1 is only for length-1 hosts
-        segments = [p[a:b] for a, b in zip(bounds, bounds[1:])]
-        blocks = []
-        reps = []
-        ok = True
-        for seg in segments:
-            lo, hi = min(seg), max(seg)
-            if hi - lo + 1 != len(seg):
-                ok = False
-                break
-            blocks.append(tuple(v - lo + 1 for v in seg))
-            reps.append(lo)
-        if not ok:
-            continue
-        skeleton = standardize(reps)
+    for _, segments in cut_sets:
+        skeleton = standardize([lo for _, _, lo in segments])
         if not is_simple(skeleton):
             continue
+        blocks = tuple(
+            tuple(v - lo + 1 for v in p[a:b]) for a, b, lo in segments
+        )
         if skeleton == (1, 2) and is_sum_decomposable(blocks[0]):
             continue
         if skeleton == (2, 1) and is_skew_decomposable(blocks[0]):
             continue
-        out.append((skeleton, tuple(blocks)))
+        out.append((skeleton, blocks))
     return out
 
 

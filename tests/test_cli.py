@@ -91,6 +91,30 @@ class TestCount:
         assert code == 0
         assert (tmp_path / "counts.txt").read_text().count("\n") == 6
 
+    def test_damaged_cache_line_is_recomputed(self, capsys, tmp_path, monkeypatch):
+        from permlab import enumeration
+
+        basis = enumeration.PatternBasis.from_text("132")
+        h = enumeration._basis_hash(basis)
+        cache = tmp_path / "counts.txt"
+        # a run cut off while appending: the last line lacks its count
+        cache.write_text(f"{h},0,1\n{h},1,1\n{h},5,")
+        code, out, err = run(capsys, "count", "--basis", "132", "--max-n", "5",
+                             "--cache-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert [line.split("\t") for line in out.strip().splitlines()] == [
+            [str(n), str(c)] for n, c in enumerate([1, 1, 2, 5, 14, 42])
+        ]
+        # the missing counts went back on lines of their own, so the next
+        # run is served from the cache alone
+        def no_levels(*args, **kwargs):
+            raise AssertionError("the class was enumerated")
+
+        monkeypatch.setattr(enumeration, "class_levels", no_levels)
+        code, again, _ = run(capsys, "count", "--basis", "132", "--max-n", "5",
+                             "--cache-dir", str(tmp_path))
+        assert (code, again) == (0, out)
+
 
 class TestEnumerateAndSimples:
     def test_enumerate(self, capsys):

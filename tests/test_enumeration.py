@@ -6,6 +6,7 @@ small lengths are checked against the brute-force S_n filter.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,29 @@ class TestEnumerate:
         assert 50 < exc.value.size <= 2 * (50 + 5)
         assert len(enumeration._LEVELS_CACHE[basis.patterns]) == 5
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+    @pytest.mark.parametrize("value", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_parallelism_out_of_range_rejected(self, monkeypatch, tmp_path, value):
+        from permlab import enumeration
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        basis = PatternBasis.from_text("4321")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        calls = [
+            lambda: class_levels(basis, 9, parallelism=value),
+            lambda: enumerate_class(basis, 9, parallelism=value),
+            lambda: count_class(basis, 9, parallelism=value),
+            lambda: count_class(basis, 9, parallelism=value, cache_dir=str(tmp_path)),
+            lambda: refined_count(basis, 9, ["bond"], parallelism=value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}"):
+                call()
+        assert basis.patterns not in enumeration._LEVELS_CACHE
+        assert not (tmp_path / "counts.txt").exists()
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,15 +5,28 @@ stays fast; the acceptance suite reruns everything at full depth.
 """
 
 import json
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permlab import verification
 from permlab.enumeration import PatternBasis, class_levels
 from permlab.perms import (
+    Deflation,
     avoids_all,
+    deflate,
+    direct_sum,
     extraction,
+    is_simple,
+    is_skew_decomposable,
+    is_sum_decomposable,
     leading_maxima_count,
     parse_permutation,
+    skew_components,
+    standardize,
+    sum_components,
 )
 from permlab.verification import (
     BASIS_254613,
@@ -35,6 +48,7 @@ from permlab.verification import (
     reports_to_json,
     run_all,
     run_check,
+    _all_decompositions,
     _gap_blocks,
     _in_relocation_domain,
 )
@@ -154,9 +168,102 @@ class TestSimplesChecks:
         assert not avoids_all(bad, basis.patterns)
 
 
+def _brute_decompositions(p):
+    """The brute-force search over all 2^(n-1) cut sets, kept as the
+    oracle for _all_decompositions."""
+    n = len(p)
+    if n == 1:
+        return [((1,), ((1,),))]
+    out = []
+    for cuts in range(1 << (n - 1)):
+        bounds = [0]
+        for b in range(n - 1):
+            if cuts >> b & 1:
+                bounds.append(b + 1)
+        bounds.append(n)
+        if len(bounds) == 2:
+            continue  # skeleton of length 1 is only for length-1 hosts
+        segments = [p[a:b] for a, b in zip(bounds, bounds[1:])]
+        blocks = []
+        reps = []
+        ok = True
+        for seg in segments:
+            lo, hi = min(seg), max(seg)
+            if hi - lo + 1 != len(seg):
+                ok = False
+                break
+            blocks.append(tuple(v - lo + 1 for v in seg))
+            reps.append(lo)
+        if not ok:
+            continue
+        skeleton = standardize(reps)
+        if not is_simple(skeleton):
+            continue
+        if skeleton == (1, 2) and is_sum_decomposable(blocks[0]):
+            continue
+        if skeleton == (2, 1) and is_skew_decomposable(blocks[0]):
+            continue
+        out.append((skeleton, tuple(blocks)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_all_decompositions_match_brute_force(p_list):
+    p = tuple(p_list)
+    assert _all_decompositions(p) == _brute_decompositions(p)
+
+
 class TestDeflationUniqueness:
     def test_passes(self):
         assert check_deflation_uniqueness(6).passed
+
+    def test_search_matches_brute_force_exhaustively(self):
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                assert _all_decompositions(p) == _brute_decompositions(p), p
+
+    def test_catches_deflate_breaking_the_12_convention(self, monkeypatch):
+        # split off the last sum component instead of the first: it still
+        # inflates back, but its first block is sum-decomposable once p
+        # has three or more components
+        def last_split_deflate(p):
+            comps = sum_components(p)
+            if len(comps) < 2:
+                return deflate(p)
+            head = ()
+            for c in comps[:-1]:
+                head = direct_sum(head, c)
+            return Deflation((1, 2), (head, comps[-1]))
+
+        monkeypatch.setattr(verification, "deflate", last_split_deflate)
+        r = check_deflation_uniqueness(5)
+        assert not r.passed
+        expected = sorted(
+            (p for n in range(1, 6) for p in permutations(range(1, n + 1))
+             if len(sum_components(p)) >= 3),
+            key=lambda p: (len(p), p),
+        )
+        assert [p for p, _ in r.witnesses] == expected
+        assert {reason for _, reason in r.witnesses} == {
+            "deflate() disagrees with the exhaustive search"
+        }
+
+    def test_catches_search_without_first_block_filter(self, monkeypatch):
+        # without the 12/21 filter, a sum (skew) of k >= 3 components has
+        # k - 1 decompositions with skeleton 12 (21)
+        monkeypatch.setattr(verification, "is_sum_decomposable", lambda p: False)
+        monkeypatch.setattr(verification, "is_skew_decomposable", lambda p: False)
+        r = check_deflation_uniqueness(5)
+        assert not r.passed
+        expected = []
+        for n in range(1, 6):
+            for p in permutations(range(1, n + 1)):
+                k = max(len(sum_components(p)), len(skew_components(p)))
+                if k >= 3:
+                    expected.append((p, f"{k - 1} convention-respecting decompositions"))
+        assert r.witnesses == expected
 
 
 class TestExtractionClosure:
