@@ -38,14 +38,25 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("PERMLAB_CACHE_DIR")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    """argparse type for the size budgets --max-n, --count-n and --order."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parallelism(text: str) -> int:
     """argparse type for --parallelism: an int in 1..os.cpu_count()."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return check_parallelism(value)
+        return check_parallelism(_int(text))
     except ValueError as exc:  # argparse already names the option
         raise argparse.ArgumentTypeError(str(exc).removeprefix("parallelism ")) from None
 
@@ -169,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if basis:
             p.add_argument("--basis", required=True,
                            help="comma-separated digit-string patterns, e.g. 2143,3142")
-        p.add_argument("--max-n", type=int, default=8)
+        p.add_argument("--max-n", type=_non_negative, default=8)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
         p.add_argument("--parallelism", type=_parallelism, default=1,
                        help="worker processes, 1..CPU count (default 1)")
@@ -199,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ser = sub.add_parser("series", help="print a registered series")
     p_ser.add_argument("--name", required=True,
                        help="registered series name (see README)")
-    p_ser.add_argument("--order", type=int, default=12)
+    p_ser.add_argument("--order", type=_non_negative, default=12)
     p_ser.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_ser.set_defaults(fn=cmd_series)
 
@@ -208,9 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the whole registry (default when no --id)")
     p_ver.add_argument("--id", default=None, help="run a single check by id")
     p_ver.add_argument("--list-ids", action="store_true")
-    p_ver.add_argument("--max-n", type=int, default=8)
-    p_ver.add_argument("--order", type=int, default=12)
-    p_ver.add_argument("--count-n", type=int, default=10)
+    p_ver.add_argument("--max-n", type=_non_negative, default=8)
+    p_ver.add_argument("--order", type=_non_negative, default=12)
+    p_ver.add_argument("--count-n", type=_non_negative, default=10)
     p_ver.add_argument("--format", choices=["table", "json"], default="table")
     p_ver.set_defaults(fn=cmd_verify)
 

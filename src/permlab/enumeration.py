@@ -4,12 +4,13 @@ Generation proceeds level by level: every member of Av_n(basis) arises
 exactly once by inserting the new maximum n into a member of
 Av_{n-1}(basis), so only occurrences through the new maximum need to be
 tested.  The frequent patterns (2143, 3142, 132, 4132) each map a
-parent, in one O(n) pass, to a bitmask of the slots they block; only the
-slots no mask blocks get the generic pinned-maximum search in
-:mod:`permlab.perms` for the remaining patterns.
+parent, in one O(n) pass, to a bitmask of the slots they block.  Every
+other pattern is compiled once per level (and worker) by
+:func:`permlab.perms.pinned_max_search`, which drops from the slots
+still free those it blocks, in one search per parent.
 
 Output is deterministic: each level is sorted lexicographically, with or
-without worker processes.
+without worker processes (which each take every k-th parent).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from permlab.perms import (
     occurs_with_new_max,
     parse_permutation,
     perm_to_text,
+    pinned_max_search,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -202,21 +204,37 @@ _BLOCKED_SLOTS: dict[Perm, Callable[[Perm], int]] = {
 }
 
 
+def _per_slot_search(pattern: Perm) -> Callable[[Perm, int], int]:
+    """The oracle for ``pinned_max_search``: one ``occurs_with_new_max`` per slot.
+
+    The module name is read per call, so a rebound one is used.
+    """
+    def blocked(parent: Perm, slots: int) -> int:
+        return sum(
+            1 << s for s in range(len(parent) + 1)
+            if slots >> s & 1 and occurs_with_new_max(parent, s, pattern)
+        )
+
+    return blocked
+
+
 def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
                   generic_only: bool = False, cap: int = DEFAULT_CAP) -> list[Perm]:
     """Children of ``parents`` under max-insertion that stay in the class.
 
-    Slots blocked by a special pattern are skipped; the rest get the
-    pinned-maximum search for the other patterns, in basis order.
-    ``generic_only`` searches every pattern, as an oracle.  The scan stops
+    Slots blocked by a special pattern are dropped first; each other
+    pattern, compiled once per call by ``pinned_max_search``, then drops
+    the free slots it blocks, in basis order.  ``generic_only`` tests
+    every pattern slot by slot instead, as an oracle.  The scan stops
     after the first parent that takes the output past ``cap``.
     """
     if generic_only:
-        masks, generic = (), tuple(patterns)
+        masks, searches = (), tuple(_per_slot_search(p) for p in patterns)
     else:
         masks = tuple(_BLOCKED_SLOTS[p] for p in patterns if p in _BLOCKED_SLOTS)
-        generic = tuple(p for p in patterns if p not in _BLOCKED_SLOTS)
-    occurs = occurs_with_new_max  # read per call, so a rebound module name is used
+        searches = tuple(
+            pinned_max_search(p) for p in patterns if p not in _BLOCKED_SLOTS
+        )
     out: list[Perm] = []
     append = out.append
     for parent in parents:
@@ -225,15 +243,15 @@ def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
         for blocked_slots in masks:
             blocked |= blocked_slots(parent)
         free = ~blocked & ((1 << new_val) - 1)
+        for search in searches:
+            if not free:
+                break
+            free &= ~search(parent, free)
         while free:
             low = free & -free
             free ^= low
             slot = low.bit_length() - 1
-            for p in generic:
-                if occurs(parent, slot, p):
-                    break
-            else:
-                append(parent[:slot] + (new_val,) + parent[slot:])
+            append(parent[:slot] + (new_val,) + parent[slot:])
         if len(out) > cap:
             break
     return out
@@ -273,11 +291,9 @@ def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
     while len(levels) <= max_n:
         parents = levels[-1]
         if parallelism > 1 and len(parents) >= 4 * parallelism:
-            chunk = (len(parents) + parallelism - 1) // parallelism
-            jobs = [
-                (parents[i : i + chunk], patterns, cap)
-                for i in range(0, len(parents), chunk)
-            ]
+            # strided, not contiguous: the costly parents come first in
+            # lexicographic order, and the level is sorted below anyway
+            jobs = [(parents[i::parallelism], patterns, cap) for i in range(parallelism)]
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
                 parts = list(pool.map(_extend_level_chunk, jobs))
         else:
@@ -303,6 +319,8 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
                 cap: int = DEFAULT_CAP, cache_dir: str | None = None) -> list[int]:
     """(|Av_0|, ..., |Av_max_n|), optionally resumable via a cache directory."""
     check_parallelism(parallelism)
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     cached = _read_count_cache(cache_dir, basis) if cache_dir else {}
     if cached and all(n in cached for n in range(max_n + 1)):
         return [cached[n] for n in range(max_n + 1)]

@@ -85,6 +85,17 @@ class TestCount:
         assert "--parallelism" in err
         assert f"between 1 and {os.cpu_count() or 1}" in err
 
+    def test_negative_max_n_with_warm_cache_is_usage_error(self, capsys, tmp_path):
+        args = ["count", "--basis", "132", "--cache-dir", str(tmp_path)]
+        code, _, _ = run(capsys, *args, "--max-n", "5")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--max-n", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--max-n: must be >= 0, got -1" in out.err
+
     def test_cache_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMLAB_CACHE_DIR", str(tmp_path))
         code, _, _ = run(capsys, "count", "--basis", "132", "--max-n", "5")
@@ -129,6 +140,14 @@ class TestEnumerateAndSimples:
         assert out.strip().splitlines() == [
             "n,perm", "0,", "1,1", "2,12", "2,21", "4,2413",
         ]
+
+    def test_simples_negative_max_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simples", "--basis", "132", "--max-n", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--max-n: must be >= 0, got -1" in out.err
 
 
 class TestStat:
@@ -196,6 +215,19 @@ class TestVerify:
                            "--order", "5", "--count-n", "5")
         assert code == 0
         assert "fail" not in out
+
+    @pytest.mark.parametrize("option", ["--max-n", "--order", "--count-n"])
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch, option):
+        from permlab import cli
+
+        def no_command(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "cmd_verify", no_command)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--id", "strip-132", option, "-2"])
+        assert exc.value.code == 2
+        assert f"{option}: must be >= 0, got -2" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "top-values",

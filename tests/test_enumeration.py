@@ -129,6 +129,7 @@ class TestEnumerate:
 
     def test_generic_and_fast_checkers_agree(self):
         bases = ["2143,3142,4132", "132", "2143,3142,615243",
+                 "2143,3142,645312", "2143,3142,246135", "1",
                  *(f"2143,3142,{t}" for t in SCHRODER_TAUS)]
         for text in bases:
             basis = PatternBasis.from_text(text)
@@ -140,15 +141,16 @@ class TestEnumerate:
                 level = fast
 
     def test_parallel_matches_sequential(self):
-        basis = PatternBasis.from_text("2413,3142")
-        seq = [len(lv) for lv in class_levels(basis, 7)]
         from permlab import enumeration
 
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        par_levels = class_levels(basis, 7, parallelism=2)
-        assert [len(lv) for lv in par_levels] == seq
-        for lv in par_levels:
-            assert lv == sorted(lv)
+        for text in ["2413,3142", "2143,3142,263514"]:
+            basis = PatternBasis.from_text(text)
+            enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+            seq = class_levels(basis, 8)
+            enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+            par = class_levels(basis, 8, parallelism=2)
+            # levels 5-8 are built from at least 8 parents, so in the pool
+            assert par == seq, text
 
     def test_capacity_error(self):
         from permlab import enumeration
@@ -177,6 +179,12 @@ class TestEnumerate:
         assert 50 < exc.value.size <= 2 * (50 + 5)
         assert len(enumeration._LEVELS_CACHE[basis.patterns]) == 5
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+    def test_negative_max_n_rejected_before_cache_read(self, tmp_path):
+        basis = PatternBasis.from_text("132")
+        assert count_class(basis, 4, cache_dir=str(tmp_path)) == CATALAN[:5]
+        with pytest.raises(ValueError, match="max_n must be >= 0"):
+            count_class(basis, -1, cache_dir=str(tmp_path))
 
     @pytest.mark.parametrize("value", [0, -3, (os.cpu_count() or 1) + 1])
     def test_parallelism_out_of_range_rejected(self, monkeypatch, tmp_path, value):
