@@ -113,11 +113,12 @@ def cmd_stat(args) -> int:
 
 def cmd_simples(args) -> int:
     basis = PatternBasis.from_text(args.basis)
-    rows = [
-        (n, perm_to_text(p))
-        for n in range(args.max_n + 1)
-        for p in enumerate_simples(basis, n)
-    ]
+    # longest first: that call builds and caches every shorter level
+    simples = {
+        n: enumerate_simples(basis, n, parallelism=args.parallelism)
+        for n in range(args.max_n, -1, -1)
+    }
+    rows = [(n, perm_to_text(p)) for n in range(args.max_n + 1) for p in simples[n]]
     _print_rows(rows, ["n", "perm"], args.format)
     return OK
 

@@ -10,7 +10,10 @@ other pattern is compiled once per level (and worker) by
 still free those it blocks, in one search per parent.
 
 Output is deterministic: each level is sorted lexicographically, with or
-without worker processes (which each take every k-th parent).
+without worker processes.  A parallel build starts one pool per
+``class_levels`` call; each of its k workers takes every k-th parent of
+one level and grows those subtrees to the requested length, returning
+sorted levels that are merged level by level.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
@@ -257,9 +261,23 @@ def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
     return out
 
 
-def _extend_level_chunk(args) -> list[Perm]:
-    parents, patterns, cap = args
-    return _extend_level(parents, patterns, cap=cap)
+def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
+                  cap: int) -> list[list[Perm]]:
+    """The next ``depth`` levels grown from ``parents``, each sorted.
+
+    One worker's share of a parallel build.  It stops after the first
+    level whose own size passes ``cap``, and leaves that level unsorted:
+    the sum over all shards is then past the cap too, so the level is
+    never used.
+    """
+    levels = []
+    for _ in range(depth):
+        parents = _extend_level(parents, patterns, cap=cap)
+        levels.append(parents)
+        if len(parents) > cap:
+            break
+        parents.sort()
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +298,18 @@ def check_parallelism(value: int) -> int:
 
 def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
                  cap: int = DEFAULT_CAP) -> list[list[Perm]]:
-    """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis)."""
+    """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis).
+
+    With ``parallelism`` p > 1, levels are built in this process until
+    one has at least 4p parents.  Then one pool of p workers is started
+    for the whole call: worker i takes every p-th of those parents and
+    grows its subtrees down to ``max_n``, sorting each level it builds.
+    The p sorted runs of each level are merged here, so every level is
+    the same as without workers.
+
+    >>> [len(level) for level in class_levels(PatternBasis([(1, 3, 2)]), 5)]
+    [1, 1, 2, 5, 14, 42]
+    """
     check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -292,20 +321,24 @@ def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
         parents = levels[-1]
         if parallelism > 1 and len(parents) >= 4 * parallelism:
             # strided, not contiguous: the costly parents come first in
-            # lexicographic order, and the level is sorted below anyway
-            jobs = [(parents[i::parallelism], patterns, cap) for i in range(parallelism)]
+            # lexicographic order
+            depth = max_n + 1 - len(levels)
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                parts = list(pool.map(_extend_level_chunk, jobs))
+                futures = [
+                    pool.submit(_extend_shard, parents[i::parallelism], patterns, depth, cap)
+                    for i in range(parallelism)
+                ]
+                shards = [f.result() for f in futures]
         else:
-            parts = [_extend_level(parents, patterns, cap=cap)]
-        size = sum(len(part) for part in parts)
-        if size > cap:
-            raise CapacityError(len(levels), size, cap)
-        children = parts[0]
-        for part in parts[1:]:
-            children += part
-        children.sort()
-        levels.append(children)
+            shards = [_extend_shard(parents, patterns, 1, cap)]
+        # a shard ends early only at a level past the cap, so zip stops
+        # no later than the level that raises
+        for parts in zip(*shards):
+            size = sum(len(part) for part in parts)
+            if size > cap:
+                raise CapacityError(len(levels), size, cap)
+            # each part is sorted; timsort merges the runs
+            levels.append(parts[0] if len(parts) == 1 else sorted(chain.from_iterable(parts)))
     return levels[: max_n + 1]
 
 
@@ -498,9 +531,10 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
 # simple permutations
 
 
-def enumerate_simples(basis: PatternBasis, n: int) -> list[Perm]:
+def enumerate_simples(basis: PatternBasis, n: int, *,
+                      parallelism: int = 1) -> list[Perm]:
     """The simple members of Av_n(basis), sorted."""
-    return [p for p in enumerate_class(basis, n) if is_simple(p)]
+    return [p for p in enumerate_class(basis, n, parallelism=parallelism) if is_simple(p)]
 
 
 def simples_by_insertion(n: int) -> list[Perm]:

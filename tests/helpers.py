@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (subsequence scans over
 itertools.combinations, full S_n filters) so that it cannot share a bug
-with the pruned search paths it is used to check.
+with the pruned search paths it is used to check.  ``count_pools``
+records the worker pools a call starts.
 """
 
 from __future__ import annotations
@@ -32,3 +33,18 @@ def all_perms(n: int):
 
 def brute_class(patterns, n: int) -> list[Perm]:
     return sorted(p for p in all_perms(n) if brute_avoids_all(p, patterns))
+
+
+def count_pools(monkeypatch) -> list[int]:
+    """Wrap ``enumeration.ProcessPoolExecutor``; the list gets each pool's size."""
+    from permlab import enumeration
+
+    started: list[int] = []
+    real = enumeration.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", pool)
+    return started

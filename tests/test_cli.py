@@ -141,6 +141,21 @@ class TestEnumerateAndSimples:
             "n,perm", "0,", "1,1", "2,12", "2,21", "4,2413",
         ]
 
+    def test_simples_parallel_output_identical(self, capsys, monkeypatch):
+        from helpers import count_pools
+        from permlab import enumeration
+
+        argv = ["simples", "--basis", "2143,3142,4132", "--max-n", "8"]
+        patterns = enumeration.PatternBasis.from_text("2143,3142,4132").patterns
+        enumeration._LEVELS_CACHE.pop(patterns, None)
+        code1, out1, _ = run(capsys, *argv)
+        enumeration._LEVELS_CACHE.pop(patterns, None)
+        started = count_pools(monkeypatch)
+        code2, out2, _ = run(capsys, *argv, "--parallelism", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert started == [2]
+
     def test_simples_negative_max_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simples", "--basis", "132", "--max-n", "-1"])

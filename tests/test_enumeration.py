@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_class
+from helpers import brute_class, count_pools
 from permlab.enumeration import (
     CapacityError,
     PatternBasis,
@@ -143,14 +143,44 @@ class TestEnumerate:
     def test_parallel_matches_sequential(self):
         from permlab import enumeration
 
-        for text in ["2413,3142", "2143,3142,263514"]:
+        # Erdos-Szekeres: every permutation of length 10 has 1234 or 4321,
+        # so the shards of that class run into empty levels
+        for text, max_n in [("2413,3142", 8), ("2143,3142,263514", 8), ("1234,4321", 11)]:
             basis = PatternBasis.from_text(text)
             enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-            seq = class_levels(basis, 8)
+            seq = class_levels(basis, max_n)
             enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-            par = class_levels(basis, 8, parallelism=2)
-            # levels 5-8 are built from at least 8 parents, so in the pool
-            assert par == seq, text
+            par = class_levels(basis, max_n, parallelism=2)
+            # levels 5 and up are built from at least 8 parents, so in the pool
+            assert len(par) == len(seq) == max_n + 1, text
+            for n, (got, want) in enumerate(zip(par, seq)):
+                assert got == want, (text, n)
+        assert par[10] == par[11] == []
+
+    def test_parallel_continues_cached_serial_prefix(self):
+        from permlab import enumeration
+
+        basis = PatternBasis.from_text("2143,3142,263514")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        seq = class_levels(basis, 8)
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        class_levels(basis, 5)
+        par = class_levels(basis, 8, parallelism=2)
+        assert len(par) == len(seq)
+        for n, (got, want) in enumerate(zip(par, seq)):
+            assert got == want, n
+
+    def test_one_pool_per_parallel_call(self, monkeypatch):
+        from permlab import enumeration
+
+        started = count_pools(monkeypatch)
+        basis = PatternBasis.from_text("2143,3142,254613")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        levels = class_levels(basis, 9, parallelism=2)
+        assert [len(level) for level in levels] == SCHRODER[:10]
+        assert started == [2]
+        class_levels(basis, 9, parallelism=2)  # served from the cache
+        assert started == [2]
 
     def test_capacity_error(self):
         from permlab import enumeration
@@ -178,6 +208,25 @@ class TestEnumerate:
         assert exc.value.n == 5
         assert 50 < exc.value.size <= 2 * (50 + 5)
         assert len(enumeration._LEVELS_CACHE[basis.patterns]) == 5
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+    @pytest.mark.parametrize("cap, n", [(100, 5), (500, 6)])
+    def test_capacity_error_across_shards(self, cap, n):
+        from permlab import enumeration
+
+        # the 24 parents of length 4 go to two shards of 12.  With cap 100
+        # each shard's level 5 (60) stays under the cap but the sum (120)
+        # does not; with cap 500 the same happens one level deeper (719)
+        basis = PatternBasis.from_text("654321")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        complete = class_levels(basis, n - 1)
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        with pytest.raises(CapacityError) as exc:
+            class_levels(basis, 8, parallelism=2, cap=cap)
+        assert exc.value.n == n
+        assert cap < exc.value.size <= 2 * (cap + n)
+        # no partial or deeper level entered the cache
+        assert enumeration._LEVELS_CACHE[basis.patterns] == complete
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
 
     def test_negative_max_n_rejected_before_cache_read(self, tmp_path):
