@@ -3,17 +3,24 @@
 Generation proceeds level by level: every member of Av_n(basis) arises
 exactly once by inserting the new maximum n into a member of
 Av_{n-1}(basis), so only occurrences through the new maximum need to be
-tested.  The frequent patterns (2143, 3142, 132, 4132) each map a
-parent, in one O(n) pass, to a bitmask of the slots they block.  Every
-other pattern is compiled once per level (and worker) by
-:func:`permlab.perms.pinned_max_search`, which drops from the slots
-still free those it blocks, in one search per parent.
+tested.  One slot filter per basis (``_slot_filter``) gives the slots of
+a parent where the new maximum completes no pattern.  The frequent
+patterns (2143, 3142, 132, 4132) each map a parent, in one O(n) pass, to
+a bitmask of the slots they block.  Every other pattern is compiled once
+per filter by :func:`permlab.perms.pinned_max_search`, which drops from
+the slots still free those it blocks, in one search per parent.
 
-Output is deterministic: each level is sorted lexicographically, with or
-without worker processes.  A parallel build starts one pool per
-``class_levels`` call; each of its k workers takes every k-th parent of
-one level and grows those subtrees to the requested length, returning
-sorted levels that are merged level by level.
+``class_levels`` builds and caches whole levels.  Output is
+deterministic: each level is sorted lexicographically, with or without
+worker processes.  A parallel build starts one pool per call; each of
+its k workers takes every k-th parent of one level and grows those
+subtrees to the requested length, returning sorted levels that are
+merged level by level.
+
+``count_class`` builds no level below the cached ones: it walks the
+insertion tree depth-first and counts each node's children as the
+popcount of its free slots.  A parallel count sums per-level subtree
+totals over many slices of one level, one pool per call.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
@@ -222,15 +229,14 @@ def _per_slot_search(pattern: Perm) -> Callable[[Perm, int], int]:
     return blocked
 
 
-def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
-                  generic_only: bool = False, cap: int = DEFAULT_CAP) -> list[Perm]:
-    """Children of ``parents`` under max-insertion that stay in the class.
+def _slot_filter(patterns: Sequence[Perm],
+                 generic_only: bool = False) -> Callable[[Perm], int]:
+    """A function from a parent to its free slots: those no pattern blocks.
 
     Slots blocked by a special pattern are dropped first; each other
-    pattern, compiled once per call by ``pinned_max_search``, then drops
-    the free slots it blocks, in basis order.  ``generic_only`` tests
-    every pattern slot by slot instead, as an oracle.  The scan stops
-    after the first parent that takes the output past ``cap``.
+    pattern, compiled once here by ``pinned_max_search``, then drops the
+    free slots it blocks, in basis order.  ``generic_only`` tests every
+    pattern slot by slot instead, as an oracle.
     """
     if generic_only:
         masks, searches = (), tuple(_per_slot_search(p) for p in patterns)
@@ -239,18 +245,34 @@ def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
         searches = tuple(
             pinned_max_search(p) for p in patterns if p not in _BLOCKED_SLOTS
         )
-    out: list[Perm] = []
-    append = out.append
-    for parent in parents:
-        new_val = len(parent) + 1
+
+    def free_slots(parent: Perm) -> int:
         blocked = 0
         for blocked_slots in masks:
             blocked |= blocked_slots(parent)
-        free = ~blocked & ((1 << new_val) - 1)
+        free = ~blocked & ((2 << len(parent)) - 1)
         for search in searches:
             if not free:
                 break
             free &= ~search(parent, free)
+        return free
+
+    return free_slots
+
+
+def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
+                  generic_only: bool = False, cap: int = DEFAULT_CAP) -> list[Perm]:
+    """Children of ``parents`` under max-insertion that stay in the class.
+
+    The slots come from ``_slot_filter(patterns, generic_only)``.  The
+    scan stops after the first parent that takes the output past ``cap``.
+    """
+    free_slots = _slot_filter(patterns, generic_only)
+    out: list[Perm] = []
+    append = out.append
+    for parent in parents:
+        new_val = len(parent) + 1
+        free = free_slots(parent)
         while free:
             low = free & -free
             free ^= low
@@ -278,6 +300,35 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
             break
         parents.sort()
     return levels
+
+
+def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
+                    depth: int) -> list[int]:
+    """How many class members lie 1, ..., ``depth`` levels below ``parents``.
+
+    A depth-first walk that holds one root-to-leaf path: the members of
+    the last level are counted as the popcounts of their parents' free
+    slots and never built.  Also one worker's share of a parallel count.
+    """
+    free_slots = _slot_filter(patterns)
+    totals = [0] * depth
+    last = depth - 1
+
+    def walk(parent: Perm, d: int) -> None:
+        free = free_slots(parent)
+        totals[d] += free.bit_count()
+        if d < last:
+            new_val = len(parent) + 1
+            while free:
+                low = free & -free
+                free ^= low
+                slot = low.bit_length() - 1
+                walk(parent[:slot] + (new_val,) + parent[slot:], d + 1)
+
+    if depth > 0:
+        for parent in parents:
+            walk(parent, 0)
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +400,42 @@ def enumerate_class(basis: PatternBasis, n: int, *, parallelism: int = 1,
 
 
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
-                cap: int = DEFAULT_CAP, cache_dir: str | None = None) -> list[int]:
-    """(|Av_0|, ..., |Av_max_n|), optionally resumable via a cache directory."""
+                cache_dir: str | None = None) -> list[int]:
+    """(|Av_0|, ..., |Av_max_n|), optionally resumable via a cache directory.
+
+    Levels already in the level cache are counted by length.  Below the
+    deepest of them the class is counted depth-first by
+    ``_count_subtrees``, so no further level is built or cached.  With
+    ``parallelism`` p > 1, levels are first grown here until one has at
+    least 32p parents; one pool of p workers then counts the subtrees of
+    4p strided slices of them, and the per-level totals are summed.
+
+    >>> count_class(PatternBasis([(1, 3, 2)]), 5)
+    [1, 1, 2, 5, 14, 42]
+    """
     check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     cached = _read_count_cache(cache_dir, basis) if cache_dir else {}
     if cached and all(n in cached for n in range(max_n + 1)):
         return [cached[n] for n in range(max_n + 1)]
-    counts = [
-        len(level)
-        for level in class_levels(basis, max_n, parallelism=parallelism, cap=cap)
-    ]
+    patterns = basis.patterns
+    levels = _LEVELS_CACHE.get(patterns, [[()]])[: max_n + 1]
+    counts = [len(level) for level in levels]
+    frontier = levels[-1]
+    if parallelism > 1:
+        while len(counts) <= max_n and len(frontier) < 32 * parallelism:
+            frontier = _extend_level(frontier, patterns)
+            counts.append(len(frontier))
+    depth = max_n + 1 - len(counts)
+    if parallelism > 1 and depth > 0:
+        # many more slices than workers, so that no one slow slice sets the time
+        tasks = [frontier[i::4 * parallelism] for i in range(4 * parallelism)]
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            shards = list(pool.map(_count_subtrees, tasks, repeat(patterns), repeat(depth)))
+        counts.extend(sum(totals) for totals in zip(*shards))
+    else:
+        counts.extend(_count_subtrees(frontier, patterns, depth))
     if cache_dir:
         _write_count_cache(cache_dir, basis, counts)
     return counts

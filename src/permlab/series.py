@@ -45,8 +45,9 @@ TOTAL_GRADED = "total"
 
 _VAR_INDEX = {"x": 0, "t": 1, "u": 2}
 
-# enumeration-backed series are cut off here; deeper orders would need
-# multi-hour class enumerations
+# enumeration-backed series are cut off here: they read whole levels from
+# class_levels or refined_count, and level 12 of a Schroder class alone
+# holds about 5.3 M tuples (about 1 GB)
 ENUM_DEPTH_LIMIT = 12
 
 

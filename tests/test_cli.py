@@ -117,11 +117,14 @@ class TestCount:
             [str(n), str(c)] for n, c in enumerate([1, 1, 2, 5, 14, 42])
         ]
         # the missing counts went back on lines of their own, so the next
-        # run is served from the cache alone
+        # run is served from the cache alone: not from cached levels, and
+        # neither enumerated nor counted depth-first
         def no_levels(*args, **kwargs):
-            raise AssertionError("the class was enumerated")
+            raise AssertionError("the class was enumerated or counted")
 
+        monkeypatch.setattr(enumeration, "_LEVELS_CACHE", {})
         monkeypatch.setattr(enumeration, "class_levels", no_levels)
+        monkeypatch.setattr(enumeration, "_count_subtrees", no_levels)
         code, again, _ = run(capsys, "count", "--basis", "132", "--max-n", "5",
                              "--cache-dir", str(tmp_path))
         assert (code, again) == (0, out)

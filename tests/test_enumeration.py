@@ -9,10 +9,11 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_class, count_pools
+from permlab import enumeration
 from permlab.enumeration import (
     CapacityError,
     PatternBasis,
@@ -182,6 +183,14 @@ class TestEnumerate:
         class_levels(basis, 9, parallelism=2)  # served from the cache
         assert started == [2]
 
+    def test_one_pool_per_parallel_count(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        basis = PatternBasis.from_text("2143,3142,254613")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        assert count_class(basis, 9, parallelism=2) == SCHRODER[:10]
+        assert started == [2]
+        assert basis.patterns not in enumeration._LEVELS_CACHE
+
     def test_capacity_error(self):
         from permlab import enumeration
 
@@ -273,11 +282,54 @@ def test_blocked_slot_masks_match_pinned_search(parent_list):
                 pattern, parent, slot)
 
 
+BASES = st.lists(
+    st.integers(1, 5).flatmap(lambda k: st.permutations(list(range(1, k + 1)))),
+    min_size=1, max_size=3,
+).map(lambda patterns: PatternBasis(tuple(p) for p in patterns))
+
+
+def _level_sizes(basis, max_n):
+    """The oracle: level lengths from ``class_levels``, built from a cold cache."""
+    enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+    sizes = [len(level) for level in class_levels(basis, max_n)]
+    enumeration._LEVELS_CACHE.pop(basis.patterns)
+    return sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(BASES, st.integers(0, 7), st.integers(0, 7))
+def test_depth_first_count_matches_levels(basis, max_n, warm_n):
+    cache = enumeration._LEVELS_CACHE
+    want = _level_sizes(basis, max_n)
+    assert count_class(basis, max_n) == want
+    assert basis.patterns not in cache  # a cold count caches no level
+    # below a cached prefix, shorter than max_n or not
+    class_levels(basis, warm_n)
+    assert count_class(basis, max_n) == want
+    assert len(cache.pop(basis.patterns)) == warm_n + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(BASES, st.integers(6, 7))  # deep enough that larger classes reach the pool
+@example(PatternBasis.from_text("1234,4321"), 7)  # 86 parents at n = 5 go to the pool
+def test_parallel_depth_first_count_matches_levels(basis, max_n):
+    want = _level_sizes(basis, max_n)
+    assert count_class(basis, max_n, parallelism=2) == want
+    assert basis.patterns not in enumeration._LEVELS_CACHE
+    class_levels(basis, 3)
+    assert count_class(basis, max_n, parallelism=2) == want
+    assert len(enumeration._LEVELS_CACHE.pop(basis.patterns)) == 4
+
+
 class TestKnownCounts:
     def test_schroder_classes_to_eight(self):
         for tau in SCHRODER_TAUS:
             basis = PatternBasis.from_text(f"2143,3142,{tau}")
             assert count_class(basis, 8) == SCHRODER[:9], tau
+
+    def test_burstein_pantone_class(self):
+        # the case the paper credits to Burstein and Pantone
+        assert count_class(PatternBasis.from_text("2143,3142,246135"), 10) == SCHRODER
 
     def test_near_miss(self):
         assert count_class(PatternBasis.from_text("2143,3142"), 7) == NEAR_MISS
