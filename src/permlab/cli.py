@@ -19,7 +19,6 @@ from permlab.enumeration import (
     class_levels,
     count_class,
     enumerate_simples,
-    export_counts,
     refined_count,
 )
 from permlab.perms import ParseError, perm_to_text
@@ -107,7 +106,7 @@ def cmd_stat(args) -> int:
         for n, vals, count in table.rows():
             print("\t".join(str(v) for v in [n, *vals, count]))
     else:
-        sys.stdout.write(export_counts(table, args.format).decode())
+        sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json())
     return OK
 
 

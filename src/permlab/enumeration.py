@@ -567,15 +567,6 @@ class RefinedCountTable:
         )
 
 
-def export_counts(table: RefinedCountTable, fmt: str) -> bytes:
-    """Deterministic serialization of a count table (csv or json)."""
-    if fmt == "csv":
-        return table.to_csv().encode()
-    if fmt == "json":
-        return table.to_json().encode()
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
                   filter_id: str = "none", *, parallelism: int = 1) -> RefinedCountTable:
     """Count class members by length and the named statistics.

@@ -483,17 +483,6 @@ class MSeries:
         return total
 
 
-def arith(a: MSeries, b: MSeries, op: str) -> MSeries:
-    """Functional facade over +, -, * (used by callers driven by name)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise SeriesError(f"unknown arithmetic op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # shared closed-form building blocks
 

@@ -33,7 +33,6 @@ from permlab.perms import (
     horizontal_gaps,
     identity,
     inflate,
-    is_simple,
     is_skew_decomposable,
     is_sum_decomposable,
     leading_maxima_count,
@@ -175,15 +174,20 @@ def check_gap_staircase(max_n: int = 8) -> VerificationReport:
 
 def check_strip_characterization(max_n: int = 8) -> VerificationReport:
     """Membership in the 4132 class == stripped permutation avoids 132,
-    over every permutation of each length."""
+    over every permutation of each length.
+
+    Membership is a set lookup in the enumerated level of the class
+    (``avoids_all`` is its oracle in the enumeration tests); the 132
+    test runs on every permutation of S_n."""
     from itertools import permutations as iperm
 
     started = time.perf_counter()
     witnesses: list[tuple[Perm, str]] = []
-    basis = BASIS_4132.patterns
+    levels = class_levels(BASIS_4132, max_n)
     for n in range(max_n + 1):
+        members = set(levels[n])
         for p in iperm(range(1, n + 1)):
-            member = avoids_all(p, basis)
+            member = p in members
             stripped_ok = not contains(strip_leading_maxima(p), PAT_132)
             if member != stripped_ok:
                 witnesses.append(
@@ -549,19 +553,26 @@ def _all_decompositions(p: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
     12/21 first-block conventions.
 
     Exhaustive over the cut sets whose segments are all intervals of
-    values (no other cut set can give a decomposition): an inline
-    O(n^2) table lists, for each start a, every end b with p[a:b] an
-    interval, and a depth-first walk over it from 0 to n yields those
-    cut sets.  The single-segment cut set is skipped, since a skeleton
-    of length 1 is only for length-1 hosts.  Results come in the order
-    of the cut-set integer (bit b-1 set for each inner bound b)."""
+    values and whose skeleton is simple (no other cut set can give a
+    decomposition).  An inline O(n^2) table lists, for each start a,
+    every end b with p[a:b] an interval, and keeps the same ends as a
+    bitmask.  A depth-first walk over it from 0 to n yields the cut
+    sets, and drops a branch as soon as its new segment closes a run of
+    two or more segments that is an interval of values, unless the run
+    is all of p: that run is an interval of the skeleton, so no
+    completion of the branch has a simple skeleton.  The single-segment
+    cut set is skipped, since a skeleton of length 1 is only for
+    length-1 hosts.  Results come in the order of the cut-set integer
+    (bit b-1 set for each inner bound b)."""
     n = len(p)
     if n == 1:
         return [((1,), ((1,),))]
     ends: list[list[tuple[int, int]]] = []  # ends[a]: (b, min p[a:b])
+    masks: list[int] = []  # masks[a]: bit b set when p[a:b] is an interval
     for a in range(n):
         lo = hi = p[a]
         row = []
+        mask = 0
         for b in range(a + 1, n + 1):
             v = p[b - 1]
             if v < lo:
@@ -570,23 +581,29 @@ def _all_decompositions(p: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
                 hi = v
             if hi - lo + 1 == b - a:
                 row.append((b, lo))
+                mask |= 1 << b
         ends.append(row)
+        masks.append(mask)
+    masks[0] &= ~(1 << n)  # the run of every segment is exempt
     cut_sets = []  # (cut-set integer, segments as (start, end, min))
-    stack = [(0, 0, ())]
+    # closes: the ends b at which a run from an earlier segment's start is
+    # an interval of values
+    stack = [(0, 0, 0, ())]
     while stack:
-        a, cuts, segments = stack.pop()
+        a, cuts, closes, segments = stack.pop()
+        closes_next = closes | masks[a]
         for b, lo in ends[a]:
+            if closes >> b & 1:
+                continue
             grown = segments + ((a, b, lo),)
             if b < n:
-                stack.append((b, cuts | 1 << (b - 1), grown))
+                stack.append((b, cuts | 1 << (b - 1), closes_next, grown))
             elif a:
                 cut_sets.append((cuts, grown))
     cut_sets.sort()
     out = []
     for _, segments in cut_sets:
         skeleton = standardize([lo for _, _, lo in segments])
-        if not is_simple(skeleton):
-            continue
         blocks = tuple(
             tuple(v - lo + 1 for v in p[a:b]) for a, b, lo in segments
         )

@@ -22,7 +22,6 @@ from permlab.enumeration import (
     count_class,
     enumerate_class,
     enumerate_simples,
-    export_counts,
     refined_count,
     simples_by_insertion,
     _BLOCKED_SLOTS,
@@ -104,14 +103,16 @@ class TestEnumerate:
                 assert enumerate_class(basis, n) == brute_class(basis.patterns, n)
 
     def test_full_complement_check(self):
-        # every non-member of S_n fails avoids_all (n <= 7, one basis)
+        # every non-member of S_n fails avoids_all; the 4132 class to n = 8
+        # is the oracle for strip-132's membership lookup in its levels
         from helpers import all_perms
 
-        basis = PatternBasis.from_text("2143,3142,254613")
-        for n in range(8):
-            members = set(enumerate_class(basis, n))
-            for p in all_perms(n):
-                assert (p in members) == avoids_all(p, basis.patterns)
+        for text, top in [("2143,3142,254613", 7), ("2143,3142,4132", 8)]:
+            basis = PatternBasis.from_text(text)
+            for n in range(top + 1):
+                members = set(enumerate_class(basis, n))
+                for p in all_perms(n):
+                    assert (p in members) == avoids_all(p, basis.patterns)
 
     def test_deletion_closed(self):
         basis = PatternBasis.from_text("2143,3142,263514")
@@ -390,28 +391,32 @@ class TestExport:
     def test_csv_plain_counts(self):
         basis = PatternBasis.from_text("2413,3142")
         table = refined_count(basis, 3, [])
-        lines = export_counts(table, "csv").decode().splitlines()
+        lines = table.to_csv().splitlines()
         assert lines[:5] == ["n,count", "0,1", "1,1", "2,2", "3,6"]
 
     def test_empty_table_header_only(self):
         table = RefinedCountTable(PatternBasis.from_text("132"), 0, ("bond",))
-        assert export_counts(table, "csv").decode() == "n,bond,count\n"
+        assert table.to_csv() == "n,bond,count\n"
 
     def test_json_round_trip(self):
         basis = PatternBasis.from_text("132")
         table = refined_count(basis, 5, ["bond", "lr-min"], "first-entry-not-one")
-        again = RefinedCountTable.from_json(export_counts(table, "json").decode())
+        again = RefinedCountTable.from_json(table.to_json())
         assert again == table
 
-    def test_unknown_format(self):
-        table = refined_count(PatternBasis.from_text("132"), 2, [])
-        with pytest.raises(ValueError, match="unknown format"):
-            export_counts(table, "xml")
+    def test_unknown_format(self, capsys):
+        from permlab.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["stat", "--basis", "132", "--max-n", "2", "--stats", "bond",
+                  "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
 
     def test_json_is_deterministic(self):
         basis = PatternBasis.from_text("132")
-        a = export_counts(refined_count(basis, 5, ["bond"]), "json")
-        b = export_counts(refined_count(basis, 5, ["bond"]), "json")
+        a = refined_count(basis, 5, ["bond"]).to_json()
+        b = refined_count(basis, 5, ["bond"]).to_json()
         assert a == b
         json.loads(a)
 

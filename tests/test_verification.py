@@ -80,6 +80,29 @@ class TestStructuralScans:
     def test_strip_characterization(self):
         assert check_strip_characterization(6).passed
 
+    def test_strip_catches_a_wrong_strip(self, monkeypatch):
+        # deleting only the first entry breaks the characterisation (keeping
+        # just the last leading maximum would not: it adds no 132 that the
+        # stripped rest lacks); the witnesses are recomputed by brute force
+        from helpers import all_perms, brute_avoids_all, brute_contains
+
+        def strip_first_entry(p):
+            return standardize(p[1:])
+
+        monkeypatch.setattr(verification, "strip_leading_maxima", strip_first_entry)
+        r = check_strip_characterization(6)
+        expected = []
+        for n in range(7):
+            for p in all_perms(n):
+                member = brute_avoids_all(p, [P("2143"), P("3142"), P("4132")])
+                stripped_ok = not brute_contains(strip_first_entry(p), P("132"))
+                if member != stripped_ok:
+                    expected.append(
+                        (p, f"class membership {member} but stripped-avoids-132 {stripped_ok}")
+                    )
+        assert expected and not r.passed
+        assert r.witnesses == expected
+
 
 class TestRebuilds:
     def test_rebuild_254613(self):
@@ -223,6 +246,14 @@ class TestDeflationUniqueness:
         for n in range(1, 7):
             for p in permutations(range(1, n + 1)):
                 assert _all_decompositions(p) == _brute_decompositions(p), p
+
+    def test_search_matches_brute_force_on_separables(self):
+        # separable permutations have the most all-interval cut sets, so
+        # they are where the search drops non-simple runs
+        separables = class_levels(PatternBasis.from_text("2413,3142"), 7)[7]
+        assert len(separables) == 1806
+        for p in separables:
+            assert _all_decompositions(p) == _brute_decompositions(p), p
 
     def test_catches_deflate_breaking_the_12_convention(self, monkeypatch):
         # split off the last sum component instead of the first: it still
