@@ -11,14 +11,18 @@ No floating point anywhere: coefficients are ints or
 grade at a time, so each costs about one multiplication's worth of
 work rather than ``order`` of them.
 
+``RelaxedSeries`` is the same kind of series computed one grade at a
+time, on demand: grade d of a sum, product, reciprocal or substitution
+is built from the grades of its operands the first time it is asked for,
+and kept (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
+
 On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
 registry of checkable identities, each with a deliberately corrupted
-variant for mutation testing.  The solver is Picard iteration with
-ramped precision: each pass works only to the grade the iterate can
-have gained (Brent & Kung, "Fast algorithms for manipulating formal
-power series", JACM 1978), and the parts of an equation that do not
-depend on the iterate are built once per solve, not once per pass.
+variant for mutation testing.  The solver is online: it evaluates an
+equation's step once, on relaxed unknowns, and then asks for grades
+0, 1, ..., order in turn, so grade d of the solution is computed from
+the grades below it, once.
 """
 
 from __future__ import annotations
@@ -56,18 +60,21 @@ class SeriesError(ValueError):
 
 
 class NonContractionError(RuntimeError):
-    """A fixed-point pass failed to raise the agreement degree.
+    """A fixed-point equation is not a contraction at some grade.
 
-    ``agreement`` is the agreement degree the solve had reached (see
-    :func:`fixed_point_solve`) and ``passes`` the number of passes run,
-    the stalled one included.
+    Raised when grade d of an unknown depends on grade d of an unknown
+    being solved, and the initial guess is not reproduced there (see
+    :func:`fixed_point_solve`).  ``agreement`` is d, the grade below
+    which every unknown is final, and ``passes`` the number of grades
+    attempted, the failing one included.
     """
 
     def __init__(self, equation_id: str, agreement: int, passes: int):
         super().__init__(
-            f"fixed-point iteration for {equation_id!r} stopped gaining "
-            "agreement degree; the registered map is not a contraction "
-            f"(stalled at agreement degree {agreement} after {passes} passes)"
+            f"fixed-point equation {equation_id!r} is not a contraction: "
+            f"grade {agreement} of its solution depends on itself and does "
+            "not reproduce the initial guess "
+            f"(stalled at agreement degree {agreement}; grades attempted: {passes})"
         )
         self.equation_id = equation_id
         self.agreement = agreement
@@ -75,10 +82,10 @@ class NonContractionError(RuntimeError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
     return c
 
 
@@ -86,7 +93,8 @@ def _grade(key: Key, grading: str) -> int:
     return key[0] if grading == X_GRADED else key[0] + key[1] + key[2]
 
 
-# Per-grade solves (reciprocal, sqrt1) keep a series as {grade: {key: coeff}}.
+# Per-grade solves (reciprocal, sqrt1, RelaxedSeries) keep a series as
+# {grade: {key: coeff}}, without empty grades.
 
 
 def _add_products(acc: dict[Key, object], left, right) -> None:
@@ -97,6 +105,26 @@ def _add_products(acc: dict[Key, object], left, right) -> None:
         for (x2, t2, u2), c2 in right.items():
             key = (x1 + x2, t1 + t2, u1 + u2)
             acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def _convolve(acc: dict[Key, object], left, right, d: int, start: int = 0) -> None:
+    """acc += sum(left(i) * right(d - i) for i in start..d).
+
+    ``left`` and ``right`` map a grade to its slice.  Each pair asks for
+    the lower of its two grades first (the right one on a tie) and is
+    skipped when that slice is zero, so a relaxed operand is never asked
+    for a grade the product cannot use.
+    """
+    for i in range(start, d + 1):
+        j = d - i
+        if i < j:
+            sl = left(i)
+            if sl:
+                _add_products(acc, sl, right(j))
+        else:
+            sr = right(j)
+            if sr:
+                _add_products(acc, left(i), sr)
 
 
 def _store_slice(slices: dict[int, dict[Key, object]], d: int,
@@ -117,6 +145,15 @@ def _from_slices(slices: dict[int, dict[Key, object]], order: int,
     for sl in slices.values():
         out.update(sl)
     return MSeries(out, order, grading)
+
+
+def _plain_constant(grade0: dict[Key, object] | None):
+    """The constant term of a grade-0 slice that must be a plain rational."""
+    if not grade0:
+        return 0
+    if any(key != (0, 0, 0) for key in grade0):
+        raise SeriesError("grade-0 part is not a plain rational constant")
+    return grade0[(0, 0, 0)]
 
 
 class MSeries:
@@ -302,14 +339,6 @@ class MSeries:
 
     # -- division-like operations ------------------------------------------
 
-    def _constant_term(self):
-        for key, c in self.coeffs.items():
-            if key != (0, 0, 0) and _grade(key, self.grading) == 0:
-                raise SeriesError(
-                    "grade-0 part is not a plain rational constant"
-                )
-        return self.coeffs.get((0, 0, 0), 0)
-
     def _by_grade(self) -> dict[int, dict[Key, object]]:
         by_grade: dict[int, dict[Key, object]] = {}
         for key, c in self.coeffs.items():
@@ -328,24 +357,13 @@ class MSeries:
         >>> (2 - x).reciprocal().coefficient(x=3)
         Fraction(1, 16)
         """
-        c0 = self._constant_term()
-        if not c0:
-            raise SeriesError("not invertible: zero constant term")
-        inv0 = _norm_coeff(1 / Fraction(c0))
-        by_grade = self._by_grade()
-        inv: dict[int, dict[Key, object]] = {0: {(0, 0, 0): inv0}}
-        for d in range(1, self.order + 1):
-            acc: dict[Key, object] = {}
-            for i in range(1, d + 1):
-                _add_products(acc, by_grade.get(i), inv.get(d - i))
-            _store_slice(inv, d, acc, -inv0)
-        return _from_slices(inv, self.order, self.grading)
+        return RelaxedSeries.lift(self).reciprocal().to_mseries()
 
     def sqrt1(self) -> "MSeries":
         """Square root with constant term 1, by per-grade convolution."""
-        if self._constant_term() != 1:
-            raise SeriesError("sqrt1 requires constant term exactly 1")
         by_grade = self._by_grade()
+        if _plain_constant(by_grade.get(0)) != 1:
+            raise SeriesError("sqrt1 requires constant term exactly 1")
         root: dict[int, dict[Key, object]] = {0: {(0, 0, 0): 1}}
         for d in range(1, self.order + 1):
             acc: dict[Key, object] = {}
@@ -408,79 +426,238 @@ class MSeries:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, "MSeries | Fraction | int"],
-                   ) -> "MSeries":
+    def substitute(self, bindings: Mapping[str, "MSeries | RelaxedSeries | Fraction | int"],
+                   ) -> "MSeries | RelaxedSeries":
         """Compose: replace each bound variable by a series or rational.
 
         A bound variable that carries positive grade weight in this
         series' grading must be replaced by a series of positive
         valuation, so every truncated-away monomial stays beyond the
-        result's order.
+        result's order.  If any binding is a :class:`RelaxedSeries`, so
+        is the result, and a relaxed binding's valuation is checked when
+        grade 0 of the result is computed.
         """
-        unknown = set(bindings) - set(_VAR_INDEX)
-        if unknown:
-            raise SeriesError(f"unknown variables in bindings: {sorted(unknown)}")
-        series_bindings = {
-            v: b for v, b in bindings.items() if isinstance(b, MSeries)
-        }
-        if series_bindings:
-            gradings = {b.grading for b in series_bindings.values()}
-            if len(gradings) > 1:
-                raise SeriesError("bound series have mismatched gradings")
-            res_grading = gradings.pop()
-            res_order = min(
-                [self.order] + [b.order for b in series_bindings.values()]
-            )
-        else:
-            res_grading = self.grading
-            res_order = self.order
-        for v, b in bindings.items():
-            weight = 1 if (self.grading == TOTAL_GRADED or v == "x") else 0
-            if weight:
-                if isinstance(b, MSeries):
-                    if b.valuation() < 1:
-                        raise SeriesError(
-                            f"binding for {v!r} must have zero constant term"
-                        )
-                elif Fraction(b) != 0:
-                    raise SeriesError(
-                        f"binding for {v!r} must have zero constant term"
-                    )
+        composed = _compose(self, bindings)
+        if any(isinstance(b, RelaxedSeries) for b in bindings.values()):
+            return composed
+        return composed.to_mseries()
 
-        def as_series(b) -> MSeries:
-            if isinstance(b, MSeries):
-                if b.grading != res_grading:
-                    raise SeriesError("grading mismatch in bindings")
-                return b.truncate(res_order)
-            return MSeries.const(b, res_order, res_grading)
 
-        factors = {}
-        for v in ("x", "t", "u"):
-            if v in bindings:
-                factors[v] = as_series(bindings[v])
+class RelaxedSeries:
+    """A truncated series whose grades are computed one at a time, on demand.
+
+    ``fill(slices, d)`` stores grade d into ``slices`` (a
+    ``{grade: {key: coeff}}`` map without empty grades), reading only the
+    grades its operands have up to d.  It runs the first time anything
+    asks for grade d, after grades 0..d-1, and the grade is kept, so each
+    grade of each node is computed once.  Arithmetic builds new nodes and
+    computes nothing.
+
+    An ``MSeries`` or rational operand is lifted.  ``MSeries`` operators
+    never take a relaxed operand, so write relaxed operands on the left
+    (``y * x``, ``y + 1``; ``1 + y`` and ``2 * y`` also work).
+    """
+
+    __slots__ = ("order", "grading", "_slices", "_done", "_fill")
+
+    def __init__(self, fill: Callable[[dict, int], None], order: int, grading: str):
+        self.order = order
+        self.grading = grading
+        self._slices: dict[int, dict[Key, object]] = {}
+        self._done = 0
+        self._fill = fill
+
+    @classmethod
+    def lift(cls, s: MSeries) -> "RelaxedSeries":
+        """A relaxed view of an ``MSeries``, every grade already known."""
+        out = cls(_beyond_order, s.order, s.grading)
+        out._slices = s._by_grade()
+        out._done = s.order + 1
+        return out
+
+    def slice(self, d: int) -> dict[Key, object] | None:
+        """Grade d as {key: coeff}, or None if it is zero."""
+        while self._done <= d:
+            self._fill(self._slices, self._done)
+            self._done += 1
+        return self._slices.get(d)
+
+    def to_mseries(self) -> MSeries:
+        """Every grade up to the order, as an ``MSeries``."""
+        self.slice(self.order)
+        return _from_slices(self._slices, self.order, self.grading)
+
+    def _coerce(self, other) -> "RelaxedSeries":
+        if isinstance(other, (MSeries, RelaxedSeries)):
+            if other.grading != self.grading:
+                raise SeriesError("grading mismatch")
+            return other if isinstance(other, RelaxedSeries) else RelaxedSeries.lift(other)
+        return RelaxedSeries.lift(MSeries.const(other, self.order, self.grading))
+
+    def _sum(self, other, sign: int) -> "RelaxedSeries":
+        a, b = self, self._coerce(other)
+
+        def fill(slices, d):
+            sa, sb = a.slice(d), b.slice(d)
+            if not sb or (not sa and sign == 1):
+                # share the operand's slice: adding a constant copies nothing
+                if sa or sb:
+                    slices[d] = sa or sb
+                return
+            acc = dict(sa or {})
+            for key, c in sb.items():
+                acc[key] = acc.get(key, 0) + sign * c
+            _store_slice(slices, d, acc, 1)
+
+        return RelaxedSeries(fill, min(a.order, b.order), self.grading)
+
+    def __add__(self, other) -> "RelaxedSeries":
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "RelaxedSeries":
+        return self._sum(other, -1)
+
+    def __rsub__(self, other) -> "RelaxedSeries":
+        return self._coerce(other)._sum(self, -1)
+
+    def __neg__(self) -> "RelaxedSeries":
+        return self * -1
+
+    def __mul__(self, other) -> "RelaxedSeries":
+        a, b = self, self._coerce(other)
+
+        def fill(slices, d):
+            acc: dict[Key, object] = {}
+            _convolve(acc, a.slice, b.slice, d)
+            _store_slice(slices, d, acc, 1)
+
+        return RelaxedSeries(fill, min(a.order, b.order), self.grading)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "RelaxedSeries":
+        """Multiplicative inverse: inv_d = -inv_0 * sum(a_i * inv_(d-i), i = 1..d)."""
+        a = self
+
+        def fill(slices, d):
+            if d == 0:
+                c0 = _plain_constant(a.slice(0))
+                if not c0:
+                    raise SeriesError("not invertible: zero constant term")
+                slices[0] = {(0, 0, 0): _norm_coeff(1 / Fraction(c0))}
+                return
+            acc: dict[Key, object] = {}
+            _convolve(acc, a.slice, slices.get, d, 1)
+            _store_slice(slices, d, acc, -slices[0][(0, 0, 0)])
+
+        return RelaxedSeries(fill, self.order, self.grading)
+
+
+def _beyond_order(slices, d):
+    raise SeriesError(f"grade {d} is beyond the truncation order")
+
+
+def _compose(s: MSeries, bindings) -> RelaxedSeries:
+    """s with each bound variable replaced, as one relaxed node.
+
+    Grade d of the result is the sum, over the terms of s, of the term's
+    coefficient times grade d of the product of its bound variables'
+    powers.  The powers are relaxed products, built once per variable and
+    exponent; rational bindings and free variables only scale a term and
+    shift its exponents.
+    """
+    unknown = set(bindings) - set(_VAR_INDEX)
+    if unknown:
+        raise SeriesError(f"unknown variables in bindings: {sorted(unknown)}")
+    series = {
+        v: b for v, b in bindings.items() if isinstance(b, (MSeries, RelaxedSeries))
+    }
+    if series:
+        gradings = {b.grading for b in series.values()}
+        if len(gradings) > 1:
+            raise SeriesError("bound series have mismatched gradings")
+        grading = gradings.pop()
+        order = min([s.order] + [b.order for b in series.values()])
+    else:
+        grading, order = s.grading, s.order
+    # variables with positive grade weight in s's grading
+    weighted = [v for v in bindings if s.grading == TOTAL_GRADED or v == "x"]
+    for v in weighted:
+        if v not in series and Fraction(bindings[v]) != 0:
+            raise SeriesError(f"binding for {v!r} must have zero constant term")
+    factors = {
+        v: b if isinstance(b, RelaxedSeries) else RelaxedSeries.lift(b)
+        for v, b in series.items()
+    }
+    powers = {v: [None, f] for v, f in factors.items()}
+
+    def power(v: str, e: int) -> RelaxedSeries:
+        cache = powers[v]
+        while len(cache) <= e:
+            cache.append(cache[-1] * factors[v])
+        return cache[e]
+
+    # terms grouped by the exponents of their series-bound variables:
+    # {exponents: [(grade offset, exponent shift, coefficient)]}.  Lower
+    # exponents come first, so a grade of a power is usually asked for
+    # after the same grade of the power below it, which keeps the
+    # recursion down a chain of powers shallow.
+    groups: dict[tuple, list] = {}
+    for key, c in sorted(s.coeffs.items()):
+        shift = [0, 0, 0]
+        offset = 0
+        bound = []
+        for i, v in enumerate(("x", "t", "u")):
+            e = key[i]
+            if not e:
+                continue
+            if v in series:
+                bound.append((v, e))
+            elif v in bindings:
+                c = _norm_coeff(c * Fraction(bindings[v]) ** e)
             else:
-                factors[v] = MSeries.var(v, res_order, res_grading)
-        pow_cache: dict[str, list[MSeries]] = {
-            v: [MSeries.const(1, res_order, res_grading)] for v in factors
-        }
+                shift[i] = e
+                offset += e if grading == TOTAL_GRADED or v == "x" else 0
+        if c:
+            groups.setdefault(tuple(bound), []).append((offset, tuple(shift), c))
+    # a group's product of powers is head * last, where last is the power
+    # of its last variable (None if it has one variable or none); that
+    # product is convolved into the result, not kept as a node, since
+    # each of its grades is wanted once per entry
+    one = RelaxedSeries.lift(MSeries.const(1, order, grading))
+    terms = []
+    for bound, entries in groups.items():
+        chain = [power(v, e) for v, e in bound] or [one]
+        head, last = chain[0], (chain[-1] if len(chain) > 1 else None)
+        for f in chain[1:-1]:
+            head = head * f
+        terms.append((head, last, entries))
+    checked = [v for v in weighted if v in series]
 
-        def power(v: str, e: int) -> MSeries:
-            cache = pow_cache[v]
-            while len(cache) <= e:
-                cache.append(cache[-1] * factors[v])
-            return cache[e]
+    def fill(slices, d):
+        if d == 0:
+            for v in checked:
+                if factors[v].slice(0):
+                    raise SeriesError(f"binding for {v!r} must have zero constant term")
+        acc: dict[Key, object] = {}
+        for head, last, entries in terms:
+            for offset, (sx, st, su), c in entries:
+                if offset > d:
+                    continue
+                if last is None:
+                    sl = head.slice(d - offset)
+                else:
+                    sl = {}
+                    _convolve(sl, head.slice, last.slice, d - offset)
+                if sl:
+                    for (ex, et, eu), v in sl.items():
+                        key = (ex + sx, et + st, eu + su)
+                        acc[key] = acc.get(key, 0) + c * v
+        _store_slice(slices, d, acc, 1)
 
-        total = MSeries({}, res_order, res_grading)
-        for (ex, et, eu), c in self.terms():
-            term = MSeries.const(c, res_order, res_grading)
-            if ex:
-                term = term * power("x", ex)
-            if et:
-                term = term * power("t", et)
-            if eu:
-                term = term * power("u", eu)
-            total = total + term
-        return total
+    return RelaxedSeries(fill, order, grading)
 
 
 # ---------------------------------------------------------------------------
@@ -701,72 +878,62 @@ def decomposable_gf_enum(basis_name: str, order: int, kind: str) -> MSeries:
 # fixed-point equation registry
 
 
-def _no_invariants(order: int) -> tuple[MSeries, ...]:
-    return ()
-
-
 @dataclass(frozen=True)
 class _Equation:
-    """A contraction y = step(y) on a tuple of series.
+    """A fixed-point equation y = step(y) on a tuple of series.
 
-    ``invariants(order)`` builds the parts of the map that do not depend
-    on the iterate; the solver builds them once and passes them, cut to
-    each pass's precision, to ``step`` after the iterate's components.
+    ``initial(order)`` is the initial guess, one series per name.
+    ``step`` maps the unknowns to their new values.  It runs on
+    ``MSeries`` (Picard iteration) and on relaxed unknowns (the solver),
+    so it keeps every relaxed operand on the left of an ``MSeries`` one.
     """
 
     names: tuple[str, ...]
     initial: Callable[[int], tuple[MSeries, ...]]
-    step: Callable[..., tuple[MSeries, ...]]
-    invariants: Callable[[int], tuple[MSeries, ...]] = _no_invariants
+    step: Callable[..., tuple]
 
 
-def _catalan_step(y: MSeries) -> tuple[MSeries, ...]:
+def _catalan_step(y):
     x = _x(y.order)
-    return (1 + x * y * y,)
+    return (y * y * x + 1,)
 
 
-def _stat132_initial(order: int) -> tuple[MSeries, ...]:
-    return (_one(order), _one(order))
+def _stat132_step(h, g, *, corrupt: bool = False) -> tuple:
+    """The joint bond/LR-min map over 132-avoiders.
 
-
-def _stat132_invariants(order: int) -> tuple[MSeries, ...]:
-    x, t, u = _x(order), _t(order), _u(order)
-    return (1 - t * x).reciprocal(), (1 - t * u * x).reciprocal()
-
-
-def _stat132_step(h: MSeries, g: MSeries, tx_inv: MSeries,
-                  tux_inv: MSeries) -> tuple[MSeries, ...]:
+    ``corrupt`` puts u^2 in place of u on the u*x*r term, for the
+    identity's mutation test.
+    """
     order = h.order
     x, t, u = _x(order), _t(order), _u(order)
-    p = (h - 1) * (t * x * tx_inv) + h + t * u * x * tx_inv - 1
-    q = (u * x * tux_inv) * g + g - 1
-    r = (t * u * x * tux_inv) * g + g - 1
+    tx = t * x * (1 - t * x).reciprocal()
+    ux = u * x * (1 - t * u * x).reciprocal()
+    # p = (h - 1) tx + h + u tx - 1, q = g ux + g - 1, r = g t ux + g - 1
+    p = h * (tx + 1) + ((u - 1) * tx - 1)
+    q = g * (ux + 1) - 1
+    r = g * (t * ux + 1) - 1
     pq = p * q
-    h_new = 1 + x * pq + u * x * r
-    g_new = 1 + x * (pq + p)  # p*(q+1) reuses the big product
+    h_new = pq * x + r * ((u * u if corrupt else u) * x) + 1
+    g_new = (pq + p) * x + 1  # p*(q+1) reuses the big product
     return h_new, g_new
 
 
-def _gf263514_invariants(order: int) -> tuple[MSeries, ...]:
-    x = _x(order)
-    return simples_gf_closed(order), x * (1 - x).reciprocal()
-
-
-def _gf263514_step(f: MSeries, s: MSeries, u_bind: MSeries) -> tuple[MSeries, ...]:
+def _gf263514_step(f) -> tuple:
     order = f.order
     x = _x(order)
-    f_skew = f * f * (1 + f).reciprocal()
-    f_sum = 2 * x * f - x * x * (f + 1)
-    s_at = s.substitute({"u": u_bind, "x": f})
-    return (x + f_skew + f_sum + s_at,)
+    f_skew = f * f * (f + 1).reciprocal()
+    f_sum = f * (2 * x) - (f + 1) * (x * x)
+    u_bind = x * (1 - x).reciprocal()
+    s_at = simples_gf_closed(order).substitute({"u": u_bind, "x": f})
+    return (f_skew + f_sum + s_at + x,)
 
 
-def _kernel_root_step(t_cur: MSeries, catalan: MSeries) -> tuple[MSeries, ...]:
+def _kernel_root_step(t_cur) -> tuple:
     order = t_cur.order
     x = _x(order)
-    z = x * (1 - t_cur * x).reciprocal()
-    c_star = catalan.substitute({"x": z})
-    return (1 + t_cur * t_cur * x * (1 - x * c_star).reciprocal(),)
+    z = (1 - t_cur * x).reciprocal() * x
+    c_star = catalan_series(order).substitute({"x": z})
+    return (t_cur * t_cur * x * (1 - c_star * x).reciprocal() + 1,)
 
 
 EQUATIONS: dict[str, _Equation] = {
@@ -775,66 +942,92 @@ EQUATIONS: dict[str, _Equation] = {
     ),
     "stat132-system": _Equation(
         ("stat132-last-not-max", "stat132-first-not-max"),
-        _stat132_initial,
+        lambda order: (_one(order), _one(order)),
         _stat132_step,
-        _stat132_invariants,
     ),
     "gf-263514-fixed": _Equation(
         ("gf-263514",),
         lambda order: (MSeries({}, order),),
         _gf263514_step,
-        _gf263514_invariants,
     ),
     "kernel-root": _Equation(
         ("kernel-root",),
         lambda order: (_one(order),),
         _kernel_root_step,
-        lambda order: (catalan_series(order),),
     ),
 }
 
 
+class _Unknown(RelaxedSeries):
+    """An unknown of a fixed-point solve: grade d is grade d of its definition.
+
+    While grade d is being computed, asking for grade d of this unknown
+    gives the initial guess's grade d, and the computed grade must then
+    equal it.
+    """
+
+    __slots__ = ("_equation_id", "_guess", "_busy", "_guess_read", "definition")
+
+    def __init__(self, equation_id: str, guess: MSeries):
+        super().__init__(_beyond_order, guess.order, guess.grading)
+        self._equation_id = equation_id
+        self._guess = guess._by_grade()
+        self._busy = -1
+        self._guess_read = False
+        self.definition: RelaxedSeries | None = None
+
+    def slice(self, d: int) -> dict[Key, object] | None:
+        if d == self._busy:
+            self._guess_read = True
+            return self._guess.get(d)
+        while self._done <= d:
+            self._solve_grade(self._done)
+            self._done += 1
+        return self._slices.get(d)
+
+    def _solve_grade(self, d: int) -> None:
+        self._busy, self._guess_read = d, False
+        try:
+            got = self.definition.slice(d)
+        finally:
+            self._busy = -1
+        if self._guess_read and got != self._guess.get(d):
+            raise NonContractionError(self._equation_id, d, d + 1)
+        if got:
+            self._slices[d] = got
+
+
 def fixed_point_solve(equation_id: str, order: int):
-    """Iterate a registered contraction to its unique truncated solution.
+    """Solve a registered fixed-point equation to the given order, online.
 
-    Picard iteration with ramped precision.  A pass maps the iterate y
-    to y' = step(y) and measures the agreement degree, the valuation of
-    y - y' (capped at the pass's precision).  If y and y' first differ
-    at grade a, both are exact below a and y' is exact through a, so the
-    next pass only needs precision a + 1; it runs at
-    ``min(order, a + 2)``, which also lets it gain two grades at once.
-    The iterate is lifted to that precision by relabelling its order:
-    the grades it lacks are unknown anyway and the pass recomputes them.
-    The equation's invariants are built once at full order and cut down
-    to each pass's precision.
+    The step runs once, on relaxed unknowns, and builds the map as a
+    network of relaxed nodes; the solve then asks for grades 0, 1, ...,
+    order of every unknown in turn.  For a contraction, grade d of the
+    step reads only grades below d of the unknowns, which are final by
+    then, so each grade of each node is computed once, and the result is
+    the truncated solution that Picard iteration from the initial guess
+    converges to.
 
-    The solve returns only from a pass at full order whose two iterates
-    agree beyond ``order``, the same stopping rule as full-order Picard
-    iteration, so it returns the same series.  A contraction raises the
-    agreement degree on every pass; :class:`NonContractionError` is
-    raised as soon as a pass does not.
+    Where grade d of the step does read grade d of an unknown still being
+    solved (grade 0 of ``f * f`` in the 263514 equation, say), it is given
+    the initial guess's grade d, and the grade computed must reproduce
+    it.  Otherwise the map is not a contraction there and
+    :class:`NonContractionError` is raised, with ``agreement`` d and
+    ``passes`` d + 1, the grades attempted.
     """
     if equation_id not in EQUATIONS:
         raise SeriesError(f"unknown equation {equation_id!r}")
     eq = EQUATIONS[equation_id]
-    invariants = eq.invariants(order)
-    cur = eq.initial(order)
-    agreement = -1
-    passes = 0
-    # agreement rises every pass and stays <= order, so the loop ends
-    while True:
-        prec = min(order, agreement + 2)
-        cur = tuple(MSeries(c.coeffs, prec, c.grading) for c in cur)
-        nxt = eq.step(*cur, *(s.truncate(prec) for s in invariants))
-        passes += 1
-        diff = min((a - b).valuation() for a, b in zip(cur, nxt))
-        if prec == order and diff > order:
-            return nxt if len(nxt) > 1 else nxt[0]
-        if diff <= agreement:
-            raise NonContractionError(equation_id, agreement, passes)
-        # agreeing through prec says nothing about grade prec + 1
-        agreement = min(diff, prec)
-        cur = nxt
+    unknowns = tuple(_Unknown(equation_id, guess) for guess in eq.initial(order))
+    for y, value in zip(unknowns, eq.step(*unknowns)):
+        y.definition = y._coerce(value)
+    for d in range(order + 1):
+        for y in unknowns:
+            y.slice(d)
+    solution = tuple(y.to_mseries() for y in unknowns)
+    for y in unknowns:
+        y.definition = None  # the nodes refer back to the unknowns: free them now
+    return solution if len(solution) > 1 else solution[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1091,14 +1284,7 @@ def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, 
 
 def _identity_stat132_system(order: int, corrupt: bool) -> list[tuple[MSeries, MSeries]]:
     h, g = stat132_system(order)
-    x, t, u = _x(order), _t(order), _u(order)
-    tx_inv, tux_inv = _stat132_invariants(order)
-    p =(h - 1) * (t * x * tx_inv) + h + t * u * x * tx_inv - 1
-    q = (u * x * tux_inv) * g + g - 1
-    r = (t * u * x * tux_inv) * g + g - 1
-    last = (u * u if corrupt else u) * x * r
-    h_rhs = 1 + x * p * q + last
-    g_rhs = 1 + x * p * (q + 1)
+    h_rhs, g_rhs = _stat132_step(h, g, corrupt=corrupt)
     return [(h, h_rhs), (g, g_rhs)]
 
 

@@ -18,6 +18,7 @@ from permlab.series import (
     IDENTITIES,
     MSeries,
     NonContractionError,
+    RelaxedSeries,
     SeriesError,
     TOTAL_GRADED,
     X_GRADED,
@@ -70,29 +71,71 @@ def geometric_reciprocal(s: MSeries) -> MSeries:
     return acc * inv0
 
 
+def naive_substitute(s: MSeries, bindings) -> MSeries:
+    """Oracle: the sum over the terms of s of c * x'^a * t'^b * u'^c in MSeries arithmetic.
+
+    ``MSeries.substitute`` and a relaxed substitution both build one
+    relaxed node over shared powers and must give the same series.
+    """
+    series = [b for b in bindings.values() if isinstance(b, MSeries)]
+    grading = series[0].grading if series else s.grading
+    order = min([s.order] + [b.order for b in series])
+
+    def factor(v):
+        b = bindings.get(v)
+        if isinstance(b, MSeries):
+            return b.truncate(order)
+        if b is None:
+            return MSeries.var(v, order, grading)
+        return MSeries.const(b, order, grading)
+
+    total = MSeries({}, order, grading)
+    for (ex, et, eu), c in s.coeffs.items():
+        total = total + factor("x") ** ex * factor("t") ** et * factor("u") ** eu * c
+    return total
+
+
+def random_series(data, grading, *, min_grade=0) -> MSeries:
+    """A small random series; every term has grade >= min_grade."""
+    order = data.draw(st.integers(0, 5))
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda k: (k[0] if grading == X_GRADED else sum(k)) >= min_grade
+    )
+    return MSeries(data.draw(st.dictionaries(keys, COEFFS, max_size=5)), order, grading)
+
+
 def full_order_picard(equation_id: str, order: int):
-    """Oracle: plain Picard iteration with every pass at full order."""
+    """Oracle: plain Picard iteration from the initial guess, every pass at full order."""
     eq = EQUATIONS[equation_id]
-    invariants = eq.invariants(order)
     cur = eq.initial(order)
     agreement = -1
-    for passes in range(1, order + 4):
-        nxt = eq.step(*cur, *invariants)
+    for _ in range(order + 3):
+        nxt = eq.step(*cur)
         diff = min((a - b).valuation() for a, b in zip(cur, nxt))
         if diff > order:
             return nxt if len(nxt) > 1 else nxt[0]
         if diff <= agreement:
-            raise NonContractionError(equation_id, agreement, passes)
+            raise NonContractionError(equation_id, agreement, agreement + 1)
         agreement = diff
         cur = nxt
-    raise NonContractionError(equation_id, agreement, order + 3)
+    raise NonContractionError(equation_id, agreement, agreement + 1)
 
 
-def _oscillating_step(y: MSeries) -> tuple[MSeries, ...]:
-    """y -> 1 + x*y below grade 3, and [x^3] y -> 1 - [x^3] y."""
-    low = {k: c for k, c in (1 + x(y.order) * y).coeffs.items() if k[0] < 3}
-    low[(3, 0, 0)] = 1 - y.coefficient(x=3)
-    return (MSeries(low, y.order),)
+def _oscillating_step(y):
+    """y -> 1 + x*y - 2*(y - 1 - x - x^2).
+
+    Grade d of the result reads grade d of y at every d, since no relaxed
+    operation can single out one grade.  The initial guess 1 + x + x^2 is
+    the solution's grades 0-2, where the correction term vanishes, so
+    grades 0-2 settle; at grade 3, [x^3] y -> 1 - 2 [x^3] y has no
+    stable iterate.
+    """
+    x = MSeries.var("x", y.order)
+    return (y * x + 1 - (y - _oscillating_guess(y.order)) * 2,)
+
+
+def _oscillating_guess(order):
+    return MSeries({(0, 0, 0): 1, (1, 0, 0): 1, (2, 0, 0): 1}, order)
 
 
 class TestArithmetic:
@@ -208,6 +251,85 @@ class TestReciprocal:
         assert s.reciprocal() == geometric_reciprocal(s)
 
 
+class TestRelaxedSeries:
+    """Each relaxed operation, assembled from its slices, against MSeries arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arithmetic_matches_mseries(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        a, b = random_series(data, grading), random_series(data, grading)
+        c = data.draw(COEFFS)
+        ra, rb = RelaxedSeries.lift(a), RelaxedSeries.lift(b)
+        assert (ra + rb).to_mseries() == a + b
+        assert (ra - b).to_mseries() == a - b
+        assert (c - ra).to_mseries() == c - a
+        assert (-ra).to_mseries() == -a
+        assert (ra * rb).to_mseries() == a * b
+        assert (ra * b).to_mseries() == a * b
+        assert (c * ra).to_mseries() == a * c
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reciprocal_matches_mseries(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        tail = random_series(data, grading, min_grade=1)
+        s = tail + data.draw(COEFFS.filter(bool))
+        got = RelaxedSeries.lift(s).reciprocal().to_mseries()
+        assert got == s.reciprocal() == geometric_reciprocal(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_substitute_matches_mseries(self, data):
+        s_grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        b_grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        s = random_series(data, s_grading)
+        bindings = {}
+        for v in ("x", "t", "u"):
+            weighted = s_grading == TOTAL_GRADED or v == "x"
+            kind = data.draw(st.sampled_from(["free", "rational", "series"]))
+            if kind == "rational":
+                bindings[v] = 0 if weighted else data.draw(COEFFS)
+            elif kind == "series":
+                bindings[v] = random_series(data, b_grading, min_grade=int(weighted))
+        if not any(isinstance(b, MSeries) for b in bindings.values()):
+            bindings["x"] = random_series(data, b_grading, min_grade=1)
+        want = naive_substitute(s, bindings)
+        relaxed = {
+            v: RelaxedSeries.lift(b) if isinstance(b, MSeries) else b
+            for v, b in bindings.items()
+        }
+        got = s.substitute(relaxed)
+        assert isinstance(got, RelaxedSeries)
+        assert got.to_mseries() == want
+        assert s.substitute(bindings) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rational_substitute_matches_mseries(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        s = random_series(data, grading)
+        bindings = {
+            v: data.draw(COEFFS) if grading == X_GRADED and v != "x" else 0
+            for v in data.draw(st.sets(st.sampled_from(["x", "t", "u"])))
+        }
+        assert s.substitute(bindings) == naive_substitute(s, bindings)
+
+    def test_product_skips_pairs_with_an_empty_lower_grade(self):
+        # f = x + x^2 has f_0 = 0, so grade d of f * f needs f only below d
+        grades = (x(4) + x(4) * x(4))._by_grade()
+        computed = []
+
+        def fill(slices, d):
+            computed.append(d)
+            if d in grades:
+                slices[d] = grades[d]
+
+        f = RelaxedSeries(fill, 4, X_GRADED)
+        assert (f * f).slice(4) == {(4, 0, 0): 1}
+        assert computed == [0, 1, 2, 3]
+
+
 class TestSqrt:
     def test_involution_kernel_radicand(self):
         r = 1 - 6 * x(20) + x(20) ** 2
@@ -307,20 +429,21 @@ class TestFixedPoints:
             del EQUATIONS["bad-equation"]
         err = info.value
         assert err.equation_id == "bad-equation"
-        # 0 -> 1 differs at grade 0, and so does 1 -> 0
-        assert (err.agreement, err.passes) == (0, 2)
-        assert str(err).startswith(
-            "fixed-point iteration for 'bad-equation' stopped gaining agreement degree"
+        # grade 0 of 1 - y reads grade 0 of y, and the guess 0 gives 1
+        assert (err.agreement, err.passes) == (0, 1)
+        assert str(err) == (
+            "fixed-point equation 'bad-equation' is not a contraction: grade 0 "
+            "of its solution depends on itself and does not reproduce the "
+            "initial guess (stalled at agreement degree 0; grades attempted: 1)"
         )
-        assert "agreement degree 0 after 2 passes" in str(err)
 
 
 class TestRampedSolver:
-    """Ramped-precision solves against full-order Picard iteration."""
+    """Online solves against full-order Picard iteration."""
 
     @pytest.mark.parametrize("equation_id", sorted(EQUATIONS))
     def test_matches_full_order_picard(self, equation_id):
-        for order in range(13):
+        for order in [*range(13), 20]:
             got = fixed_point_solve(equation_id, order)
             want = full_order_picard(equation_id, order)
             got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
@@ -333,17 +456,36 @@ class TestRampedSolver:
         from permlab.series import _Equation
 
         EQUATIONS["oscillating"] = _Equation(
-            ("oscillating",), lambda order: (MSeries({}, order),), _oscillating_step
+            ("oscillating",), lambda order: (_oscillating_guess(order),), _oscillating_step
         )
         try:
             for solve in (fixed_point_solve, full_order_picard):
                 with pytest.raises(NonContractionError) as info:
                     solve("oscillating", 6)
-                # grades 0-2 settle; grade 3 flips between 0 and 1 forever
+                # grades 0-2 settle; grade 3 has no stable iterate
                 assert info.value.agreement == 3
         finally:
             del EQUATIONS["oscillating"]
         assert "stalled at agreement degree 3" in str(info.value)
+
+    def test_relaxed_binding_must_have_zero_constant_term(self):
+        from permlab.series import _Equation
+
+        # y is 1 at grade 0, so it cannot be substituted for x
+        EQUATIONS["bad-binding"] = _Equation(
+            ("bad-binding",),
+            lambda order: (MSeries.const(1, order),),
+            lambda y: (named_series("catalan", y.order).substitute({"x": y}),),
+        )
+        try:
+            with pytest.raises(SeriesError, match="binding for 'x' must have zero constant term"):
+                fixed_point_solve("bad-binding", 4)
+        finally:
+            del EQUATIONS["bad-binding"]
+        bound = RelaxedSeries.lift(1 + x(4))
+        composed = named_series("catalan", 4).substitute({"x": bound})
+        with pytest.raises(SeriesError, match="zero constant term"):
+            composed.slice(0)
 
 
 class TestNamedSeries:
