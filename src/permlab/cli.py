@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from permlab.enumeration import (
@@ -31,10 +30,6 @@ from permlab.verification import (
 )
 
 OK, FAILURE, USAGE = 0, 1, 2
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("PERMLAB_CACHE_DIR")
 
 
 def _int(text: str) -> int:
@@ -74,9 +69,7 @@ def _print_rows(rows, header, fmt):
 
 def cmd_count(args) -> int:
     basis = PatternBasis.from_text(args.basis)
-    counts = count_class(
-        basis, args.max_n, parallelism=args.parallelism, cache_dir=_cache_dir(args)
-    )
+    counts = count_class(basis, args.max_n, parallelism=args.parallelism)
     if args.format == "json":
         print(json.dumps(
             {"basis": [perm_to_text(p) for p in basis.patterns], "counts": counts},
@@ -101,12 +94,14 @@ def cmd_stat(args) -> int:
     table = refined_count(
         basis, args.max_n, stats, args.filter, parallelism=args.parallelism
     )
-    if args.format == "table":
-        print("\t".join(["n", *table.stat_names, "count"]))
-        for n, vals, count in table.rows():
-            print("\t".join(str(v) for v in [n, *vals, count]))
+    if args.format == "json":
+        sys.stdout.write(table.to_json())
     else:
-        sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json())
+        header = ["n", *table.stat_names, "count"]
+        if args.format == "table":
+            print("\t".join(header))
+        _print_rows([(n, *vals, count) for n, vals, count in table.rows()],
+                    header, args.format)
     return OK
 
 
@@ -155,7 +150,7 @@ def cmd_verify(args) -> int:
             print(cid)
         return OK
     if args.id:
-        reports = [run_check(args.id, max_n=args.max_n, order=args.order)]
+        reports = [run_check(args.id, args.max_n, args.order, count_n=args.count_n)]
     else:
         reports = run_all(args.max_n, args.order, count_n=args.count_n)
     if args.format == "json":
@@ -184,8 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
         p.add_argument("--parallelism", type=_parallelism, default=1,
                        help="worker processes, 1..CPU count (default 1)")
-        p.add_argument("--cache-dir", default=None,
-                       help="count cache directory (or PERMLAB_CACHE_DIR)")
 
     p_count = sub.add_parser("count", help="count a class by length")
     common(p_count)

@@ -25,12 +25,10 @@ totals over many slices of one level, one pool per call.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from io import StringIO
 from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
@@ -399,9 +397,8 @@ def enumerate_class(basis: PatternBasis, n: int, *, parallelism: int = 1,
     return class_levels(basis, n, parallelism=parallelism, cap=cap)[n]
 
 
-def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
-                cache_dir: str | None = None) -> list[int]:
-    """(|Av_0|, ..., |Av_max_n|), optionally resumable via a cache directory.
+def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> list[int]:
+    """(|Av_0|, ..., |Av_max_n|).
 
     Levels already in the level cache are counted by length.  Below the
     deepest of them the class is counted depth-first by
@@ -416,9 +413,6 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
     check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    cached = _read_count_cache(cache_dir, basis) if cache_dir else {}
-    if cached and all(n in cached for n in range(max_n + 1)):
-        return [cached[n] for n in range(max_n + 1)]
     patterns = basis.patterns
     levels = _LEVELS_CACHE.get(patterns, [[()]])[: max_n + 1]
     counts = [len(level) for level in levels]
@@ -436,52 +430,7 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
         counts.extend(sum(totals) for totals in zip(*shards))
     else:
         counts.extend(_count_subtrees(frontier, patterns, depth))
-    if cache_dir:
-        _write_count_cache(cache_dir, basis, counts)
     return counts
-
-
-def _basis_hash(basis: PatternBasis) -> str:
-    return hashlib.sha256(basis.key.encode()).hexdigest()[:16]
-
-
-def _count_cache_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "counts.txt")
-
-
-def _read_count_cache(cache_dir: str, basis: PatternBasis) -> dict[int, int]:
-    path = _count_cache_path(cache_dir)
-    out: dict[int, int] = {}
-    if not os.path.exists(path):
-        return out
-    want = _basis_hash(basis)
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) == 3 and parts[0] == want:
-                try:
-                    out[int(parts[1])] = int(parts[2])
-                except ValueError:
-                    continue  # a damaged line: its count is recomputed
-    return out
-
-
-def _write_count_cache(cache_dir: str, basis: PatternBasis, counts: list[int]) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    known = _read_count_cache(cache_dir, basis)
-    h = _basis_hash(basis)
-    path = _count_cache_path(cache_dir)
-    torn = False  # a truncated last line must not swallow the next entry
-    if os.path.exists(path) and os.path.getsize(path):
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            torn = fh.read(1) != b"\n"
-    with open(path, "a", encoding="utf-8") as fh:
-        if torn:
-            fh.write("\n")
-        for n, c in enumerate(counts):
-            if n not in known:
-                fh.write(f"{h},{n},{c}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +476,6 @@ class RefinedCountTable:
         for (n, stats), count in sorted(self.counts.items()):
             yield n, stats, count
 
-    def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write(",".join(["n", *self.stat_names, "count"]) + "\n")
-        for n, stats, count in self.rows():
-            buf.write(",".join(str(v) for v in [n, *stats, count]) + "\n")
-        return buf.getvalue()
-
     def to_json(self) -> str:
         records = [
             {"n": n, **dict(zip(self.stat_names, stats)), "count": count}
@@ -548,22 +490,6 @@ class RefinedCountTable:
                 "counts": records,
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RefinedCountTable":
-        data = json.loads(text)
-        stat_names = tuple(data["stats"])
-        counts = {
-            (rec["n"], tuple(rec[s] for s in stat_names)): rec["count"]
-            for rec in data["counts"]
-        }
-        return cls(
-            basis=PatternBasis([parse_permutation(t) for t in data["basis"]]),
-            max_length=data["maxLength"],
-            stat_names=stat_names,
-            filter_name=data["filter"],
-            counts=counts,
         )
 
 

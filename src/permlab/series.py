@@ -706,19 +706,27 @@ def catalan_layered(order: int) -> MSeries:
     return catalan_series(order).substitute({"x": z})
 
 
-def lead_4132_closed(order: int) -> MSeries:
-    """Closed form of the leading-maxima series over the 4132 class."""
+def lead_4132_closed(order: int, *, corrupt: bool = False) -> MSeries:
+    """Closed form of the leading-maxima series over the 4132 class.
+
+    ``corrupt`` puts tx + x in place of tx - x, for the identity's
+    mutation test.
+    """
     x, t = _x(order), _t(order)
     cs = catalan_layered(order)
-    numer = 1 - t * x + (t * x - x) * cs
+    numer = 1 - t * x + (t * x + x if corrupt else t * x - x) * cs
     return numer * ((1 - x * cs).reciprocal()) * ((1 - t * x).reciprocal())
 
 
-def lead_4132_first_not_one_closed(order: int) -> MSeries:
-    """Closed form of the same series restricted to first entry != 1."""
+def lead_4132_first_not_one_closed(order: int, *, corrupt: bool = False) -> MSeries:
+    """Closed form of the same series restricted to first entry != 1.
+
+    ``corrupt`` drops the - 1 from C* - 1, for the identity's mutation
+    test.
+    """
     x, t = _x(order), _t(order)
     cs = catalan_layered(order)
-    return t * x * (cs - 1) * (1 - x * cs).reciprocal()
+    return t * x * (cs if corrupt else cs - 1) * (1 - x * cs).reciprocal()
 
 
 def a033321_series(order: int) -> MSeries:
@@ -728,19 +736,21 @@ def a033321_series(order: int) -> MSeries:
     return 2 * (1 + x + rad).reciprocal()
 
 
-def simples_gf_closed(order: int) -> MSeries:
+def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
     """Radical closed form of the constrained/free simples series (total grade).
 
     The square-root branch is the one with s(0, x) = 0, which the
     definition forces (every simple of length >= 4 has at least one
     constrained position); the enumeration-backed checks referee this.
+    ``corrupt`` puts 2ux in place of 3ux, for the identity's mutation
+    test.
     """
     g = TOTAL_GRADED
     x, u = _x(order, g), _u(order, g)
     p = x * x + x + 1
     q = x * x + 3 * x + 1
     rad = (1 + u * u * p * p - 2 * u * q).sqrt1()
-    numer = -x * (u - 1 + 3 * u * x + u * x * x + rad)
+    numer = -x * (u - 1 + (2 if corrupt else 3) * u * x + u * x * x + rad)
     return numer * ((2 * (u + 1) * (x + 1)).reciprocal())
 
 
@@ -748,12 +758,16 @@ def stat132_system(order: int) -> tuple[MSeries, MSeries]:
     return fixed_point_solve("stat132-system", order)
 
 
-def stat132_ending_max(order: int) -> MSeries:
-    """Bond/LR-min series over 132-avoiders ending in their maximum (n >= 2)."""
+def stat132_ending_max(order: int, *, corrupt: bool = False) -> MSeries:
+    """Bond/LR-min series over 132-avoiders ending in their maximum (n >= 2).
+
+    ``corrupt`` drops the t of the u t x^2 term, for the identity's
+    mutation test.
+    """
     h, _ = stat132_system(order)
     x, t, u = _x(order), _t(order), _u(order)
     inv = (1 - x * t).reciprocal()
-    return x * (h - 1) * inv + u * t * x * x * inv
+    return x * (h - 1) * inv + u * (1 if corrupt else t) * x * x * inv
 
 
 def simples_gf_from_stats(order: int) -> MSeries:
@@ -918,14 +932,31 @@ def _stat132_step(h, g, *, corrupt: bool = False) -> tuple:
     return h_new, g_new
 
 
+def _sum_part(f, *, corrupt: bool = False):
+    """2xf - x^2(f+1): the sum-decomposable part of a class counted by f.
+
+    ``corrupt`` puts x^2 f in place of x^2(f+1), for the identity's
+    mutation test.  ``f`` may be relaxed, so it stays on the left.
+    """
+    x = _x(f.order)
+    return f * (2 * x) - (f if corrupt else f + 1) * (x * x)
+
+
+def _skew_part(f, *, corrupt: bool = False):
+    """f^2/(1+f): the skew-decomposable part of a class counted by f.
+
+    ``corrupt`` puts 1 - f in place of 1 + f, for the identity's
+    mutation test.  ``f`` may be relaxed, so it stays on the left.
+    """
+    return f * f * (1 - f if corrupt else f + 1).reciprocal()
+
+
 def _gf263514_step(f) -> tuple:
     order = f.order
     x = _x(order)
-    f_skew = f * f * (f + 1).reciprocal()
-    f_sum = f * (2 * x) - (f + 1) * (x * x)
     u_bind = x * (1 - x).reciprocal()
     s_at = simples_gf_closed(order).substitute({"u": u_bind, "x": f})
-    return (f_skew + f_sum + s_at + x,)
+    return (_skew_part(f) + _sum_part(f) + s_at + x,)
 
 
 def _kernel_root_step(t_cur) -> tuple:
@@ -1057,8 +1088,8 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
     "simples-gf-from-stats": simples_gf_from_stats,
     "simples-gf-closed": simples_gf_closed,
     "gf-263514": gf_263514_fixed,
-    "gf-263514-sum-part": lambda order: _f_sum_part(order),
-    "gf-263514-skew-part": lambda order: _f_skew_part(order),
+    "gf-263514-sum-part": lambda order: _sum_part(gf_263514_fixed(order)),
+    "gf-263514-skew-part": lambda order: _skew_part(gf_263514_fixed(order)),
     "lead-enum-254613": lambda order: lead_enum("254613", order),
     "lead-enum-524361": lambda order: lead_enum("524361", order),
     "lead-enum-546132": lambda order: lead_enum("546132", order),
@@ -1083,17 +1114,6 @@ def _extraction_from(a: MSeries) -> MSeries:
     b = a.substitute({"t": 1})
     first = (b - t * a).divide_one_minus("t")
     return first - catalan_layered(order) * (1 - t * x).reciprocal()
-
-
-def _f_sum_part(order: int) -> MSeries:
-    f = gf_263514_fixed(order)
-    x = _x(order)
-    return 2 * x * f - x * x * (f + 1)
-
-
-def _f_skew_part(order: int) -> MSeries:
-    f = gf_263514_fixed(order)
-    return f * f * (1 + f).reciprocal()
 
 
 def series_names() -> list[str]:
@@ -1123,27 +1143,10 @@ class IdentityCheck:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self) -> dict:
-        mismatch = None
-        if self.first_mismatch is not None:
-            key, lhs, rhs = self.first_mismatch
-            mismatch = {
-                "exponents": {"x": key[0], "t": key[1], "u": key[2]},
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
-        return {
-            "id": self.id,
-            "order": self.order,
-            "status": self.status,
-            "firstMismatch": mismatch,
-        }
-
 
 @dataclass(frozen=True)
 class _Identity:
     build: Callable[[int, bool], tuple[MSeries, MSeries]]
-    default_order: int
     enum_backed: bool = False
     description: str = ""
 
@@ -1218,19 +1221,11 @@ def _identity_lead_546132(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
 
 
 def _identity_lead_4132_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    x, t = _x(order), _t(order)
-    cs = catalan_layered(order)
-    sign = 1 if corrupt else -1
-    numer = 1 - t * x + (t * x + sign * x) * cs
-    closed = numer * (1 - x * cs).reciprocal() * (1 - t * x).reciprocal()
-    return lead_enum("4132", order), closed
+    return lead_enum("4132", order), lead_4132_closed(order, corrupt=corrupt)
 
 
 def _identity_first_not_one_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    x, t = _x(order), _t(order)
-    cs = catalan_layered(order)
-    numer = t * x * (cs if corrupt else (cs - 1))
-    closed = numer * (1 - x * cs).reciprocal()
+    closed = lead_4132_first_not_one_closed(order, corrupt=corrupt)
     return lead_enum("4132", order, "first-entry-not-one"), closed
 
 
@@ -1289,25 +1284,11 @@ def _identity_stat132_system(order: int, corrupt: bool) -> list[tuple[MSeries, M
 
 
 def _identity_stat132_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    x, t, u = _x(order), _t(order), _u(order)
-    h, _ = stat132_system(order)
-    inv = (1 - x * t).reciprocal()
-    t_factor = 1 if corrupt else t
-    closed = x * (h - 1) * inv + u * t_factor * x * x * inv
-    return stat132_ending_max_enum(order), closed
+    return stat132_ending_max_enum(order), stat132_ending_max(order, corrupt=corrupt)
 
 
 def _identity_simples_two_ways(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    lhs = simples_gf_from_stats(order)
-    g = TOTAL_GRADED
-    x, u = _x(order, g), _u(order, g)
-    p = x * x + x + 1
-    q = x * x + 3 * x + 1
-    rad = (1 + u * u * p * p - 2 * u * q).sqrt1()
-    middle = (2 if corrupt else 3) * u * x
-    numer = -x * (u - 1 + middle + u * x * x + rad)
-    rhs = numer * ((2 * (u + 1) * (x + 1)).reciprocal())
-    return lhs, rhs
+    return simples_gf_from_stats(order), simples_gf_closed(order, corrupt=corrupt)
 
 
 def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
@@ -1320,15 +1301,12 @@ def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeri
 
 def _identity_sum_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     f = class_gf_enum("263514", order, from_length=1)
-    x = _x(order)
-    rhs = 2 * x * f - x * x * ((f if corrupt else f + 1))
-    return decomposable_gf_enum("263514", order, "sum"), rhs
+    return decomposable_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
 
 
 def _identity_skew_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     f = class_gf_enum("263514", order, from_length=1)
-    denom = (1 - f) if corrupt else (1 + f)
-    return decomposable_gf_enum("263514", order, "skew"), f * f * denom.reciprocal()
+    return decomposable_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
 
 
 def _identity_gf263514_schroder(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
@@ -1339,85 +1317,85 @@ def _identity_gf263514_schroder(order: int, corrupt: bool) -> tuple[MSeries, MSe
 
 IDENTITIES: dict[str, _Identity] = {
     "lead-254613-functional": _Identity(
-        _identity_lead_254613, 10, True,
+        _identity_lead_254613, True,
         "enumerated leading-maxima series over the 254613 class satisfies "
         "its extraction/gap/block functional equation",
     ),
     "schroder-cubic": _Identity(
-        _identity_schroder_cubic, 20, False,
+        _identity_schroder_cubic, False,
         "the large Schroder series is a root of B^2 + (x-3)B + 2",
     ),
     "kernel-root-product": _Identity(
-        _identity_kernel_product, 20, False,
+        _identity_kernel_product, False,
         "x * little-schroder * large-schroder = large-schroder - 1",
     ),
     "kernel-254613-vanishes": _Identity(
-        _identity_kernel_254613, 20, False,
+        _identity_kernel_254613, False,
         "the cubic kernel of the 254613 equation vanishes at the kernel root",
     ),
     "lead-524361-functional": _Identity(
-        _identity_lead_524361, 10, True,
+        _identity_lead_524361, True,
         "enumerated series over the 524361 class satisfies its functional equation",
     ),
     "lead-546132-functional": _Identity(
-        _identity_lead_546132, 10, True,
+        _identity_lead_546132, True,
         "enumerated series over the 546132 class satisfies the same functional "
         "equation (no extra t on the inflation term)",
     ),
     "lead-4132-closed": _Identity(
-        _identity_lead_4132_closed, 10, True,
+        _identity_lead_4132_closed, True,
         "enumerated leading-maxima series over the 4132 class matches its closed form",
     ),
     "lead-4132-first-not-one-closed": _Identity(
-        _identity_first_not_one_closed, 10, True,
+        _identity_first_not_one_closed, True,
         "same for the subclass with first entry != 1",
     ),
     "first-not-one-from-full": _Identity(
-        _identity_first_not_one_from_full, 20, False,
+        _identity_first_not_one_from_full, False,
         "restricted series = (1 - tx) * full series - 1",
     ),
     "kernel-524361-vanishes": _Identity(
-        _identity_kernel_524361, 20, False,
+        _identity_kernel_524361, False,
         "t^2 x + (t-1) x C* - (t-1) vanishes at the kernel root",
     ),
     "schroder-from-kernel-root": _Identity(
-        _identity_schroder_from_kernel, 20, False,
+        _identity_schroder_from_kernel, False,
         "large-schroder * (1 - x * kernel-root) = 1",
     ),
     "kernel-root-closed": _Identity(
-        _identity_kernel_root_closed, 20, False,
+        _identity_kernel_root_closed, False,
         "the kernel fixed point equals (1 + x - sqrt(1-6x+x^2)) / (4x)",
     ),
     "lead-4132-functional": _Identity(
-        _identity_lead_4132_functional, 20, False,
+        _identity_lead_4132_functional, False,
         "the closed 4132 series satisfies its own functional equation",
     ),
     "stat132-system": _Identity(
-        _identity_stat132_system, 12, False,
+        _identity_stat132_system, False,
         "the joint bond/LR-min system over 132-avoiders is solved exactly",
     ),
     "stat132-ending-max-enum": _Identity(
-        _identity_stat132_enum, 10, True,
+        _identity_stat132_enum, True,
         "ending-max table from the system matches enumeration",
     ),
     "simples-gf-two-ways": _Identity(
-        _identity_simples_two_ways, 14, False,
+        _identity_simples_two_ways, False,
         "monomial summation and radical closed form of the simples series agree",
     ),
     "simples-gf-vs-enumeration": _Identity(
-        _identity_simples_vs_enum, 10, True,
+        _identity_simples_vs_enum, True,
         "simples series matches brute-force statistics over enumerated simples",
     ),
     "sum-decomposable-split": _Identity(
-        _identity_sum_split, 10, True,
+        _identity_sum_split, True,
         "sum-decomposable members are counted by 2xf - x^2(f+1)",
     ),
     "skew-decomposable-split": _Identity(
-        _identity_skew_split, 10, True,
+        _identity_skew_split, True,
         "skew-decomposable members are counted by f^2/(1+f)",
     ),
     "gf-263514-schroder": _Identity(
-        _identity_gf263514_schroder, 20, False,
+        _identity_gf263514_schroder, False,
         "1 + the 263514 fixed point equals the large Schroder series",
     ),
 }
@@ -1427,7 +1405,7 @@ def identity_ids() -> list[str]:
     return sorted(IDENTITIES)
 
 
-def check_identity(identity_id: str, order: int | None = None, *,
+def check_identity(identity_id: str, order: int, *,
                    corrupt: bool = False) -> IdentityCheck:
     """Evaluate LHS - RHS of a registered identity to the given order."""
     if identity_id not in IDENTITIES:
@@ -1435,8 +1413,6 @@ def check_identity(identity_id: str, order: int | None = None, *,
             f"unknown identity {identity_id!r}; known: {', '.join(identity_ids())}"
         )
     spec = IDENTITIES[identity_id]
-    if order is None:
-        order = spec.default_order
     if spec.enum_backed and order > ENUM_DEPTH_LIMIT:
         raise SeriesError(
             f"identity {identity_id!r} is enumeration-backed; order {order} "

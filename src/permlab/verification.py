@@ -54,13 +54,6 @@ BASIS_263514 = PatternBasis.from_text("2143,3142,263514")
 BASIS_4132 = PatternBasis.from_text("2143,3142,4132")
 PAT_132 = (1, 3, 2)
 
-SCHRODER_BASES = {
-    "254613": BASIS_254613,
-    "524361": BASIS_524361,
-    "546132": BASIS_546132,
-    "263514": BASIS_263514,
-}
-
 
 @dataclass
 class VerificationReport:
@@ -707,13 +700,19 @@ def _identity_report(identity_id: str, order: int) -> VerificationReport:
     )
 
 
-def run_check(check_id: str, max_n: int = 8, order: int = 12) -> VerificationReport:
-    """Run one registered structural check or series identity by id."""
+def run_check(check_id: str, max_n: int = 8, order: int = 12, *,
+              count_n: int = 10) -> VerificationReport:
+    """Run one registered structural check or series identity by id.
+
+    Structural checks run at max_n (deflation uniqueness capped at 7),
+    cross counts at count_n, closed-form identities at ``order`` and
+    enumeration-backed ones at min(order, max_n).
+    """
     if check_id in STRUCTURAL_CHECKS:
         budget = min(max_n, 7) if check_id == "deflation-uniqueness" else max_n
         return STRUCTURAL_CHECKS[check_id](budget)
     if check_id == "cross-count":
-        return check_cross_counts(max_n)
+        return check_cross_counts(count_n)
     if check_id in identity_ids():
         from permlab.series import IDENTITIES
 
@@ -725,20 +724,8 @@ def run_check(check_id: str, max_n: int = 8, order: int = 12) -> VerificationRep
 
 
 def run_all(max_n: int = 8, order: int = 12, *, count_n: int = 10) -> list[VerificationReport]:
-    """Every structural check plus every registered series identity.
-
-    Structural checks run at max_n (deflation uniqueness capped at 7),
-    cross counts at count_n, closed-form identities at ``order`` and
-    enumeration-backed ones at min(order, max_n).
-    """
-    reports = [
-        run_check(cid, max_n=max_n, order=order) for cid in STRUCTURAL_CHECKS
-    ]
-    reports.append(check_cross_counts(count_n))
-    reports.extend(
-        run_check(iid, max_n=max_n, order=order) for iid in identity_ids()
-    )
-    return reports
+    """Every registered check, in ``check_ids()`` order, at ``run_check``'s budgets."""
+    return [run_check(cid, max_n, order, count_n=count_n) for cid in check_ids()]
 
 
 def reports_to_json(reports: Iterable[VerificationReport]) -> str:

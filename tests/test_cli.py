@@ -85,8 +85,8 @@ class TestCount:
         assert "--parallelism" in err
         assert f"between 1 and {os.cpu_count() or 1}" in err
 
-    def test_negative_max_n_with_warm_cache_is_usage_error(self, capsys, tmp_path):
-        args = ["count", "--basis", "132", "--cache-dir", str(tmp_path)]
+    def test_negative_max_n_with_warm_cache_is_usage_error(self, capsys):
+        args = ["count", "--basis", "132"]
         code, _, _ = run(capsys, *args, "--max-n", "5")
         assert code == 0
         with pytest.raises(SystemExit) as exc:
@@ -96,38 +96,13 @@ class TestCount:
         assert out.out == ""
         assert "--max-n: must be >= 0, got -1" in out.err
 
-    def test_cache_dir_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERMLAB_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "count", "--basis", "132", "--max-n", "5")
-        assert code == 0
-        assert (tmp_path / "counts.txt").read_text().count("\n") == 6
-
-    def test_damaged_cache_line_is_recomputed(self, capsys, tmp_path, monkeypatch):
-        from permlab import enumeration
-
-        basis = enumeration.PatternBasis.from_text("132")
-        h = enumeration._basis_hash(basis)
-        cache = tmp_path / "counts.txt"
-        # a run cut off while appending: the last line lacks its count
-        cache.write_text(f"{h},0,1\n{h},1,1\n{h},5,")
-        code, out, err = run(capsys, "count", "--basis", "132", "--max-n", "5",
-                             "--cache-dir", str(tmp_path))
-        assert (code, err) == (0, "")
-        assert [line.split("\t") for line in out.strip().splitlines()] == [
-            [str(n), str(c)] for n, c in enumerate([1, 1, 2, 5, 14, 42])
-        ]
-        # the missing counts went back on lines of their own, so the next
-        # run is served from the cache alone: not from cached levels, and
-        # neither enumerated nor counted depth-first
-        def no_levels(*args, **kwargs):
-            raise AssertionError("the class was enumerated or counted")
-
-        monkeypatch.setattr(enumeration, "_LEVELS_CACHE", {})
-        monkeypatch.setattr(enumeration, "class_levels", no_levels)
-        monkeypatch.setattr(enumeration, "_count_subtrees", no_levels)
-        code, again, _ = run(capsys, "count", "--basis", "132", "--max-n", "5",
-                             "--cache-dir", str(tmp_path))
-        assert (code, again) == (0, out)
+    def test_cache_dir_is_not_an_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--basis", "132", "--max-n", "3", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --cache-dir" in out.err
 
 
 class TestEnumerateAndSimples:
@@ -246,6 +221,15 @@ class TestVerify:
             main(["verify", "--id", "strip-132", option, "-2"])
         assert exc.value.code == 2
         assert f"{option}: must be >= 0, got -2" in capsys.readouterr().err
+
+    def test_single_cross_count_runs_at_count_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "cross-count", "--count-n", "6",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert [(r["checkId"], r["maxN"], r["status"]) for r in data] == [
+            ("cross-count", 6, "pass")
+        ]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "top-values",

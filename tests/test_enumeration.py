@@ -17,7 +17,6 @@ from permlab import enumeration
 from permlab.enumeration import (
     CapacityError,
     PatternBasis,
-    RefinedCountTable,
     class_levels,
     count_class,
     enumerate_class,
@@ -239,14 +238,14 @@ class TestEnumerate:
         assert enumeration._LEVELS_CACHE[basis.patterns] == complete
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
 
-    def test_negative_max_n_rejected_before_cache_read(self, tmp_path):
+    def test_negative_max_n_rejected_before_cache_read(self):
         basis = PatternBasis.from_text("132")
-        assert count_class(basis, 4, cache_dir=str(tmp_path)) == CATALAN[:5]
+        assert count_class(basis, 4) == CATALAN[:5]
         with pytest.raises(ValueError, match="max_n must be >= 0"):
-            count_class(basis, -1, cache_dir=str(tmp_path))
+            count_class(basis, -1)
 
     @pytest.mark.parametrize("value", [0, -3, (os.cpu_count() or 1) + 1])
-    def test_parallelism_out_of_range_rejected(self, monkeypatch, tmp_path, value):
+    def test_parallelism_out_of_range_rejected(self, monkeypatch, value):
         from permlab import enumeration
 
         def no_pool(*args, **kwargs):
@@ -259,14 +258,12 @@ class TestEnumerate:
             lambda: class_levels(basis, 9, parallelism=value),
             lambda: enumerate_class(basis, 9, parallelism=value),
             lambda: count_class(basis, 9, parallelism=value),
-            lambda: count_class(basis, 9, parallelism=value, cache_dir=str(tmp_path)),
             lambda: refined_count(basis, 9, ["bond"], parallelism=value),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}"):
                 call()
         assert basis.patterns not in enumeration._LEVELS_CACHE
-        assert not (tmp_path / "counts.txt").exists()
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,13 +341,6 @@ class TestKnownCounts:
     def test_classic_schroder_class(self):
         assert count_class(PatternBasis.from_text("2413,3142"), 8) == SCHRODER[:9]
 
-    def test_count_cache_round_trip(self, tmp_path):
-        basis = PatternBasis.from_text("2413,3142")
-        first = count_class(basis, 6, cache_dir=str(tmp_path))
-        assert (tmp_path / "counts.txt").exists()
-        again = count_class(basis, 6, cache_dir=str(tmp_path))
-        assert first == again == SCHRODER[:7]
-
 
 class TestRefinedCounts:
     def test_bond_lrmin_over_132_ending_max(self):
@@ -388,21 +378,37 @@ class TestRefinedCounts:
 
 
 class TestExport:
-    def test_csv_plain_counts(self):
-        basis = PatternBasis.from_text("2413,3142")
-        table = refined_count(basis, 3, [])
-        lines = table.to_csv().splitlines()
+    def test_csv_plain_counts(self, capsys):
+        from permlab.cli import main
+
+        code = main(["stat", "--basis", "2413,3142", "--max-n", "3", "--stats", "",
+                     "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[:5] == ["n,count", "0,1", "1,1", "2,2", "3,6"]
 
-    def test_empty_table_header_only(self):
-        table = RefinedCountTable(PatternBasis.from_text("132"), 0, ("bond",))
-        assert table.to_csv() == "n,bond,count\n"
+    def test_empty_table_header_only(self, capsys):
+        from permlab.cli import main
+
+        # the only member of length 0 is the empty permutation, which the
+        # filter drops
+        code = main(["stat", "--basis", "132", "--max-n", "0", "--stats", "bond",
+                     "--filter", "first-entry-not-one", "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == "n,bond,count\n"
 
     def test_json_round_trip(self):
         basis = PatternBasis.from_text("132")
         table = refined_count(basis, 5, ["bond", "lr-min"], "first-entry-not-one")
-        again = RefinedCountTable.from_json(table.to_json())
-        assert again == table
+        data = json.loads(table.to_json())
+        assert data["basis"] == ["132"]
+        assert data["maxLength"] == 5
+        assert data["stats"] == ["bond", "lr-min"]
+        assert data["filter"] == "first-entry-not-one"
+        assert all(set(rec) == {"n", "bond", "lr-min", "count"} for rec in data["counts"])
+        counts = {(rec["n"], (rec["bond"], rec["lr-min"])): rec["count"]
+                  for rec in data["counts"]}
+        assert counts == table.counts
 
     def test_unknown_format(self, capsys):
         from permlab.cli import main

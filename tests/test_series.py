@@ -538,7 +538,7 @@ class TestIdentities:
 
     def test_unknown_identity(self):
         with pytest.raises(SeriesError, match="unknown identity"):
-            check_identity("no-such")
+            check_identity("no-such", 8)
 
     def test_failure_reports_first_mismatch(self):
         res = check_identity("schroder-cubic", 8, corrupt=True)
@@ -547,8 +547,24 @@ class TestIdentities:
         assert key == (0, 0, 0)
         assert lhs - rhs == -1  # constant 2 corrupted to 1
 
-    def test_json_shape(self):
-        res = check_identity("schroder-cubic", 8)
-        d = res.to_json_dict()
-        assert d == {"id": "schroder-cubic", "order": 8, "status": "pass",
-                     "firstMismatch": None}
+    @pytest.mark.parametrize("identity_id, builder", [
+        ("lead-4132-closed", "lead_4132_closed"),
+        ("lead-4132-first-not-one-closed", "lead_4132_first_not_one_closed"),
+        ("stat132-ending-max-enum", "stat132_ending_max"),
+        ("simples-gf-two-ways", "simples_gf_closed"),
+        ("sum-decomposable-split", "_sum_part"),
+        ("skew-decomposable-split", "_skew_part"),
+    ])
+    def test_identity_checks_the_served_builder(self, monkeypatch, identity_id, builder):
+        # the identity verifies the formula that is served, not a copy of it
+        import permlab.series as series_mod
+
+        original = getattr(series_mod, builder)
+
+        def one_term_off(*args, **kwargs):
+            s = original(*args, **kwargs)
+            return s + MSeries.var("x", s.order, s.grading)
+
+        assert check_identity(identity_id, 6).passed
+        monkeypatch.setattr(series_mod, builder, one_term_off)
+        assert not check_identity(identity_id, 6).passed
