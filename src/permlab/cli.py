@@ -95,7 +95,7 @@ def cmd_stat(args) -> int:
         basis, args.max_n, stats, args.filter, parallelism=args.parallelism
     )
     if args.format == "json":
-        sys.stdout.write(table.to_json())
+        print(table.to_json())
     else:
         header = ["n", *table.stat_names, "count"]
         if args.format == "table":

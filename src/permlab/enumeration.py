@@ -19,8 +19,15 @@ merged level by level.
 
 ``count_class`` builds no level below the cached ones: it walks the
 insertion tree depth-first and counts each node's children as the
-popcount of its free slots.  A parallel count sums per-level subtree
-totals over many slices of one level, one pool per call.
+popcount of its free slots.  The slot filter runs only on the nodes it
+starts from.  Below them each child inherits its parent's blocked
+slots, the slot of the new maximum doubled, since an occurrence that
+misses the parent's maximum n+1 is one in the parent already.  A new
+block must use n+1 as the pattern's second-largest entry, so it lies on
+one known side of n+1: 2143 and 3142 read theirs from one O(n) table
+per parent, and every other pattern searches only that side.  A
+parallel count sums per-level subtree totals over many slices of one
+level, one pool per call.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from permlab.perms import (
     Perm,
@@ -300,32 +307,138 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
     return levels
 
 
+# ---------------------------------------------------------------------------
+# blocked-slot masks inherited down the insertion tree
+#
+# A child inserts n+1 at slot s of a parent of length n.  Inserting n+2
+# at child slot t makes an occurrence either without n+1, which is one
+# of the parent at slot t (t <= s) or t-1 (t > s), or with n+1 playing
+# the pattern's k-1 beside n+2 as its k.  The second kind lies left of
+# n+1 (t <= s) when k comes before k-1 in the pattern, right (t > s)
+# otherwise.  2143 (left) and 3142 (right) give their new slots from one
+# O(n) table per parent.
+
+
+def _increasing_run(parent: Perm) -> int:
+    """The length of the longest increasing prefix of ``parent``.
+
+    2143 through n+2 and n+1 needs its 21 left of n+2, so the child at
+    slot s gains exactly the slots run+1..s.
+    """
+    for i in range(1, len(parent)):
+        if parent[i] < parent[i - 1]:
+            return i
+    return len(parent)
+
+
+def _new_3142_slots(parent: Perm) -> list[int]:
+    """Per slot s of ``parent``, the child slots 3142 adds through n+2 and n+1.
+
+    With n+1 at slot s as the 3, n+2 at child slot c+1 is the 4 of an
+    occurrence exactly when some parent[i] with s <= i < c, the 1, lies
+    below max(parent[c:]), which holds the 2.  For one i these cuts are
+    i+1..j, where j is the last position of a value above parent[i];
+    the table ORs them over all i >= s.
+    """
+    n = len(parent)
+    table = [0] * (n + 1)
+    acc = 0
+    records = 0  # the values of the right-to-left maxima right of i
+    where = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        v = parent[i]
+        above = records >> (v + 1)
+        if above:
+            # the first value above v from the right is the least record above it
+            j = where[(above & -above).bit_length() + v]
+            acc |= (4 << j) - (4 << i)  # child slots i+2 .. j+1
+        else:
+            records |= 1 << v
+            where[v] = i
+        table[i] = acc
+    return table
+
+
+def _children_with_blocks(
+        patterns: Sequence[Perm]) -> Callable[[Perm, int], Iterator[tuple[Perm, int]]]:
+    """A function from a parent and its blocked slots to its children, with theirs.
+
+    ``children(parent, blocked)`` takes the exact blocked-slot mask of
+    ``parent`` (the complement of ``_slot_filter(patterns)(parent)``) and
+    yields, in slot order, each child at a free slot with the child's own
+    exact mask: the parent's mask with bit s doubled, then the slots each
+    pattern adds through n+2 and n+1.  2143 and 3142 take them from
+    ``_increasing_run`` and ``_new_3142_slots``.  Every other pattern
+    runs its mask or its ``pinned_max_search`` on the child, over the
+    slots on its side of n+1 that are not blocked yet.
+    """
+    has_2143 = (2, 1, 4, 3) in patterns
+    has_3142 = (3, 1, 4, 2) in patterns
+    others = []
+    for pattern in patterns:
+        k = len(pattern)
+        # a length-1 pattern blocks every slot, and the inherited mask has them all
+        if k < 2 or pattern in ((2, 1, 4, 3), (3, 1, 4, 2)):
+            continue
+        if pattern in _BLOCKED_SLOTS:
+            search = lambda child, slots, mask=_BLOCKED_SLOTS[pattern]: mask(child) & slots
+        else:
+            search = pinned_max_search(pattern)
+        others.append((search, pattern.index(k) < pattern.index(k - 1)))
+
+    def children(parent: Perm, blocked: int) -> Iterator[tuple[Perm, int]]:
+        n = len(parent)
+        new_val = n + 1
+        child_slots = (4 << n) - 1
+        # 2143 adds the child slots above the parent's increasing run
+        run = _increasing_run(parent) if has_2143 else n
+        increasing = (2 << run) - 1
+        new_3142 = _new_3142_slots(parent) if has_3142 else [0] * (n + 1)
+        free = ~blocked & ((2 << n) - 1)
+        while free:
+            low = free & -free
+            free ^= low
+            slot = low.bit_length() - 1
+            child = parent[:slot] + (new_val,) + parent[slot:]
+            left = (low << 1) - 1  # child slots 0..slot
+            child_blocked = ((blocked & left) | ((blocked >> slot) << (slot + 1))
+                             | (left & ~increasing) | new_3142[slot])
+            for search, on_left in others:
+                wanted = (left if on_left else child_slots ^ left) & ~child_blocked
+                if wanted:
+                    child_blocked |= search(child, wanted)
+            yield child, child_blocked
+
+    return children
+
+
 def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
                     depth: int) -> list[int]:
     """How many class members lie 1, ..., ``depth`` levels below ``parents``.
 
     A depth-first walk that holds one root-to-leaf path: the members of
     the last level are counted as the popcounts of their parents' free
-    slots and never built.  Also one worker's share of a parallel count.
+    slots and never built.  ``_slot_filter`` gives the blocked slots of
+    each starting parent; below them every node gets its mask from its
+    parent through ``_children_with_blocks``, so the masks of 2143 and
+    3142 are never rerun and every other pattern searches only the
+    slots on one side of the new maximum.  Also one worker's share of a
+    parallel count.
     """
     free_slots = _slot_filter(patterns)
+    children = _children_with_blocks(patterns)
     totals = [0] * depth
     last = depth - 1
 
-    def walk(parent: Perm, d: int) -> None:
-        free = free_slots(parent)
-        totals[d] += free.bit_count()
+    def walk(parent: Perm, blocked: int, d: int) -> None:
+        totals[d] += len(parent) + 1 - blocked.bit_count()
         if d < last:
-            new_val = len(parent) + 1
-            while free:
-                low = free & -free
-                free ^= low
-                slot = low.bit_length() - 1
-                walk(parent[:slot] + (new_val,) + parent[slot:], d + 1)
+            for child, child_blocked in children(parent, blocked):
+                walk(child, child_blocked, d + 1)
 
     if depth > 0:
         for parent in parents:
-            walk(parent, 0)
+            walk(parent, ~free_slots(parent) & ((2 << len(parent)) - 1), 0)
     return totals
 
 

@@ -252,3 +252,16 @@ class TestVerify:
                            "--order", "8")
         assert code == 1
         assert "fail" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--basis", "132", "--max-n", "3"],
+    ["stat", "--basis", "132", "--max-n", "3", "--stats", "bond"],
+    ["series", "--name", "catalan", "--order", "3"],
+    ["verify", "--id", "top-values", "--max-n", "3"],
+], ids=lambda argv: argv[0])
+def test_json_output_ends_in_one_newline(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out.endswith("}\n") or out.endswith("]\n")
+    json.loads(out)

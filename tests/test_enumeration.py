@@ -24,7 +24,9 @@ from permlab.enumeration import (
     refined_count,
     simples_by_insertion,
     _BLOCKED_SLOTS,
+    _children_with_blocks,
     _extend_level,
+    _slot_filter,
 )
 from permlab.perms import (
     avoids_all,
@@ -280,10 +282,31 @@ def test_blocked_slot_masks_match_pinned_search(parent_list):
                 pattern, parent, slot)
 
 
-BASES = st.lists(
+# half the draws are a pattern with its own blocked-slot rule; a random
+# length-4 pattern alone would be 2143 only one time in 24
+PATTERNS = st.one_of(
+    st.sampled_from(sorted(_BLOCKED_SLOTS)),
     st.integers(1, 5).flatmap(lambda k: st.permutations(list(range(1, k + 1)))),
-    min_size=1, max_size=3,
-).map(lambda patterns: PatternBasis(tuple(p) for p in patterns))
+).map(tuple)
+BASES = st.lists(PATTERNS, min_size=1, max_size=3).map(PatternBasis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BASES, st.integers(0, 9).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+@example(PatternBasis.from_text("2143,3142,254613"), [2, 3, 1, 5, 4])
+def test_children_inherit_exact_masks(basis, parent_list):
+    # exact for any parent, so the parent need not avoid the basis
+    parent = tuple(parent_list)
+    free_slots = _slot_filter(basis.patterns)
+    children = _children_with_blocks(basis.patterns)
+    n = len(parent)
+    free = free_slots(parent)
+    got = list(children(parent, ~free & ((2 << n) - 1)))
+    assert [child.index(n + 1) for child, _ in got] == [
+        s for s in range(n + 1) if free >> s & 1]
+    for child, blocked in got:
+        assert blocked == ~free_slots(child) & ((4 << n) - 1), (basis, child)
 
 
 def _level_sizes(basis, max_n):
@@ -319,11 +342,37 @@ def test_parallel_depth_first_count_matches_levels(basis, max_n):
     assert len(enumeration._LEVELS_CACHE.pop(basis.patterns)) == 4
 
 
+def _generic_level_sizes(basis, max_n):
+    """The oracle for the inherited masks: levels grown slot by slot."""
+    level, sizes = [()], [1]
+    for _ in range(max_n):
+        level = _extend_level(level, basis.patterns, generic_only=True)
+        sizes.append(len(level))
+    return sizes
+
+
+@pytest.mark.parametrize("text", [
+    *(f"2143,3142,{tau}" for tau in SCHRODER_TAUS),
+    "2143,3142,246135", "2143,3142,4132", "2143,3142", "132",
+])
+def test_depth_first_count_matches_generic_levels(text):
+    basis = PatternBasis.from_text(text)
+    want = _generic_level_sizes(basis, 7)
+    assert count_class(basis, 7) == want
+    assert count_class(basis, 7, parallelism=2) == want
+
+
 class TestKnownCounts:
     def test_schroder_classes_to_eight(self):
         for tau in SCHRODER_TAUS:
             basis = PatternBasis.from_text(f"2143,3142,{tau}")
             assert count_class(basis, 8) == SCHRODER[:9], tau
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_schroder_classes_to_ten(self, parallelism):
+        for tau in SCHRODER_TAUS:
+            basis = PatternBasis.from_text(f"2143,3142,{tau}")
+            assert count_class(basis, 10, parallelism=parallelism) == SCHRODER, tau
 
     def test_burstein_pantone_class(self):
         # the case the paper credits to Burstein and Pantone
