@@ -23,11 +23,14 @@ popcount of its free slots.  The slot filter runs only on the nodes it
 starts from.  Below them each child inherits its parent's blocked
 slots, the slot of the new maximum doubled, since an occurrence that
 misses the parent's maximum n+1 is one in the parent already.  A new
-block must use n+1 as the pattern's second-largest entry, so it lies on
-one known side of n+1: 2143 and 3142 read theirs from one O(n) table
-per parent, and every other pattern searches only that side.  A
-parallel count sums per-level subtree totals over many slices of one
-level, one pool per call.
+block uses the next maximum n+2 as the pattern's largest entry k and
+n+1 as its k-1, so the pattern's other entries occur in the parent.
+Each pattern therefore gives one table per parent of the new blocks of
+every child: 2143, 3142 and 4132 by a closed rule, every other pattern
+by a compiled search for those other entries.  No search runs on a
+child, and the last two levels are never built.  A parallel count sums
+per-level subtree totals over many slices of one level, one pool per
+call.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
     Perm,
@@ -50,6 +53,8 @@ from permlab.perms import (
     parse_permutation,
     perm_to_text,
     pinned_max_search,
+    standardize,
+    window_sources,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -241,7 +246,9 @@ def _slot_filter(patterns: Sequence[Perm],
     Slots blocked by a special pattern are dropped first; each other
     pattern, compiled once here by ``pinned_max_search``, then drops the
     free slots it blocks, in basis order.  ``generic_only`` tests every
-    pattern slot by slot instead, as an oracle.
+    pattern slot by slot instead, as an oracle.  Building levels runs the
+    filter on every parent, a depth-first count only on the nodes it
+    starts from.
     """
     if generic_only:
         masks, searches = (), tuple(_per_slot_search(p) for p in patterns)
@@ -312,33 +319,45 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
 #
 # A child inserts n+1 at slot s of a parent of length n.  Inserting n+2
 # at child slot t makes an occurrence either without n+1, which is one
-# of the parent at slot t (t <= s) or t-1 (t > s), or with n+1 playing
-# the pattern's k-1 beside n+2 as its k.  The second kind lies left of
-# n+1 (t <= s) when k comes before k-1 in the pattern, right (t > s)
-# otherwise.  2143 (left) and 3142 (right) give their new slots from one
-# O(n) table per parent.
+# of the parent at slot t (t <= s) or t-1 (t > s), or with n+2 as the
+# pattern's largest entry k and n+1 as its k-1.  The other entries of
+# such an occurrence form tau'' (the pattern without k and k-1) in the
+# parent, and their positions fix both the slots s and the slots t.  So
+# one table per parent lists, for every slot s, the child slots this
+# second kind adds: 2143, 3142 and 4132 from a closed rule each, every
+# other pattern from a compiled search for its tau''.  A table function
+# takes the parent and its free slots and returns the table, exact at
+# every free slot.
 
 
 def _increasing_run(parent: Perm) -> int:
-    """The length of the longest increasing prefix of ``parent``.
-
-    2143 through n+2 and n+1 needs its 21 left of n+2, so the child at
-    slot s gains exactly the slots run+1..s.
-    """
+    """The length of the longest increasing prefix of ``parent``."""
     for i in range(1, len(parent)):
         if parent[i] < parent[i - 1]:
             return i
     return len(parent)
 
 
-def _new_3142_slots(parent: Perm) -> list[int]:
-    """Per slot s of ``parent``, the child slots 3142 adds through n+2 and n+1.
+def _new_2143_slots(parent: Perm, free: int) -> list[int]:
+    """Per slot s, the child slots 2143 adds through n+2 and n+1.
+
+    The 21 must lie left of n+2, so the child at slot s gains exactly
+    the slots run+1..s, run being the increasing prefix's length.
+    Exact at every slot, so ``free`` is not read.
+    """
+    run = _increasing_run(parent)
+    return [(2 << s) - (2 << run) if s > run else 0 for s in range(len(parent) + 1)]
+
+
+def _new_3142_slots(parent: Perm, free: int) -> list[int]:
+    """Per slot s, the child slots 3142 adds through n+2 and n+1.
 
     With n+1 at slot s as the 3, n+2 at child slot c+1 is the 4 of an
     occurrence exactly when some parent[i] with s <= i < c, the 1, lies
     below max(parent[c:]), which holds the 2.  For one i these cuts are
     i+1..j, where j is the last position of a value above parent[i];
-    the table ORs them over all i >= s.
+    the table ORs them over all i >= s.  Exact at every slot, so
+    ``free`` is not read.
     """
     n = len(parent)
     table = [0] * (n + 1)
@@ -359,82 +378,198 @@ def _new_3142_slots(parent: Perm) -> list[int]:
     return table
 
 
-def _children_with_blocks(
-        patterns: Sequence[Perm]) -> Callable[[Perm, int], Iterator[tuple[Perm, int]]]:
-    """A function from a parent and its blocked slots to its children, with theirs.
+def _new_4132_slots(parent: Perm, free: int) -> list[int]:
+    """Per free slot s, the child slots 4132 adds through n+2 and n+1.
 
-    ``children(parent, blocked)`` takes the exact blocked-slot mask of
-    ``parent`` (the complement of ``_slot_filter(patterns)(parent)``) and
-    yields, in slot order, each child at a free slot with the child's own
-    exact mask: the parent's mask with bit s doubled, then the slots each
-    pattern adds through n+2 and n+1.  2143 and 3142 take them from
-    ``_increasing_run`` and ``_new_3142_slots``.  Every other pattern
-    runs its mask or its ``pinned_max_search`` on the child, over the
-    slots on its side of n+1 that are not blocked yet.
+    n+2 is the 4 left of the 1 and n+1 is the 3, so the 1 lies before
+    slot s and the 2 after it: the child gains the slots 0..t0, t0 being
+    the last i < s with parent[i] < max(parent[s:]).  Each free slot
+    scans left from s - 1 for it, so a parent with a long decreasing
+    suffix costs O(n) per free slot.
     """
-    has_2143 = (2, 1, 4, 3) in patterns
-    has_3142 = (3, 1, 4, 2) in patterns
-    others = []
-    for pattern in patterns:
-        k = len(pattern)
-        # a length-1 pattern blocks every slot, and the inherited mask has them all
-        if k < 2 or pattern in ((2, 1, 4, 3), (3, 1, 4, 2)):
-            continue
-        if pattern in _BLOCKED_SLOTS:
-            search = lambda child, slots, mask=_BLOCKED_SLOTS[pattern]: mask(child) & slots
-        else:
-            search = pinned_max_search(pattern)
-        others.append((search, pattern.index(k) < pattern.index(k - 1)))
+    n = len(parent)
+    table = [0] * (n + 1)
+    top = 0  # max(parent[s:])
+    for s in range(n - 1, 0, -1):
+        if parent[s] > top:
+            top = parent[s]
+        if free >> s & 1:
+            i = s - 1
+            while i >= 0 and parent[i] > top:
+                i -= 1
+            if i >= 0:
+                table[s] = (2 << i) - 1
+    return table
 
-    def children(parent: Perm, blocked: int) -> Iterator[tuple[Perm, int]]:
+
+_NEW_SLOT_RULES: dict[Perm, Callable[[Perm, int], list[int]]] = {
+    (2, 1, 4, 3): _new_2143_slots,
+    (3, 1, 4, 2): _new_3142_slots,
+    (4, 1, 3, 2): _new_4132_slots,
+}
+
+
+def _new_slot_search(pattern: Perm) -> Callable[[Perm, int], list[int]]:
+    """Compile ``pattern`` (length >= 2) into the table of its new child slots.
+
+    Returns ``table(parent, free)``: per slot s in ``free``, the child
+    slots where n+2 completes an occurrence with n+1 (0 at the other
+    slots).  Seen from the parent, n+1 and n+2 take two slots x <= y,
+    in the pattern's order, x after X of the m = k - 2 entries of tau''
+    and y after Y of them.  An occurrence of tau'' at positions
+    i_0 < ... < i_(m-1) then allows exactly the pairs with
+    i_(X-1) < x <= i_X and i_(Y-1) < y <= i_Y (i_(-1) = -1 and
+    i_m = n).  One depth-first search over the first Y entries takes,
+    for each of their occurrences, the last i_Y that completes it, whose
+    pairs hold those of every other completion.
+    """
+    k = len(pattern)
+    m = k - 2
+    at_k, at_k1 = pattern.index(k), pattern.index(k - 1)
+    s_is_x = at_k > at_k1  # n+1, at slot s, comes before n+2
+    X, Y = (at_k1, at_k - 1) if s_is_x else (at_k, at_k1 - 1)
+    lo_of, hi_of = window_sources(standardize([v for v in pattern if v < k - 1]))
+    last_idx = m - 1
+
+    def table(parent: Perm, free: int) -> list[int]:
         n = len(parent)
-        new_val = n + 1
-        child_slots = (4 << n) - 1
-        # 2143 adds the child slots above the parent's increasing run
-        run = _increasing_run(parent) if has_2143 else n
-        increasing = (2 << run) - 1
-        new_3142 = _new_3142_slots(parent) if has_3142 else [0] * (n + 1)
-        free = ~blocked & ((2 << n) - 1)
+        found = [0] * (n + 1)  # per slot of n+1, the parent slots of n+2
+        # chosen[m] stays 0 and chosen[m + 1] holds n + 1: the open bounds
+        chosen = [0] * (m + 2)
+        chosen[m + 1] = n + 1
+        pos = [0] * m
+
+        def rest(j: int, start: int) -> bool:
+            # any completion of the entries after i_Y
+            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
+            for p in range(start, n - m + j + 1):
+                v = parent[p]
+                if lo < v < hi:
+                    if j == last_idx:
+                        return True
+                    chosen[j] = v
+                    if rest(j + 1, p + 1):
+                        return True
+            return False
+
+        def close(a: int) -> None:
+            # the first Y entries end at a: add the pairs of their last i_Y
+            if Y == m:
+                top = n
+            else:
+                lo, hi = chosen[lo_of[Y]], chosen[hi_of[Y]]
+                for top in range(n - m + Y, a, -1):
+                    v = parent[top]
+                    if lo < v < hi:
+                        chosen[Y] = v
+                        if Y == last_idx or rest(Y + 1, top + 1):
+                            break
+                else:
+                    return
+            x_lo = pos[X - 1] + 1 if X else 0
+            x_hi = top if X == Y else pos[X]
+            y_lo = a + 1
+            if s_is_x:
+                todo = free & ((2 << x_hi) - (1 << x_lo))
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    s = low.bit_length() - 1
+                    found[s] |= (2 << top) - (1 << (s if s > y_lo else y_lo))
+            else:
+                todo = free & ((2 << top) - (1 << y_lo))
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    s = low.bit_length() - 1
+                    found[s] |= (2 << (s if s < x_hi else x_hi)) - (1 << x_lo)
+
+        def first(j: int, start: int) -> None:
+            # the first Y entries, in position order
+            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
+            for p in range(start, n - m + j + 1):
+                v = parent[p]
+                if lo < v < hi:
+                    chosen[j] = v
+                    pos[j] = p
+                    if j + 1 < Y:
+                        first(j + 1, p + 1)
+                    else:
+                        close(p)
+
+        if free:
+            if Y:
+                first(0, 0)
+            else:
+                close(-1)
+        # n+2 at slot u of the parent is child slot u, or u + 1 after n+1
+        return [u << 1 for u in found] if s_is_x else found
+
+    return table
+
+
+def _child_masks(patterns: Sequence[Perm]) -> Callable[[Perm, int], list[tuple[int, int]]]:
+    """A function from a parent and its blocked slots to its children's.
+
+    ``child_masks(parent, blocked)`` takes the exact blocked-slot mask of
+    ``parent`` (the complement of ``_slot_filter(patterns)(parent)``) and
+    returns, in slot order, each free slot s with the exact mask of the
+    child that puts n+1 there: the parent's mask with bit s doubled, and
+    each pattern's table entry at s.  A length-1 pattern blocks every
+    slot, and the inherited mask has them all.
+    """
+    tables = tuple(
+        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
+        for pattern in patterns if len(pattern) > 1
+    )
+
+    def child_masks(parent: Perm, blocked: int) -> list[tuple[int, int]]:
+        free = ~blocked & ((2 << len(parent)) - 1)
+        new = [table(parent, free) for table in tables]
+        out = []
         while free:
             low = free & -free
             free ^= low
-            slot = low.bit_length() - 1
-            child = parent[:slot] + (new_val,) + parent[slot:]
-            left = (low << 1) - 1  # child slots 0..slot
-            child_blocked = ((blocked & left) | ((blocked >> slot) << (slot + 1))
-                             | (left & ~increasing) | new_3142[slot])
-            for search, on_left in others:
-                wanted = (left if on_left else child_slots ^ left) & ~child_blocked
-                if wanted:
-                    child_blocked |= search(child, wanted)
-            yield child, child_blocked
+            s = low.bit_length() - 1
+            mask = (blocked & ((low << 1) - 1)) | ((blocked >> s) << (s + 1))
+            for added in new:
+                mask |= added[s]
+            out.append((s, mask))
+        return out
 
-    return children
+    return child_masks
 
 
 def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
                     depth: int) -> list[int]:
     """How many class members lie 1, ..., ``depth`` levels below ``parents``.
 
-    A depth-first walk that holds one root-to-leaf path: the members of
-    the last level are counted as the popcounts of their parents' free
-    slots and never built.  ``_slot_filter`` gives the blocked slots of
-    each starting parent; below them every node gets its mask from its
-    parent through ``_children_with_blocks``, so the masks of 2143 and
-    3142 are never rerun and every other pattern searches only the
-    slots on one side of the new maximum.  Also one worker's share of a
-    parallel count.
+    A depth-first walk that holds one root-to-leaf path.  ``_slot_filter``
+    gives the blocked slots of each starting parent; below them every
+    node gets its mask from its parent through ``_child_masks``, one
+    table per pattern and parent, so no search runs on a child.  The
+    last level is counted as popcounts of free slots: a node two levels
+    above it sums the free slots of its children's masks, so neither the
+    last level nor the one above it is built.  Also one worker's share
+    of a parallel count.
     """
     free_slots = _slot_filter(patterns)
-    children = _children_with_blocks(patterns)
+    child_masks = _child_masks(patterns)
     totals = [0] * depth
     last = depth - 1
 
     def walk(parent: Perm, blocked: int, d: int) -> None:
-        totals[d] += len(parent) + 1 - blocked.bit_count()
-        if d < last:
-            for child, child_blocked in children(parent, blocked):
-                walk(child, child_blocked, d + 1)
+        n = len(parent)
+        totals[d] += n + 1 - blocked.bit_count()
+        if d == last:
+            return
+        children = child_masks(parent, blocked)
+        if d + 1 == last:
+            totals[last] += sum(n + 2 - mask.bit_count() for _, mask in children)
+            return
+        new_val = n + 1
+        for s, mask in children:
+            walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1)
 
     if depth > 0:
         for parent in parents:
@@ -515,10 +650,13 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
 
     Levels already in the level cache are counted by length.  Below the
     deepest of them the class is counted depth-first by
-    ``_count_subtrees``, so no further level is built or cached.  With
-    ``parallelism`` p > 1, levels are first grown here until one has at
-    least 32p parents; one pool of p workers then counts the subtrees of
-    4p strided slices of them, and the per-level totals are summed.
+    ``_count_subtrees``, so no further level is built or cached, and the
+    slot filter's compiled searches run only on the nodes it starts
+    from: every node below them takes its blocked slots from its
+    parent's tables.  With ``parallelism`` p > 1, levels are first grown
+    here until one has at least 32p parents; one pool of p workers then
+    counts the subtrees of 4p strided slices of them, and the per-level
+    totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]

@@ -202,6 +202,32 @@ def occurs_with_new_max(parent: Sequence[int], slot: int, pattern: Perm) -> bool
     return rec(0, 0)
 
 
+def window_sources(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each entry of ``pattern``, the earlier entries that bound its value.
+
+    Entry j lies above the largest earlier entry below it (index
+    ``lo_of[j]``) and below the smallest earlier entry above it
+    (``hi_of[j]``).  With no such entry the index is m = len(pattern)
+    for the lower bound and m + 1 for the upper: a search keeps its
+    chosen values there at 0 and at the host's maximum + 1.
+
+    >>> window_sources((2, 4, 1, 3))
+    ((4, 0, 4, 0), (5, 5, 0, 1))
+    """
+    m = len(pattern)
+    lo_of = tuple(
+        max((i for i in range(j) if pattern[i] < pattern[j]),
+            key=pattern.__getitem__, default=m)
+        for j in range(m)
+    )
+    hi_of = tuple(
+        min((i for i in range(j) if pattern[i] > pattern[j]),
+            key=pattern.__getitem__, default=m + 1)
+        for j in range(m)
+    )
+    return lo_of, hi_of
+
+
 def pinned_max_search(pattern: Perm) -> Callable[[Sequence[int], int], int]:
     """Compile ``pattern`` into a search over all slots of a parent at once.
 
@@ -215,7 +241,9 @@ def pinned_max_search(pattern: Perm) -> Callable[[Sequence[int], int], int]:
     each occurrence of the entries left of the maximum, the last i_q that
     completes it, and stops once every slot in ``slots`` is blocked.  The
     value window at each depth is read from two earlier entries, chosen
-    once when the pattern is compiled.
+    once when the pattern is compiled.  Its one caller is the slot filter
+    of :mod:`permlab.enumeration`, which serves level builds and the
+    nodes a depth-first count starts from.
 
     >>> blocked = pinned_max_search((2, 1, 4, 3))
     >>> [occurs_with_new_max((2, 1, 3, 4), s, (2, 1, 4, 3)) for s in range(5)]
@@ -229,19 +257,9 @@ def pinned_max_search(pattern: Perm) -> Callable[[Sequence[int], int], int]:
     if k == 1:
         return lambda parent, slots: slots & ((2 << len(parent)) - 1)
     q = pattern.index(k)  # entries before it go left of the slot
-    reduced = pattern[:q] + pattern[q + 1 :]
     m = k - 1
     # chosen[m] stays 0 and chosen[m + 1] holds n + 1: the open bounds
-    lo_of = tuple(
-        max((i for i in range(j) if reduced[i] < reduced[j]),
-            key=reduced.__getitem__, default=m)
-        for j in range(m)
-    )
-    hi_of = tuple(
-        min((i for i in range(j) if reduced[i] > reduced[j]),
-            key=reduced.__getitem__, default=m + 1)
-        for j in range(m)
-    )
+    lo_of, hi_of = window_sources(pattern[:q] + pattern[q + 1 :])
     last_idx = m - 1
 
     def blocked(parent: Sequence[int], slots: int) -> int:

@@ -419,11 +419,6 @@ class MSeries:
         # dividing by var^k sharpens what we know by k grades in x/total
         return MSeries(out, self.order - k, self.grading)
 
-    def truncate(self, order: int) -> "MSeries":
-        if order > self.order:
-            raise SeriesError("cannot extend a truncated series")
-        return MSeries(self.coeffs, order, self.grading)
-
     # -- substitution --------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MSeries | RelaxedSeries | Fraction | int"],

@@ -7,6 +7,7 @@ small lengths are checked against the brute-force S_n filter.
 
 import json
 import os
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,10 @@ from permlab.enumeration import (
     refined_count,
     simples_by_insertion,
     _BLOCKED_SLOTS,
-    _children_with_blocks,
+    _NEW_SLOT_RULES,
+    _child_masks,
     _extend_level,
+    _new_slot_search,
     _slot_filter,
 )
 from permlab.perms import (
@@ -286,27 +289,107 @@ def test_blocked_slot_masks_match_pinned_search(parent_list):
 # length-4 pattern alone would be 2143 only one time in 24
 PATTERNS = st.one_of(
     st.sampled_from(sorted(_BLOCKED_SLOTS)),
-    st.integers(1, 5).flatmap(lambda k: st.permutations(list(range(1, k + 1)))),
+    st.integers(1, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1)))),
 ).map(tuple)
 BASES = st.lists(PATTERNS, min_size=1, max_size=3).map(PatternBasis)
+PARENTS = st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
+
+
+def _with_free_slots(parents):
+    """Draws a parent and an arbitrary mask of its slots."""
+    return parents.flatmap(lambda p: st.tuples(
+        st.just(tuple(p)), st.integers(0, (2 << len(p)) - 1)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(BASES, st.integers(0, 9).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))))
+@given(BASES, PARENTS)
 @example(PatternBasis.from_text("2143,3142,254613"), [2, 3, 1, 5, 4])
 def test_children_inherit_exact_masks(basis, parent_list):
     # exact for any parent, so the parent need not avoid the basis
     parent = tuple(parent_list)
     free_slots = _slot_filter(basis.patterns)
-    children = _children_with_blocks(basis.patterns)
+    child_masks = _child_masks(basis.patterns)
     n = len(parent)
     free = free_slots(parent)
-    got = list(children(parent, ~free & ((2 << n) - 1)))
-    assert [child.index(n + 1) for child, _ in got] == [
-        s for s in range(n + 1) if free >> s & 1]
-    for child, blocked in got:
-        assert blocked == ~free_slots(child) & ((4 << n) - 1), (basis, child)
+    got = child_masks(parent, ~free & ((2 << n) - 1))
+    assert [s for s, _ in got] == [s for s in range(n + 1) if free >> s & 1]
+    for s, mask in got:
+        child = parent[:s] + (n + 1,) + parent[s:]
+        assert mask == ~free_slots(child) & ((4 << n) - 1), (basis, child)
+
+
+def _new_slots_by_brute_force(pattern, parent, free):
+    """Per free slot s, the child slots t where n+2 makes an occurrence with n+1."""
+    n, k = len(parent), len(pattern)
+    table = [0] * (n + 1)
+    for s in range(n + 1):
+        if not free >> s & 1:
+            continue
+        child = parent[:s] + (n + 1,) + parent[s:]
+        for t in range(n + 2):
+            host = child[:t] + (n + 2,) + child[t:]
+            pinned = (host.index(n + 1), host.index(n + 2))
+            others = [i for i in range(n + 2) if i not in pinned]
+            if any(standardize([host[i] for i in sorted(sub + pinned)]) == pattern
+                   for sub in combinations(others, k - 2)):
+                table[s] |= 1 << t
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
+       _with_free_slots(st.integers(0, 7).flatmap(
+           lambda n: st.permutations(list(range(1, n + 1))))))
+@example((2, 5, 4, 6, 1, 3), ((2, 3, 1, 5, 4), 0b111111))
+@example((2, 4, 6, 1, 3, 5), ((3, 1, 2, 5, 4), 0b110101))  # X = 2, Y = 4
+def test_new_slot_search_matches_brute_force(pattern, parent_and_free):
+    parent, free = parent_and_free
+    assert _new_slot_search(pattern)(parent, free) == _new_slots_by_brute_force(
+        pattern, parent, free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_NEW_SLOT_RULES)), _with_free_slots(PARENTS))
+def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
+    # each closed rule has the generic tau'' search as its oracle, on any
+    # parent and any free slots; the rules are exact at every slot
+    parent, free = parent_and_free
+    rule = _NEW_SLOT_RULES[pattern](parent, free)
+    generic = _new_slot_search(pattern)(parent, free)
+    for s in range(len(parent) + 1):
+        if free >> s & 1:
+            assert rule[s] == generic[s], (pattern, parent, s)
+
+
+def test_count_searches_only_its_starting_nodes(monkeypatch):
+    # below the starting nodes every mask comes from the parent's tables
+    calls = []
+    real_search = enumeration.pinned_max_search
+
+    def counting_search(pattern):
+        search = real_search(pattern)
+
+        def counted(parent, slots):
+            calls.append(parent)
+            return search(parent, slots)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "pinned_max_search", counting_search)
+    real_4132 = _BLOCKED_SLOTS[(4, 1, 3, 2)]
+    monkeypatch.setitem(_BLOCKED_SLOTS, (4, 1, 3, 2),
+                        lambda parent: calls.append(parent) or real_4132(parent))
+    for text, want in [("2143,3142,254613", SCHRODER[:9]), ("2143,3142,4132", A033321[:9])]:
+        basis = PatternBasis.from_text(text)
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        calls.clear()
+        assert count_class(basis, 8) == want
+        assert calls == [()]
+        start = class_levels(basis, 4)[4]
+        calls.clear()
+        assert count_class(basis, 8) == want
+        assert len(calls) == len(start) and set(calls) == set(start)
+        enumeration._LEVELS_CACHE.pop(basis.patterns)
 
 
 def _level_sizes(basis, max_n):
@@ -354,6 +437,7 @@ def _generic_level_sizes(basis, max_n):
 @pytest.mark.parametrize("text", [
     *(f"2143,3142,{tau}" for tau in SCHRODER_TAUS),
     "2143,3142,246135", "2143,3142,4132", "2143,3142", "132",
+    "2143,3142,4132,254613", "21,1234", "12,4321",
 ])
 def test_depth_first_count_matches_generic_levels(text):
     basis = PatternBasis.from_text(text)

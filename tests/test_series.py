@@ -84,7 +84,8 @@ def naive_substitute(s: MSeries, bindings) -> MSeries:
     def factor(v):
         b = bindings.get(v)
         if isinstance(b, MSeries):
-            return b.truncate(order)
+            assert order <= b.order  # a truncated series cannot be extended
+            return MSeries(b.coeffs, order, b.grading)
         if b is None:
             return MSeries.var(v, order, grading)
         return MSeries.const(b, order, grading)
