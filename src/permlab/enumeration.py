@@ -17,20 +17,20 @@ its k workers takes every k-th parent of one level and grows those
 subtrees to the requested length, returning sorted levels that are
 merged level by level.
 
-``count_class`` builds no level below the cached ones: it walks the
-insertion tree depth-first and counts each node's children as the
-popcount of its free slots.  The slot filter runs only on the nodes it
-starts from.  Below them each child inherits its parent's blocked
-slots, the slot of the new maximum doubled, since an occurrence that
-misses the parent's maximum n+1 is one in the parent already.  A new
-block uses the next maximum n+2 as the pattern's largest entry k and
-n+1 as its k-1, so the pattern's other entries occur in the parent.
-Each pattern therefore gives one table per parent of the new blocks of
-every child: 2143, 3142 and 4132 by a closed rule, every other pattern
-by a compiled search for those other entries.  No search runs on a
-child, and the last two levels are never built.  A parallel count sums
-per-level subtree totals over many slices of one level, one pool per
-call.
+``count_class`` reads, builds and caches no level: it walks the
+insertion tree depth-first from the root and counts each node's
+children as the popcount of its free slots.  The slot filter runs only
+on the nodes it starts from.  Below them each child inherits its
+parent's blocked slots, the slot of the new maximum doubled, since an
+occurrence that misses the parent's maximum n+1 is one in the parent
+already.  A new block uses the next maximum n+2 as the pattern's
+largest entry k and n+1 as its k-1, so the pattern's other entries
+occur in the parent.  Each pattern therefore gives one table per
+parent of the new blocks of every child: 2143, 3142 and 4132 by a
+closed rule, every other pattern by a compiled search for those other
+entries.  No search runs on a child, and the last two levels are never
+built.  A parallel count sums per-level subtree totals over many
+slices of one level, one pool per call.
 """
 
 from __future__ import annotations
@@ -648,15 +648,15 @@ def enumerate_class(basis: PatternBasis, n: int, *, parallelism: int = 1,
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> list[int]:
     """(|Av_0|, ..., |Av_max_n|).
 
-    Levels already in the level cache are counted by length.  Below the
-    deepest of them the class is counted depth-first by
-    ``_count_subtrees``, so no further level is built or cached, and the
-    slot filter's compiled searches run only on the nodes it starts
-    from: every node below them takes its blocked slots from its
-    parent's tables.  With ``parallelism`` p > 1, levels are first grown
-    here until one has at least 32p parents; one pool of p workers then
-    counts the subtrees of 4p strided slices of them, and the per-level
-    totals are summed.
+    The class is counted depth-first from the root by
+    ``_count_subtrees``, whatever the level cache holds: no level is
+    read, built or cached, and the slot filter's compiled searches run
+    only on the root, since every node below it takes its blocked slots
+    from its parent's tables.  With ``parallelism`` p > 1, levels are
+    first grown here from the root until one has at least 32p parents;
+    one pool of p workers then counts the subtrees of 4p strided slices
+    of them, starting a walk at each, and the per-level totals are
+    summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
@@ -665,9 +665,8 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     patterns = basis.patterns
-    levels = _LEVELS_CACHE.get(patterns, [[()]])[: max_n + 1]
-    counts = [len(level) for level in levels]
-    frontier = levels[-1]
+    counts = [1]
+    frontier = [()]
     if parallelism > 1:
         while len(counts) <= max_n and len(frontier) < 32 * parallelism:
             frontier = _extend_level(frontier, patterns)

@@ -13,6 +13,8 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, permutations, product
+from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from permlab.enumeration import (
@@ -33,6 +35,7 @@ from permlab.perms import (
     horizontal_gaps,
     identity,
     inflate,
+    is_simple,
     is_skew_decomposable,
     is_sum_decomposable,
     leading_maxima_count,
@@ -172,14 +175,12 @@ def check_strip_characterization(max_n: int = 8) -> VerificationReport:
     Membership is a set lookup in the enumerated level of the class
     (``avoids_all`` is its oracle in the enumeration tests); the 132
     test runs on every permutation of S_n."""
-    from itertools import permutations as iperm
-
     started = time.perf_counter()
     witnesses: list[tuple[Perm, str]] = []
     levels = class_levels(BASIS_4132, max_n)
     for n in range(max_n + 1):
         members = set(levels[n])
-        for p in iperm(range(1, n + 1)):
+        for p in permutations(range(1, n + 1)):
             member = p in members
             stripped_ok = not contains(strip_leading_maxima(p), PAT_132)
             if member != stripped_ok:
@@ -541,91 +542,78 @@ def check_inflation_rules(max_n: int = 8) -> VerificationReport:
 # deflation uniqueness
 
 
-def _all_decompositions(p: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
-    """Every way to write p as simple-skeleton[blocks] honoring the
-    12/21 first-block conventions.
-
-    Exhaustive over the cut sets whose segments are all intervals of
-    values and whose skeleton is simple (no other cut set can give a
-    decomposition).  An inline O(n^2) table lists, for each start a,
-    every end b with p[a:b] an interval, and keeps the same ends as a
-    bitmask.  A depth-first walk over it from 0 to n yields the cut
-    sets, and drops a branch as soon as its new segment closes a run of
-    two or more segments that is an interval of values, unless the run
-    is all of p: that run is an interval of the skeleton, so no
-    completion of the branch has a simple skeleton.  The single-segment
-    cut set is skipped, since a skeleton of length 1 is only for
-    length-1 hosts.  Results come in the order of the cut-set integer
-    (bit b-1 set for each inner bound b)."""
+def _lex_rank(p: Perm) -> int:
+    """The position of ``p`` in the lexicographic order of S_n."""
     n = len(p)
-    if n == 1:
-        return [((1,), ((1,),))]
-    ends: list[list[tuple[int, int]]] = []  # ends[a]: (b, min p[a:b])
-    masks: list[int] = []  # masks[a]: bit b set when p[a:b] is an interval
-    for a in range(n):
-        lo = hi = p[a]
-        row = []
-        mask = 0
-        for b in range(a + 1, n + 1):
-            v = p[b - 1]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if hi - lo + 1 == b - a:
-                row.append((b, lo))
-                mask |= 1 << b
-        ends.append(row)
-        masks.append(mask)
-    masks[0] &= ~(1 << n)  # the run of every segment is exempt
-    cut_sets = []  # (cut-set integer, segments as (start, end, min))
-    # closes: the ends b at which a run from an earlier segment's start is
-    # an interval of values
-    stack = [(0, 0, 0, ())]
-    while stack:
-        a, cuts, closes, segments = stack.pop()
-        closes_next = closes | masks[a]
-        for b, lo in ends[a]:
-            if closes >> b & 1:
-                continue
-            grown = segments + ((a, b, lo),)
-            if b < n:
-                stack.append((b, cuts | 1 << (b - 1), closes_next, grown))
-            elif a:
-                cut_sets.append((cuts, grown))
-    cut_sets.sort()
-    out = []
-    for _, segments in cut_sets:
-        skeleton = standardize([lo for _, _, lo in segments])
-        blocks = tuple(
-            tuple(v - lo + 1 for v in p[a:b]) for a, b, lo in segments
-        )
-        if skeleton == (1, 2) and is_sum_decomposable(blocks[0]):
-            continue
-        if skeleton == (2, 1) and is_skew_decomposable(blocks[0]):
-            continue
-        out.append((skeleton, blocks))
-    return out
+    rank = used = 0  # used: bit v set once v has been read
+    for i, v in enumerate(p):
+        # the digit is how many values below v are still unread
+        rank = rank * (n - i) + v - 1 - (used & ((1 << v) - 1)).bit_count()
+        used |= 1 << v
+    return rank
+
+
+def _deflation_tallies(max_n: int) -> Iterator[tuple[int, bytearray, bytearray]]:
+    """For n = 1, ..., max_n: (n, counts, agrees), indexed by lex rank in S_n.
+
+    ``counts[r]`` is the number of ways to write the permutation of rank
+    r as a simple skeleton of length k >= 2 inflated by blocks that
+    honor the 12/21 first-block conventions (sum-indecomposable first
+    block under 12, skew-indecomposable under 21); the skeleton 1 is
+    only for n = 1.  Each such pair is generated, inflated and tallied
+    once, and ``agrees[r]`` is set when ``deflate()`` of its inflation
+    returns it.  ``is_simple`` runs once on each permutation of
+    S_2..S_max_n, and only S_1..S_{max_n - 1} are held as blocks.
+    """
+    levels: list[list[Perm]] = [[()], [(1,)]]  # levels[m] = S_m in lex order
+    simples: list[list[Perm]] = [[], [(1,)]]  # simples[k]: the skeletons of length k
+    for n in range(1, max_n + 1):
+        if len(levels) < n:
+            levels.append(list(permutations(range(1, n))))
+        if n > 1:
+            simples.append([s for s in permutations(range(1, n + 1)) if is_simple(s)])
+        first_blocks = {
+            (1, 2): [[b for b in level if not is_sum_decomposable(b)] for level in levels],
+            (2, 1): [[b for b in level if not is_skew_decomposable(b)] for level in levels],
+        }
+        counts = bytearray(factorial(n))
+        agrees = bytearray(factorial(n))
+        for k in range(2, n + 1) if n > 1 else (1,):
+            for cuts in combinations(range(1, n), k - 1):
+                sizes = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+                rest = [levels[m] for m in sizes[1:]]
+                for sigma in simples[k]:
+                    first = first_blocks.get(sigma, levels)[sizes[0]]
+                    for blocks in product(first, *rest):
+                        q = inflate(sigma, blocks)
+                        r = _lex_rank(q)
+                        counts[r] += 1
+                        if deflate(q) == (sigma, blocks):
+                            agrees[r] = 1
+        yield n, counts, agrees
 
 
 def check_deflation_uniqueness(max_n: int = 7) -> VerificationReport:
-    """deflate() returns the unique convention-respecting decomposition."""
-    from itertools import permutations as iperm
+    """deflate() returns the unique convention-respecting decomposition.
 
+    Each length is checked against ``_deflation_tallies``.  A
+    permutation counted once by a decomposition that ``deflate()``
+    returns passes, and inflates back by construction; any other is
+    deflated again and reported as not inflating back, as having some
+    other number of decompositions, or as disagreeing, in that order.
+    """
     started = time.perf_counter()
     witnesses: list[tuple[Perm, str]] = []
-    for n in range(1, max_n + 1):
-        for p in iperm(range(1, n + 1)):
+    for n, counts, agrees in _deflation_tallies(max_n):
+        for r, p in enumerate(permutations(range(1, n + 1))):
+            if counts[r] == 1 and agrees[r]:
+                continue
             d = deflate(p)
             if inflate(d.skeleton, d.blocks) != p:
                 witnesses.append((p, "deflation does not inflate back"))
-                continue
-            alternatives = _all_decompositions(p)
-            if len(alternatives) != 1:
-                witnesses.append(
-                    (p, f"{len(alternatives)} convention-respecting decompositions")
-                )
-            elif alternatives[0] != (d.skeleton, d.blocks):
+            elif counts[r] != 1:
+                witnesses.append((p, f"{counts[r]} convention-respecting decompositions"))
+            else:
                 witnesses.append((p, "deflate() disagrees with the exhaustive search"))
     return _report("deflation-uniqueness", max_n, witnesses, started)
 

@@ -362,7 +362,8 @@ def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
 
 
 def test_count_searches_only_its_starting_nodes(monkeypatch):
-    # below the starting nodes every mask comes from the parent's tables
+    # a count starts from the root, whatever levels the cache holds, and
+    # below it every mask comes from the parent's tables
     calls = []
     real_search = enumeration.pinned_max_search
 
@@ -385,10 +386,10 @@ def test_count_searches_only_its_starting_nodes(monkeypatch):
         calls.clear()
         assert count_class(basis, 8) == want
         assert calls == [()]
-        start = class_levels(basis, 4)[4]
+        class_levels(basis, 4)
         calls.clear()
         assert count_class(basis, 8) == want
-        assert len(calls) == len(start) and set(calls) == set(start)
+        assert calls == [()]
         enumeration._LEVELS_CACHE.pop(basis.patterns)
 
 
@@ -423,6 +424,25 @@ def test_parallel_depth_first_count_matches_levels(basis, max_n):
     class_levels(basis, 3)
     assert count_class(basis, max_n, parallelism=2) == want
     assert len(enumeration._LEVELS_CACHE.pop(basis.patterns)) == 4
+
+
+@pytest.mark.parametrize("text", [
+    *(f"2143,3142,{tau}" for tau in SCHRODER_TAUS), "2143,3142,4132", "2143,3142",
+])
+def test_count_reads_and_changes_no_cached_level(text):
+    basis = PatternBasis.from_text(text)
+    want = _level_sizes(basis, 9)
+    cache = enumeration._LEVELS_CACHE
+    try:
+        for warm_n in range(8):
+            class_levels(basis, warm_n)
+            before = {key: [level[:] for level in levels] for key, levels in cache.items()}
+            for max_n in range(10):
+                assert count_class(basis, max_n) == want[: max_n + 1], (warm_n, max_n)
+            assert count_class(basis, 9, parallelism=2) == want, warm_n
+            assert cache == before
+    finally:
+        cache.pop(basis.patterns, None)
 
 
 def _generic_level_sizes(basis, max_n):

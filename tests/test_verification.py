@@ -5,7 +5,9 @@ stays fast; the acceptance suite reruns everything at full depth.
 """
 
 import json
+from functools import cache
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from permlab.perms import (
     leading_maxima_count,
     parse_permutation,
     skew_components,
+    skew_sum,
     standardize,
     sum_components,
 )
@@ -48,9 +51,10 @@ from permlab.verification import (
     reports_to_json,
     run_all,
     run_check,
-    _all_decompositions,
+    _deflation_tallies,
     _gap_blocks,
     _in_relocation_domain,
+    _lex_rank,
 )
 
 P = parse_permutation
@@ -193,7 +197,7 @@ class TestSimplesChecks:
 
 def _brute_decompositions(p):
     """The brute-force search over all 2^(n-1) cut sets, kept as the
-    oracle for _all_decompositions."""
+    oracle for _deflation_tallies."""
     n = len(p)
     if n == 1:
         return [((1,), ((1,),))]
@@ -230,30 +234,76 @@ def _brute_decompositions(p):
     return out
 
 
+def _assert_tally_matches_brute_force(p, counts, agrees, r):
+    brute = _brute_decompositions(p)
+    assert counts[r] == len(brute), p
+    assert bool(agrees[r]) == (deflate(p) in brute), p
+
+
+@cache
+def _tally_7():
+    *_, (_, counts, agrees) = _deflation_tallies(7)
+    return counts, agrees
+
+
+def test_lex_rank_is_the_position_in_permutations():
+    for n in range(8):
+        assert [_lex_rank(p) for p in permutations(range(1, n + 1))] == list(range(factorial(n)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 9).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))))
-def test_all_decompositions_match_brute_force(p_list):
+@given(st.permutations(list(range(1, 8))))
+def test_tally_matches_brute_force_on_s7(p_list):
+    # the check is capped at n = 7, so S_7 holds every permutation it scans
     p = tuple(p_list)
-    assert _all_decompositions(p) == _brute_decompositions(p)
+    _assert_tally_matches_brute_force(p, *_tally_7(), _lex_rank(p))
 
 
 class TestDeflationUniqueness:
     def test_passes(self):
         assert check_deflation_uniqueness(6).passed
 
-    def test_search_matches_brute_force_exhaustively(self):
-        for n in range(1, 7):
-            for p in permutations(range(1, n + 1)):
-                assert _all_decompositions(p) == _brute_decompositions(p), p
+    def test_tally_matches_brute_force_exhaustively(self):
+        for n, counts, agrees in _deflation_tallies(6):
+            for r, p in enumerate(permutations(range(1, n + 1))):
+                _assert_tally_matches_brute_force(p, counts, agrees, r)
 
-    def test_search_matches_brute_force_on_separables(self):
+    def test_tally_matches_brute_force_on_separables(self):
         # separable permutations have the most all-interval cut sets, so
-        # they are where the search drops non-simple runs
-        separables = class_levels(PatternBasis.from_text("2413,3142"), 7)[7]
+        # they have the most candidate decompositions to rule out
+        separables = set(class_levels(PatternBasis.from_text("2413,3142"), 7)[7])
         assert len(separables) == 1806
-        for p in separables:
-            assert _all_decompositions(p) == _brute_decompositions(p), p
+        counts, agrees = _tally_7()
+        for r, p in enumerate(permutations(range(1, 8))):
+            if p in separables:
+                _assert_tally_matches_brute_force(p, counts, agrees, r)
+
+    def test_catches_deflate_swapping_the_blocks_of_21(self, monkeypatch):
+        # the swapped blocks inflate to another permutation unless the
+        # swap gives p again (as for 321 = 1 (-) 21 = 21 (-) 1), where
+        # deflate() only disagrees
+        def swapped_deflate(p):
+            d = deflate(p)
+            if d.skeleton != (2, 1):
+                return d
+            return Deflation((2, 1), d.blocks[::-1])
+
+        monkeypatch.setattr(verification, "deflate", swapped_deflate)
+        r = check_deflation_uniqueness(5)
+        assert not r.passed
+        expected = []
+        for n in range(1, 6):
+            for p in permutations(range(1, n + 1)):
+                d = deflate(p)
+                if d.skeleton != (2, 1) or d.blocks[0] == d.blocks[1]:
+                    continue
+                if skew_sum(d.blocks[1], d.blocks[0]) != p:
+                    expected.append((p, "deflation does not inflate back"))
+                else:
+                    expected.append((p, "deflate() disagrees with the exhaustive search"))
+        assert r.witnesses == expected
+        assert (P("321"), "deflate() disagrees with the exhaustive search") in expected
+        assert (P("312"), "deflation does not inflate back") in expected
 
     def test_catches_deflate_breaking_the_12_convention(self, monkeypatch):
         # split off the last sum component instead of the first: it still
