@@ -25,11 +25,14 @@ parent's blocked slots, the slot of the new maximum doubled, since an
 occurrence that misses the parent's maximum n+1 is one in the parent
 already.  A new block uses the next maximum n+2 as the pattern's
 largest entry k and n+1 as its k-1, so the pattern's other entries
-occur in the parent.  Each pattern therefore gives one table per
-parent of the new blocks of every child: 2143, 3142 and 4132 by a
-closed rule, every other pattern by a compiled search for those other
-entries.  No search runs on a child, and the last two levels are never
-built.  A parallel count sums per-level subtree totals over many
+occur in the parent.  Each parent therefore keeps one list, one int
+per slot, into which every pattern ORs the new blocks of that slot's
+child: 3142 and 4132 by a closed rule, every other pattern by a search
+for those other entries, generated as Python source for that pattern
+and compiled once per count (per slice with workers).  2143 adds, per
+child, the slots between the parent's increasing prefix and the
+child's n+1.  No search runs on a child, and the last two levels are
+never built.  A parallel count sums per-level subtree totals over many
 slices of one level, one pool per call.
 """
 
@@ -323,11 +326,13 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
 # pattern's largest entry k and n+1 as its k-1.  The other entries of
 # such an occurrence form tau'' (the pattern without k and k-1) in the
 # parent, and their positions fix both the slots s and the slots t.  So
-# one table per parent lists, for every slot s, the child slots this
-# second kind adds: 2143, 3142 and 4132 from a closed rule each, every
-# other pattern from a compiled search for its tau''.  A table function
-# takes the parent and its free slots and returns the table, exact at
-# every free slot.
+# each pattern ORs, per parent, the child slots this second kind adds
+# into one list ``added`` of n+1 ints, one per slot s: 3142 and 4132
+# from a closed rule each, every other pattern from a search for its
+# tau'' generated for that pattern.  2143 writes no entry: the child at
+# slot s gains the slots run+1..s, run being the length of the parent's
+# increasing prefix.  A table function takes the parent, its free slots
+# and ``added``, and is exact at every free slot.
 
 
 def _increasing_run(parent: Perm) -> int:
@@ -338,29 +343,17 @@ def _increasing_run(parent: Perm) -> int:
     return len(parent)
 
 
-def _new_2143_slots(parent: Perm, free: int) -> list[int]:
-    """Per slot s, the child slots 2143 adds through n+2 and n+1.
-
-    The 21 must lie left of n+2, so the child at slot s gains exactly
-    the slots run+1..s, run being the increasing prefix's length.
-    Exact at every slot, so ``free`` is not read.
-    """
-    run = _increasing_run(parent)
-    return [(2 << s) - (2 << run) if s > run else 0 for s in range(len(parent) + 1)]
-
-
-def _new_3142_slots(parent: Perm, free: int) -> list[int]:
-    """Per slot s, the child slots 3142 adds through n+2 and n+1.
+def _new_3142_slots(parent: Perm, free: int, added: list[int]) -> None:
+    """ORs into ``added[s]`` the child slots 3142 adds through n+2 and n+1.
 
     With n+1 at slot s as the 3, n+2 at child slot c+1 is the 4 of an
     occurrence exactly when some parent[i] with s <= i < c, the 1, lies
     below max(parent[c:]), which holds the 2.  For one i these cuts are
     i+1..j, where j is the last position of a value above parent[i];
-    the table ORs them over all i >= s.  Exact at every slot, so
+    slot s gets them ORed over all i >= s.  Exact at every slot, so
     ``free`` is not read.
     """
     n = len(parent)
-    table = [0] * (n + 1)
     acc = 0
     records = 0  # the values of the right-to-left maxima right of i
     where = [0] * (n + 1)
@@ -374,12 +367,11 @@ def _new_3142_slots(parent: Perm, free: int) -> list[int]:
         else:
             records |= 1 << v
             where[v] = i
-        table[i] = acc
-    return table
+        added[i] |= acc
 
 
-def _new_4132_slots(parent: Perm, free: int) -> list[int]:
-    """Per free slot s, the child slots 4132 adds through n+2 and n+1.
+def _new_4132_slots(parent: Perm, free: int, added: list[int]) -> None:
+    """ORs into ``added[s]`` the child slots 4132 adds through n+2 and n+1.
 
     n+2 is the 4 left of the 1 and n+1 is the 3, so the 1 lies before
     slot s and the 2 after it: the child gains the slots 0..t0, t0 being
@@ -387,10 +379,8 @@ def _new_4132_slots(parent: Perm, free: int) -> list[int]:
     scans left from s - 1 for it, so a parent with a long decreasing
     suffix costs O(n) per free slot.
     """
-    n = len(parent)
-    table = [0] * (n + 1)
     top = 0  # max(parent[s:])
-    for s in range(n - 1, 0, -1):
+    for s in range(len(parent) - 1, 0, -1):
         if parent[s] > top:
             top = parent[s]
         if free >> s & 1:
@@ -398,182 +388,203 @@ def _new_4132_slots(parent: Perm, free: int) -> list[int]:
             while i >= 0 and parent[i] > top:
                 i -= 1
             if i >= 0:
-                table[s] = (2 << i) - 1
-    return table
+                added[s] |= (2 << i) - 1
 
 
-_NEW_SLOT_RULES: dict[Perm, Callable[[Perm, int], list[int]]] = {
-    (2, 1, 4, 3): _new_2143_slots,
+_NEW_SLOT_RULES: dict[Perm, Callable[[Perm, int, list[int]], None]] = {
     (3, 1, 4, 2): _new_3142_slots,
     (4, 1, 3, 2): _new_4132_slots,
 }
 
 
-def _new_slot_search(pattern: Perm) -> Callable[[Perm, int], list[int]]:
-    """Compile ``pattern`` (length >= 2) into the table of its new child slots.
+def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
+    """Generate and compile the search for ``pattern``'s (length >= 2) new slots.
 
-    Returns ``table(parent, free)``: per slot s in ``free``, the child
-    slots where n+2 completes an occurrence with n+1 (0 at the other
-    slots).  Seen from the parent, n+1 and n+2 take two slots x <= y,
-    in the pattern's order, x after X of the m = k - 2 entries of tau''
-    and y after Y of them.  An occurrence of tau'' at positions
-    i_0 < ... < i_(m-1) then allows exactly the pairs with
+    Returns ``search(parent, free, added)``, which ORs into ``added[s]``,
+    for each slot s in ``free``, the child slots where n+2 completes an
+    occurrence with n+1.  Seen from the parent, n+1 and n+2 take two
+    slots x <= y, in the pattern's order, x after X of the m = k - 2
+    entries of tau'' and y after Y of them.  An occurrence of tau'' at
+    positions i_0 < ... < i_(m-1) then allows exactly the pairs with
     i_(X-1) < x <= i_X and i_(Y-1) < y <= i_Y (i_(-1) = -1 and
-    i_m = n).  One depth-first search over the first Y entries takes,
-    for each of their occurrences, the last i_Y that completes it, whose
-    pairs hold those of every other completion.
+    i_m = n).  For each occurrence of the first Y entries, the search
+    takes the last i_Y that completes it, whose pairs hold those of
+    every other completion.
+
+    The search is Python source written for this pattern and compiled
+    per count.  Entries 0..Y-1 are nested ``for`` loops over positions,
+    each value window a comparison of two local variables.  Entry Y is
+    a scan down from the right, and the entries after it a nested
+    existence check that breaks out at the first completion.  CPython
+    rejects more than 20 statically nested blocks, so once a generated
+    function holds 16 loops (the scan for entry Y may make 17), the rest
+    of the nest goes into a further generated function that takes the
+    chosen positions and values as arguments.
     """
     k = len(pattern)
     m = k - 2
     at_k, at_k1 = pattern.index(k), pattern.index(k - 1)
     s_is_x = at_k > at_k1  # n+1, at slot s, comes before n+2
     X, Y = (at_k1, at_k - 1) if s_is_x else (at_k, at_k1 - 1)
+    # window bound m (lower) or m + 1 (upper) means no earlier entry bounds it
     lo_of, hi_of = window_sources(standardize([v for v in pattern if v < k - 1]))
-    last_idx = m - 1
+    max_loops = 16  # per generated function, below CPython's 20 nested blocks
+    functions: list[list[str]] = []
 
-    def table(parent: Perm, free: int) -> list[int]:
-        n = len(parent)
-        found = [0] * (n + 1)  # per slot of n+1, the parent slots of n+2
-        # chosen[m] stays 0 and chosen[m + 1] holds n + 1: the open bounds
-        chosen = [0] * (m + 2)
-        chosen[m + 1] = n + 1
-        pos = [0] * m
+    def define(name: str, params: list[str], body: list[str]) -> str:
+        functions.append([f"def {name}({', '.join(params)}):", *body])
+        return f"{name}({', '.join(params)})"
 
-        def rest(j: int, start: int) -> bool:
-            # any completion of the entries after i_Y
-            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
-            for p in range(start, n - m + j + 1):
-                v = parent[p]
-                if lo < v < hi:
-                    if j == last_idx:
-                        return True
-                    chosen[j] = v
-                    if rest(j + 1, p + 1):
-                        return True
-            return False
+    def loop(j: int, pos: str, positions: str, ind: str) -> tuple[list[str], str]:
+        # the lines that choose entry j at ``pos``, and their body's indent
+        lines = [f"{ind}for {pos} in {positions}:", f"{ind}    v{j} = parent[{pos}]"]
+        lo = f"v{lo_of[j]} < " if lo_of[j] < m else ""
+        hi = f" < v{hi_of[j]}" if hi_of[j] < m else ""
+        if not (lo or hi):
+            return lines, ind + "    "
+        return lines + [f"{ind}    if {lo}v{j}{hi}:"], ind + "        "
 
-        def close(a: int) -> None:
-            # the first Y entries end at a: add the pairs of their last i_Y
-            if Y == m:
-                top = n
+    def after(j: int, prev: str) -> str:
+        # positions of entry j past ``prev`` that leave room for the rest
+        start = "0" if prev == "-1" else f"{prev} + 1"
+        return f"range({start}, n - {m - 1 - j})" if j < m - 1 else f"range({start}, n)"
+
+    def first(j: int, ind: str, loops: int) -> list[str]:
+        # entries j..Y-1 in position order, then close
+        if j == Y:
+            return close(ind, loops)
+        if loops == max_loops:
+            names = [f"{c}{i}" for c in "pv" for i in range(j)]
+            call = define(f"first_{j}", ["parent", "free", "added", "n", *names],
+                          first(j, "    ", 0))
+            return [ind + call]
+        lines, inner = loop(j, f"p{j}", after(j, f"p{j - 1}" if j else "-1"), ind)
+        return lines + first(j + 1, inner, loops + 1)
+
+    def exists(j: int, prev: str, ind: str, loops: int, fail: str, found: str) -> list[str]:
+        # run ``found`` if entries j..m-1 occur after position ``prev``,
+        # else ``fail``
+        if loops >= max_loops:
+            params = ["parent", "n", prev, *(f"v{i}" for i in range(j))]
+            call = define(f"rest_{j}", params,
+                          exists(j, prev, "    ", 0, "return False", "return True"))
+            return [f"{ind}if {call}:", f"{ind}    {found}", f"{ind}{fail}"]
+        lines, inner = loop(j, f"q{j}", after(j, prev), ind)
+        lines += ([f"{inner}break"] if j == m - 1
+                  else exists(j + 1, f"q{j}", inner, loops + 1, "continue", "break"))
+        return lines + [f"{ind}else:", f"{ind}    {fail}", f"{ind}{found}"]
+
+    def close(ind: str, loops: int) -> list[str]:
+        # the first Y entries end at a: find the last i_Y, then record pairs
+        a = f"p{Y - 1}" if Y else "-1"
+        lines = []
+        if Y == m:
+            top = "n"
+        else:
+            top = "top"
+            lines, inner = loop(Y, "top", f"range(n - {m - Y}, {a}, -1)", ind)
+            lines += ([f"{inner}break"] if Y == m - 1
+                      else exists(Y + 1, "top", inner, loops + 1, "continue", "break"))
+            lines += [f"{ind}else:", f"{ind}    {'continue' if loops else 'return'}"]
+        # 1 << x_lo and 1 << y_lo, x_lo = i_(X-1) + 1 and y_lo = i_(Y-1) + 1
+        x_low = f"2 << p{X - 1}" if X else "1"
+        y_low = f"2 << {a}" if Y else "1"
+        if s_is_x:
+            # n+1 at slot s in [x_lo, x_hi], n+2 at parent slot u in
+            # [max(s, y_lo), i_Y], which is child slot u + 1
+            if X < Y:  # every s lies below y_lo
+                todo = f"free & ((2 << p{X}) - ({x_low}))"
+                gain = f"(4 << {top}) - (4 << {a})"
             else:
-                lo, hi = chosen[lo_of[Y]], chosen[hi_of[Y]]
-                for top in range(n - m + Y, a, -1):
-                    v = parent[top]
-                    if lo < v < hi:
-                        chosen[Y] = v
-                        if Y == last_idx or rest(Y + 1, top + 1):
-                            break
-                else:
-                    return
-            x_lo = pos[X - 1] + 1 if X else 0
-            x_hi = top if X == Y else pos[X]
-            y_lo = a + 1
-            if s_is_x:
-                todo = free & ((2 << x_hi) - (1 << x_lo))
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    s = low.bit_length() - 1
-                    found[s] |= (2 << top) - (1 << (s if s > y_lo else y_lo))
-            else:
-                todo = free & ((2 << top) - (1 << y_lo))
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    s = low.bit_length() - 1
-                    found[s] |= (2 << (s if s < x_hi else x_hi)) - (1 << x_lo)
+                todo = f"free & ((2 << {top}) - ({x_low}))"
+                gain = f"(4 << {top}) - (low << 1)"
+        else:
+            # n+1 at slot s in [y_lo, i_Y], n+2 at child slot u in
+            # [x_lo, min(s, x_hi)]
+            todo = f"free & ((2 << {top}) - ({y_low}))"
+            gain = f"(2 << p{X}) - ({x_low})" if X < Y else f"(low << 1) - ({x_low})"
+        return lines + [
+            f"{ind}todo = {todo}",
+            f"{ind}while todo:",
+            f"{ind}    low = todo & -todo",
+            f"{ind}    todo ^= low",
+            f"{ind}    added[low.bit_length() - 1] |= {gain}",
+        ]
 
-        def first(j: int, start: int) -> None:
-            # the first Y entries, in position order
-            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
-            for p in range(start, n - m + j + 1):
-                v = parent[p]
-                if lo < v < hi:
-                    chosen[j] = v
-                    pos[j] = p
-                    if j + 1 < Y:
-                        first(j + 1, p + 1)
-                    else:
-                        close(p)
-
-        if free:
-            if Y:
-                first(0, 0)
-            else:
-                close(-1)
-        # n+2 at slot u of the parent is child slot u, or u + 1 after n+1
-        return [u << 1 for u in found] if s_is_x else found
-
-    return table
+    define("search", ["parent", "free", "added"], ["    n = len(parent)", *first(0, "    ", 0)])
+    source = "\n".join(line for function in functions for line in function) + "\n"
+    namespace: dict = {}
+    exec(compile(source, f"<new slots of {perm_to_text(pattern)}>", "exec"), namespace)
+    return namespace["search"]
 
 
-def _child_masks(patterns: Sequence[Perm]) -> Callable[[Perm, int], list[tuple[int, int]]]:
-    """A function from a parent and its blocked slots to its children's.
+def _walk(parent: Perm, blocked: int, d: int, last: int, totals: list[int],
+          tables: Sequence[Callable[[Perm, int, list[int]], None]],
+          run_2143: Callable[[Perm], int]) -> None:
+    """Count the subtree of ``parent``, whose blocked-slot mask is ``blocked``.
 
-    ``child_masks(parent, blocked)`` takes the exact blocked-slot mask of
-    ``parent`` (the complement of ``_slot_filter(patterns)(parent)``) and
-    returns, in slot order, each free slot s with the exact mask of the
-    child that puts n+1 there: the parent's mask with bit s doubled, and
-    each pattern's table entry at s.  A length-1 pattern blocks every
-    slot, and the inherited mask has them all.
+    ``totals[d]`` gains the node's children, and ``totals[last]`` is the
+    level counted by popcounts.  Each free slot s gives the child's exact
+    mask: the parent's, with bit s doubled, ORed with ``added[s]`` from
+    the ``tables`` and with 2143's slots run+1..s, run being
+    ``run_2143(parent)`` (``len`` when 2143 is not in the basis).  A
+    node two levels above the last adds its children's free slots in
+    the same loop and builds no child.
     """
-    tables = tuple(
-        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
-        for pattern in patterns if len(pattern) > 1
-    )
-
-    def child_masks(parent: Perm, blocked: int) -> list[tuple[int, int]]:
-        free = ~blocked & ((2 << len(parent)) - 1)
-        new = [table(parent, free) for table in tables]
-        out = []
-        while free:
-            low = free & -free
-            free ^= low
-            s = low.bit_length() - 1
-            mask = (blocked & ((low << 1) - 1)) | ((blocked >> s) << (s + 1))
-            for added in new:
-                mask |= added[s]
-            out.append((s, mask))
-        return out
-
-    return child_masks
+    n = len(parent)
+    free = ~blocked & ((2 << n) - 1)
+    totals[d] += free.bit_count()
+    if d == last or not free:
+        return
+    added = [0] * (n + 1)
+    for table in tables:
+        table(parent, free, added)
+    run = run_2143(parent)
+    past_run = 2 << run  # the bit of slot run + 1
+    leaves = d + 1 == last
+    new_val = n + 1
+    free_leaves = 0
+    while free:
+        low = free & -free
+        free ^= low
+        s = low.bit_length() - 1
+        mask = (blocked & (low - 1)) | ((blocked >> s) << (s + 1)) | added[s]
+        if s > run:
+            mask |= (2 << s) - past_run
+        if leaves:
+            free_leaves += n + 2 - mask.bit_count()
+        else:
+            _walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1, last, totals,
+                  tables, run_2143)
+    if leaves:
+        totals[last] += free_leaves
 
 
 def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
                     depth: int) -> list[int]:
     """How many class members lie 1, ..., ``depth`` levels below ``parents``.
 
-    A depth-first walk that holds one root-to-leaf path.  ``_slot_filter``
-    gives the blocked slots of each starting parent; below them every
-    node gets its mask from its parent through ``_child_masks``, one
-    table per pattern and parent, so no search runs on a child.  The
-    last level is counted as popcounts of free slots: a node two levels
-    above it sums the free slots of its children's masks, so neither the
-    last level nor the one above it is built.  Also one worker's share
-    of a parallel count.
+    A depth-first walk (``_walk``) that holds one root-to-leaf path.
+    ``_slot_filter`` gives the blocked slots of each starting parent;
+    below them every node gets its mask from its parent: one ``added``
+    list per parent, written by each pattern's closed rule or generated
+    tau'' search, and 2143's shift per child, so no search runs on a
+    child.  The last level is counted as popcounts of free slots: a
+    node two levels above it sums the free slots of its children's
+    masks, so neither the last level nor the one above it is built.
+    Also one worker's share of a parallel count.
     """
     free_slots = _slot_filter(patterns)
-    child_masks = _child_masks(patterns)
+    tables = tuple(
+        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
+        for pattern in patterns if len(pattern) > 1 and pattern != (2, 1, 4, 3)
+    )
+    run_2143 = _increasing_run if (2, 1, 4, 3) in patterns else len
     totals = [0] * depth
-    last = depth - 1
-
-    def walk(parent: Perm, blocked: int, d: int) -> None:
-        n = len(parent)
-        totals[d] += n + 1 - blocked.bit_count()
-        if d == last:
-            return
-        children = child_masks(parent, blocked)
-        if d + 1 == last:
-            totals[last] += sum(n + 2 - mask.bit_count() for _, mask in children)
-            return
-        new_val = n + 1
-        for s, mask in children:
-            walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1)
-
     if depth > 0:
         for parent in parents:
-            walk(parent, ~free_slots(parent) & ((2 << len(parent)) - 1), 0)
+            _walk(parent, ~free_slots(parent) & ((2 << len(parent)) - 1), 0, depth - 1,
+                  totals, tables, run_2143)
     return totals
 
 
@@ -652,11 +663,11 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
     ``_count_subtrees``, whatever the level cache holds: no level is
     read, built or cached, and the slot filter's compiled searches run
     only on the root, since every node below it takes its blocked slots
-    from its parent's tables.  With ``parallelism`` p > 1, levels are
-    first grown here from the root until one has at least 32p parents;
-    one pool of p workers then counts the subtrees of 4p strided slices
-    of them, starting a walk at each, and the per-level totals are
-    summed.
+    from its parent's mask and ``added`` list.  With ``parallelism``
+    p > 1, levels are first grown here from the root until one has at
+    least 32p parents; one pool of p workers then counts the subtrees of
+    4p strided slices of them, starting a walk at each, and the
+    per-level totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]

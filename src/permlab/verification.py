@@ -614,7 +614,7 @@ def check_deflation_uniqueness(max_n: int = 7) -> VerificationReport:
             elif counts[r] != 1:
                 witnesses.append((p, f"{counts[r]} convention-respecting decompositions"))
             else:
-                witnesses.append((p, "deflate() disagrees with the exhaustive search"))
+                witnesses.append((p, "deflate() disagrees with the inflation tally"))
     return _report("deflation-uniqueness", max_n, witnesses, started)
 
 

@@ -26,8 +26,9 @@ from permlab.enumeration import (
     simples_by_insertion,
     _BLOCKED_SLOTS,
     _NEW_SLOT_RULES,
-    _child_masks,
+    _count_subtrees,
     _extend_level,
+    _increasing_run,
     _new_slot_search,
     _slot_filter,
 )
@@ -308,14 +309,30 @@ def test_children_inherit_exact_masks(basis, parent_list):
     # exact for any parent, so the parent need not avoid the basis
     parent = tuple(parent_list)
     free_slots = _slot_filter(basis.patterns)
-    child_masks = _child_masks(basis.patterns)
     n = len(parent)
     free = free_slots(parent)
-    got = child_masks(parent, ~free & ((2 << n) - 1))
-    assert [s for s, _ in got] == [s for s in range(n + 1) if free >> s & 1]
-    for s, mask in got:
-        child = parent[:s] + (n + 1,) + parent[s:]
+    got = []
+    walk = enumeration._walk
+
+    def record(child, mask, d, *context):
+        # the walk recurses through the module name: run the starting
+        # node, and record each child it hands a mask
+        if d:
+            got.append((child, mask))
+        else:
+            walk(child, mask, d, *context)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_walk", record)
+        _count_subtrees([parent], basis.patterns, 3)
+    slots = [s for s in range(n + 1) if free >> s & 1]
+    assert [child for child, _ in got] == [parent[:s] + (n + 1,) + parent[s:] for s in slots]
+    for child, mask in got:
         assert mask == ~free_slots(child) & ((4 << n) - 1), (basis, child)
+    # the node above the last level adds its children's free slots from
+    # the same masks
+    assert _count_subtrees([parent], basis.patterns, 2) == [
+        len(slots), sum(free_slots(child).bit_count() for child, _ in got)]
 
 
 def _new_slots_by_brute_force(pattern, parent, free):
@@ -336,26 +353,76 @@ def _new_slots_by_brute_force(pattern, parent, free):
     return table
 
 
+def _new_slots(table, parent, free):
+    """The ``added`` list that ``table`` writes for ``parent`` from zeros."""
+    added = [0] * (len(parent) + 1)
+    table(parent, free, added)
+    return added
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
+@given(st.integers(2, 8).flatmap(lambda k: st.permutations(list(range(1, k + 1)))).map(tuple),
        _with_free_slots(st.integers(0, 7).flatmap(
            lambda n: st.permutations(list(range(1, n + 1))))))
-@example((2, 5, 4, 6, 1, 3), ((2, 3, 1, 5, 4), 0b111111))
-@example((2, 4, 6, 1, 3, 5), ((3, 1, 2, 5, 4), 0b110101))  # X = 2, Y = 4
+# one example per shape of generated search; n+1 before n+2 (x) or after (y)
+@example((2, 5, 4, 6, 1, 3), ((2, 3, 1, 5, 4), 0b111111))  # x, X = 1 < Y = 2
+@example((2, 4, 6, 1, 3, 5), ((3, 1, 2, 5, 4), 0b110101))  # y, X = 2, Y = 4 = m
+@example((2, 6, 3, 5, 1, 4), ((3, 5, 1, 6, 2, 7, 4), 0b11111111))  # y, X = 1 < Y = 2
+@example((5, 6, 1, 2, 3, 4), ((2, 4, 1, 3, 6, 7, 5), 0b11011011))  # x, Y = 0
+@example((6, 5, 1, 2, 3, 4), ((2, 4, 1, 3, 6, 7, 5), 0b11111111))  # y, Y = 0
+@example((1, 2, 3, 4, 5, 6), ((1, 2, 4, 3, 5, 7, 6), 0b11111111))  # x, X = Y = m
+@example((2, 1, 3, 4, 6, 5), ((2, 4, 1, 3, 6, 7, 5), 0b11111111))  # y, X = Y = m
+@example((1, 2, 5, 6, 3, 4), ((1, 2, 4, 3, 5, 7, 6), 0b11111111))  # x, X = Y < m
+@example((3, 1, 6, 5, 2, 4), ((3, 5, 1, 6, 2, 7, 4), 0b11111111))  # y, X = Y < m
+@example((1, 2), ((3, 1, 2, 7, 5, 6, 4), 0b10110101))  # x, m = 0
+@example((2, 1), ((3, 1, 2, 7, 5, 6, 4), 0b10110101))  # y, m = 0
 def test_new_slot_search_matches_brute_force(pattern, parent_and_free):
     parent, free = parent_and_free
-    assert _new_slot_search(pattern)(parent, free) == _new_slots_by_brute_force(
+    assert _new_slots(_new_slot_search(pattern), parent, free) == _new_slots_by_brute_force(
         pattern, parent, free)
 
 
+# length 24: 22 loops for the entries before n+1 and n+2, 21 after them,
+# and 11 before with 10 after; CPython rejects more than 20 nested blocks
+LONG_PATTERNS = [
+    tuple(range(1, 25)),
+    (24, *range(22, 0, -1), 23),
+    (24, 23, *range(1, 23)),
+    (*range(1, 11), 23, 11, 24, *range(12, 23)),
+]
+
+
+@pytest.mark.parametrize("pattern", LONG_PATTERNS)
+def test_long_pattern_search_matches_brute_force(pattern):
+    search = _new_slot_search(pattern)
+    rises = list(range(1, 24))
+    parents = [(), (2, 1), (3, 1, 4, 2, 5), tuple(range(1, 23)), tuple(rises),
+               tuple(rises[:9] + rises[10:11] + rises[9:10] + rises[11:])]
+    for parent in parents + [p[::-1] for p in parents]:
+        free = (2 << len(parent)) - 1
+        assert _new_slots(search, parent, free) == _new_slots_by_brute_force(
+            pattern, parent, free), parent
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_long_pattern_counts(parallelism):
+    basis = PatternBasis([tuple(range(1, 25))])
+    assert count_class(basis, 6, parallelism=parallelism) == [1, 1, 2, 6, 24, 120, 720]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_NEW_SLOT_RULES)), _with_free_slots(PARENTS))
+@given(st.sampled_from([*sorted(_NEW_SLOT_RULES), (2, 1, 4, 3)]), _with_free_slots(PARENTS))
 def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
-    # each closed rule has the generic tau'' search as its oracle, on any
-    # parent and any free slots; the rules are exact at every slot
+    # each closed rule, and the walk's per-child shift for 2143, has the
+    # generated tau'' search as its oracle, on any parent and any free
+    # slots; the rules are exact at every slot
     parent, free = parent_and_free
-    rule = _NEW_SLOT_RULES[pattern](parent, free)
-    generic = _new_slot_search(pattern)(parent, free)
+    if pattern == (2, 1, 4, 3):
+        run = _increasing_run(parent)
+        rule = [(2 << s) - (2 << run) if s > run else 0 for s in range(len(parent) + 1)]
+    else:
+        rule = _new_slots(_NEW_SLOT_RULES[pattern], parent, free)
+    generic = _new_slots(_new_slot_search(pattern), parent, free)
     for s in range(len(parent) + 1):
         if free >> s & 1:
             assert rule[s] == generic[s], (pattern, parent, s)

@@ -300,9 +300,9 @@ class TestDeflationUniqueness:
                 if skew_sum(d.blocks[1], d.blocks[0]) != p:
                     expected.append((p, "deflation does not inflate back"))
                 else:
-                    expected.append((p, "deflate() disagrees with the exhaustive search"))
+                    expected.append((p, "deflate() disagrees with the inflation tally"))
         assert r.witnesses == expected
-        assert (P("321"), "deflate() disagrees with the exhaustive search") in expected
+        assert (P("321"), "deflate() disagrees with the inflation tally") in expected
         assert (P("312"), "deflation does not inflate back") in expected
 
     def test_catches_deflate_breaking_the_12_convention(self, monkeypatch):
@@ -328,7 +328,7 @@ class TestDeflationUniqueness:
         )
         assert [p for p, _ in r.witnesses] == expected
         assert {reason for _, reason in r.witnesses} == {
-            "deflate() disagrees with the exhaustive search"
+            "deflate() disagrees with the inflation tally"
         }
 
     def test_catches_search_without_first_block_filter(self, monkeypatch):
