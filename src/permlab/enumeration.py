@@ -12,10 +12,11 @@ the slots still free those it blocks, in one search per parent.
 
 ``class_levels`` builds and caches whole levels.  Output is
 deterministic: each level is sorted lexicographically, with or without
-worker processes.  A parallel build starts one pool per call; each of
-its k workers takes every k-th parent of one level and grows those
-subtrees to the requested length, returning sorted levels that are
-merged level by level.
+worker processes.  A parallel build with p processes forks p - 1
+workers once per call (``_in_workers``); each of the p processes, the
+caller included, takes every p-th parent of one level and grows those
+subtrees to the requested length, and the sorted levels are merged
+level by level.
 
 ``count_class`` reads, builds and caches no level: it walks the
 insertion tree depth-first from the root and counts each node's
@@ -29,20 +30,20 @@ occur in the parent.  Each parent therefore keeps one list, one int
 per slot, into which every pattern ORs the new blocks of that slot's
 child: 3142 and 4132 by a closed rule, every other pattern by a search
 for those other entries, generated as Python source for that pattern
-and compiled once per count (per slice with workers).  2143 adds, per
-child, the slots between the parent's increasing prefix and the
-child's n+1.  No search runs on a child, and the last two levels are
-never built.  A parallel count sums per-level subtree totals over many
-slices of one level, one pool per call.
+and compiled once per count (once per process with workers).  2143
+adds, per child, the slots between the parent's increasing prefix and
+the child's n+1.  No search runs on a child, and the last two levels
+are never built.  A parallel count with p processes sums the per-level
+subtree totals of p strided shares of one level, the caller counting
+one share and p - 1 forked workers the others.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
@@ -302,7 +303,7 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
                   cap: int) -> list[list[Perm]]:
     """The next ``depth`` levels grown from ``parents``, each sorted.
 
-    One worker's share of a parallel build.  It stops after the first
+    One process's share of a parallel build.  It stops after the first
     level whose own size passes ``cap``, and leaves that level unsorted:
     the sum over all shards is then past the cap too, so the level is
     never used.
@@ -572,7 +573,7 @@ def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
     child.  The last level is counted as popcounts of free slots: a
     node two levels above it sums the free slots of its children's
     masks, so neither the last level nor the one above it is built.
-    Also one worker's share of a parallel count.
+    Also one process's share of a parallel count.
     """
     free_slots = _slot_filter(patterns)
     tables = tuple(
@@ -589,17 +590,101 @@ def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+def _in_workers(fn: Callable, shares: Sequence) -> list:
+    """``[fn(share) for share in shares]``, the shares computed at once.
+
+    Share 0 runs in this process; each other share runs in a child made
+    by ``os.fork`` (``_child_share``), so ``fn`` and its share are not
+    pickled, and this process must run no other threads.  This process
+    reads every child's pipe to EOF and reaps every child, even when its
+    own share or a child failed, then raises the first error in share
+    order.  A child that does not exit 0 gives a ``RuntimeError`` with
+    its exit status.
+    """
+    import pickle
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(fn, share, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(shares[0])]
+    finally:
+        outcomes = []
+        for pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                outcomes.append(pickle.loads(data))
+            else:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                outcomes.append((False, RuntimeError(f"worker process {pid} {how}")))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _child_share(fn: Callable, share, read_end: int, write_end: int) -> None:
+    """In a forked child: pickle ``(ok, fn(share) or its error)`` to ``write_end``.
+
+    A value or error that cannot be pickled is sent as a
+    ``RuntimeError`` naming its type.  Never returns: the child ends in
+    ``os._exit``, 0 once everything is written, so it runs no cleanup
+    of the process it was forked from.
+    """
+    import pickle
+
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, fn(share))
+        except Exception as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+            if not outcome[0]:
+                pickle.loads(data)  # an error may pickle but not unpickle
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(
+                f"a worker's {type(outcome[1]).__name__} cannot be pickled: {exc}"
+            )))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+# ---------------------------------------------------------------------------
 # class enumeration with an in-process cache
 
 _LEVELS_CACHE: dict[tuple[Perm, ...], list[list[Perm]]] = {}
 
 
 def check_parallelism(value: int) -> int:
-    """Return ``value`` if it is a worker count in 1..os.cpu_count(), else raise."""
+    """Return ``value`` if it is a worker count in 1..os.cpu_count(), else raise.
+
+    A count above 1 also needs ``os.fork``.
+    """
     limit = os.cpu_count() or 1
     if not 1 <= value <= limit:
         raise ValueError(
             f"parallelism must be between 1 and {limit} (the CPU count), got {value}"
+        )
+    if value > 1 and not hasattr(os, "fork"):
+        raise ValueError(
+            f"parallelism above 1 needs os.fork, which this platform lacks; got {value}"
         )
     return value
 
@@ -609,9 +694,10 @@ def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
     """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis).
 
     With ``parallelism`` p > 1, levels are built in this process until
-    one has at least 4p parents.  Then one pool of p workers is started
-    for the whole call: worker i takes every p-th of those parents and
-    grows its subtrees down to ``max_n``, sorting each level it builds.
+    one has at least 4p parents.  Then p - 1 workers are forked once for
+    the whole call, and share i of those parents, every p-th from the
+    i-th, goes to worker i, share 0 to this process.  Each grows its
+    share's subtrees down to ``max_n``, sorting each level it builds.
     The p sorted runs of each level are merged here, so every level is
     the same as without workers.
 
@@ -631,12 +717,8 @@ def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
             # strided, not contiguous: the costly parents come first in
             # lexicographic order
             depth = max_n + 1 - len(levels)
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                futures = [
-                    pool.submit(_extend_shard, parents[i::parallelism], patterns, depth, cap)
-                    for i in range(parallelism)
-                ]
-                shards = [f.result() for f in futures]
+            shards = _in_workers(lambda shard: _extend_shard(shard, patterns, depth, cap),
+                                 [parents[i::parallelism] for i in range(parallelism)])
         else:
             shards = [_extend_shard(parents, patterns, 1, cap)]
         # a shard ends early only at a level past the cap, so zip stops
@@ -665,9 +747,9 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
     only on the root, since every node below it takes its blocked slots
     from its parent's mask and ``added`` list.  With ``parallelism``
     p > 1, levels are first grown here from the root until one has at
-    least 32p parents; one pool of p workers then counts the subtrees of
-    4p strided slices of them, starting a walk at each, and the
-    per-level totals are summed.
+    least 32p parents.  This process and p - 1 forked workers then each
+    count the subtrees of one of p strided shares of them, every p-th
+    parent, and the per-level totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
@@ -684,10 +766,8 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
             counts.append(len(frontier))
     depth = max_n + 1 - len(counts)
     if parallelism > 1 and depth > 0:
-        # many more slices than workers, so that no one slow slice sets the time
-        tasks = [frontier[i::4 * parallelism] for i in range(4 * parallelism)]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            shards = list(pool.map(_count_subtrees, tasks, repeat(patterns), repeat(depth)))
+        shards = _in_workers(lambda share: _count_subtrees(share, patterns, depth),
+                             [frontier[i::parallelism] for i in range(parallelism)])
         counts.extend(sum(totals) for totals in zip(*shards))
     else:
         counts.extend(_count_subtrees(frontier, patterns, depth))

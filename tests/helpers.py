@@ -3,7 +3,7 @@
 Everything here is deliberately naive (subsequence scans over
 itertools.combinations, full S_n filters) so that it cannot share a bug
 with the pruned search paths it is used to check.  ``count_pools``
-records the worker pools a call starts.
+records the worker groups a call starts.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ def brute_class(patterns, n: int) -> list[Perm]:
 
 
 def count_pools(monkeypatch) -> list[int]:
-    """Wrap ``enumeration.ProcessPoolExecutor``; the list gets each pool's size."""
+    """Wrap ``enumeration._in_workers``; the list gets each worker group's share count."""
     from permlab import enumeration
 
     started: list[int] = []
-    real = enumeration.ProcessPoolExecutor
+    real = enumeration._in_workers
 
-    def pool(*args, **kwargs):
-        started.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
+    def in_workers(fn, shares):
+        started.append(len(shares))
+        return real(fn, shares)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(enumeration, "_in_workers", in_workers)
     return started

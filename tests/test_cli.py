@@ -71,12 +71,12 @@ class TestCount:
         from permlab import cli, enumeration
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+            raise AssertionError("workers were started")
 
         def no_command(args):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(enumeration, "_in_workers", no_pool)
         monkeypatch.setattr(cli, "cmd_count", no_command)
         with pytest.raises(SystemExit) as exc:
             main(["count", "--basis", "132", "--max-n", "9", "--parallelism", value])
@@ -84,6 +84,22 @@ class TestCount:
         err = capsys.readouterr().err
         assert "--parallelism" in err
         assert f"between 1 and {os.cpu_count() or 1}" in err
+
+    def test_parallelism_without_fork_rejected_at_parse_time(self, capsys, monkeypatch):
+        from permlab import cli
+
+        def no_command(args):
+            raise AssertionError("the command ran")
+
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("parallelism 2 is out of range on one CPU")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "cmd_count", no_command)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--basis", "132", "--max-n", "9", "--parallelism", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--parallelism: above 1 needs os.fork" in err
 
     def test_negative_max_n_with_warm_cache_is_usage_error(self, capsys):
         args = ["count", "--basis", "132"]
@@ -265,3 +281,25 @@ def test_json_output_ends_in_one_newline(capsys, argv):
     assert code == 0
     assert out.endswith("}\n") or out.endswith("]\n")
     json.loads(out)
+
+
+def test_start_up_loads_no_executor_and_serial_count_no_pickle():
+    # a fresh interpreter: this one has loaded whatever earlier tests needed
+    import subprocess
+    import sys
+
+    import permlab
+
+    code = (
+        "import json, sys\n"
+        "import permlab.cli\n"
+        "at_import = sorted({'concurrent.futures', 'logging', 'pickle'} & sys.modules.keys())\n"
+        "permlab.cli.main(['count', '--basis', '2143,3142,254613', '--max-n', '8'])\n"
+        "print(json.dumps([at_import, 'pickle' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    at_import, pickle_after_count = json.loads(done.stdout.splitlines()[-1])
+    assert at_import == []
+    assert not pickle_after_count

@@ -7,6 +7,8 @@ small lengths are checked against the brute-force S_n filter.
 
 import json
 import os
+import signal
+import time
 from itertools import combinations
 
 import pytest
@@ -158,7 +160,7 @@ class TestEnumerate:
             seq = class_levels(basis, max_n)
             enumeration._LEVELS_CACHE.pop(basis.patterns, None)
             par = class_levels(basis, max_n, parallelism=2)
-            # levels 5 and up are built from at least 8 parents, so in the pool
+            # levels 5 and up are built from at least 8 parents, so by the workers
             assert len(par) == len(seq) == max_n + 1, text
             for n, (got, want) in enumerate(zip(par, seq)):
                 assert got == want, (text, n)
@@ -255,9 +257,9 @@ class TestEnumerate:
         from permlab import enumeration
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+            raise AssertionError("workers were started")
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(enumeration, "_in_workers", no_pool)
         basis = PatternBasis.from_text("4321")
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
         calls = [
@@ -270,6 +272,72 @@ class TestEnumerate:
             with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}"):
                 call()
         assert basis.patterns not in enumeration._LEVELS_CACHE
+
+    def test_parallelism_without_fork_rejected(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert enumeration.check_parallelism(1) == 1
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("parallelism 2 is out of range on one CPU")
+        basis = PatternBasis.from_text("4321")
+        with pytest.raises(ValueError, match="needs os.fork"):
+            count_class(basis, 9, parallelism=2)
+        assert count_class(basis, 5) == [1, 1, 2, 6, 23, 103]
+
+
+def _share_or_fail(share):
+    """A share's square; "raise" raises ValueError, "die" SIGKILLs the process,
+    "sleep" returns after a pause, "lambda" returns what cannot be pickled
+    and "capacity" raises an error that pickles but does not unpickle."""
+    if share == "raise":
+        raise ValueError("share failed")
+    if share == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if share == "sleep":
+        time.sleep(0.2)
+        return share
+    if share == "lambda":
+        return lambda: None
+    if share == "capacity":
+        raise CapacityError(5, 101, 100)
+    return share * share
+
+
+class TestInWorkers:
+    """``_in_workers``: results in share order, errors raised here, no child left."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_in_share_order(self):
+        assert enumeration._in_workers(_share_or_fail, [3, "sleep", 1, 2]) == [
+            9, "sleep", 1, 4]
+
+    def test_child_error_raised_here(self):
+        with pytest.raises(ValueError, match="share failed"):
+            enumeration._in_workers(_share_or_fail, [1, "raise", "sleep"])
+
+    def test_killed_child_is_runtime_error(self):
+        with pytest.raises(RuntimeError, match="killed by signal 9"):
+            enumeration._in_workers(_share_or_fail, [1, "die"])
+
+    def test_unpicklable_result_is_runtime_error(self):
+        with pytest.raises(RuntimeError, match="function cannot be pickled"):
+            enumeration._in_workers(_share_or_fail, [1, "lambda"])
+
+    def test_unpicklable_error_is_runtime_error(self):
+        with pytest.raises(RuntimeError, match="CapacityError cannot be pickled"):
+            enumeration._in_workers(_share_or_fail, [1, "capacity"])
+
+    def test_own_error_raised_after_children_reaped(self):
+        with pytest.raises(ValueError, match="share failed"):
+            enumeration._in_workers(_share_or_fail, ["raise", "sleep", 2])
+
+    def test_first_error_in_share_order(self):
+        with pytest.raises(RuntimeError, match="killed"):
+            enumeration._in_workers(_share_or_fail, [1, "die", "raise"])
 
 
 @settings(max_examples=300, deadline=None)
