@@ -16,6 +16,8 @@ and the empty string for the empty permutation.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import inf
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -95,8 +97,8 @@ def standardize(values: Sequence[int]) -> Perm:
     >>> standardize((3, 1, 5, 6))
     (2, 1, 3, 4)
     """
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
+    rank = dict(zip(sorted(values), range(1, len(values) + 1)))
+    return tuple(map(rank.__getitem__, values))
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +108,50 @@ def standardize(values: Sequence[int]) -> Perm:
 def contains(host: Sequence[int], pattern: Perm) -> bool:
     """Exact test: does some subsequence of ``host`` realize ``pattern``?
 
-    Depth-first search over partial occurrences, pruning candidates by
-    the value window forced by entries already matched.  ``host`` may be
-    any sequence of distinct integers (only relative order matters).
+    ``host`` may be any sequence of distinct integers (only relative
+    order matters).  A pattern of length 3 takes one O(n) pass once
+    reverse and complement map it to 123 or to 132 (one stack scanned
+    right to left, Knuth, TAOCP vol. 1, 2.2.1).  Longer ones take a
+    depth-first search over partial occurrences, pruning candidates by
+    the value window forced by entries already matched.
 
     >>> contains((3, 1, 5, 4, 6, 2), (3, 1, 4, 2))
     True
     >>> contains((1, 2, 3, 4, 5, 6), (2, 1, 4, 3))
     False
+    >>> contains((7, -2, 9, 4), (2, 1, 3)), contains((7, -2, 9, 4), (3, 2, 1))
+    (True, False)
     """
     k = len(pattern)
     n = len(host)
     if k == 0:
         return True
     if k > n:
+        return False
+    if k == 3:
+        a, b, c = pattern
+        if a > b:  # complement: 321 -> 123, 312 -> 132, 213 -> 231
+            host = [-v for v in host]
+        if (a > c) != (a > b):  # reverse: 231 -> 132
+            host = host[::-1]
+        if b == 2:  # 123: an entry above the least one with a smaller one before it
+            low = mid = inf
+            for v in host:
+                if v > mid:
+                    return True
+                if v < low:
+                    low = v
+                else:
+                    mid = v
+            return False
+        two = -inf  # 132: the largest scanned entry that a larger scanned one precedes
+        stack: list[int] = []
+        for v in reversed(host):
+            if v < two:
+                return True
+            while stack and stack[-1] < v:
+                two = stack.pop()
+            stack.append(v)
         return False
     chosen = [0] * k
     last_idx = k - 1
@@ -488,23 +520,16 @@ def inflate(skeleton: Perm, blocks: Sequence[Perm]) -> Perm:
     >>> inflate((2, 1), ((1, 2), (1,)))
     (2, 3, 1)
     """
-    if len(blocks) != len(skeleton):
-        raise ValueError(
-            f"expected {len(skeleton)} blocks, got {len(blocks)}"
-        )
-    if any(not b for b in blocks):
+    k = len(skeleton)
+    if len(blocks) != k:
+        raise ValueError(f"expected {k} blocks, got {len(blocks)}")
+    if not all(blocks):
         raise ValueError("blocks must be nonempty")
-    size_of_value = {v: len(blocks[i]) for i, v in enumerate(skeleton)}
-    offset = {}
-    acc = 0
-    for v in sorted(skeleton):
-        offset[v] = acc
-        acc += size_of_value[v]
-    out: list[int] = []
+    size = [0] * (k + 1)
     for v, block in zip(skeleton, blocks):
-        off = offset[v]
-        out.extend(w + off for w in block)
-    return tuple(out)
+        size[v] = len(block)
+    below = list(accumulate(size))  # below[v - 1]: entries of the blocks under value v
+    return tuple([w + below[v - 1] for v, block in zip(skeleton, blocks) for w in block])
 
 
 class Deflation(NamedTuple):
@@ -512,56 +537,21 @@ class Deflation(NamedTuple):
     blocks: tuple[Perm, ...]
 
 
-def sum_components(p: Perm) -> list[Perm]:
-    """Finest decomposition p = c1 (+) c2 (+) ... into sum-indecomposables."""
-    out = []
-    start = 0
+def is_sum_decomposable(p: Perm) -> bool:
+    """True iff a proper prefix of ``p`` holds exactly the values 1..m."""
     mx = 0
-    for idx, v in enumerate(p):
+    for m, v in enumerate(p[:-1], start=1):
         if v > mx:
             mx = v
-        if mx == idx + 1:
-            out.append(tuple(w - start for w in p[start : idx + 1]))
-            start = idx + 1
-    return out
-
-
-def skew_components(p: Perm) -> list[Perm]:
-    """Finest decomposition p = c1 (-) c2 (-) ... into skew-indecomposables."""
-    n = len(p)
-    out = []
-    start = 0
-    mn = n + 1
-    for idx, v in enumerate(p):
-        if v < mn:
-            mn = v
-        if mn == n - idx:
-            below = n - idx - 1
-            out.append(tuple(w - below for w in p[start : idx + 1]))
-            start = idx + 1
-    return out
-
-
-def is_sum_decomposable(p: Perm) -> bool:
-    return len(sum_components(p)) > 1
+        if mx == m:
+            return True
+    return False
 
 
 def is_skew_decomposable(p: Perm) -> bool:
-    return len(skew_components(p)) > 1
-
-
-def _direct_sum_all(parts: Sequence[Perm]) -> Perm:
-    acc: Perm = ()
-    for part in parts:
-        acc = direct_sum(acc, part)
-    return acc
-
-
-def _skew_sum_all(parts: Sequence[Perm]) -> Perm:
-    acc: Perm = ()
-    for part in parts:
-        acc = skew_sum(acc, part)
-    return acc
+    """True iff the complement of ``p`` is sum-decomposable."""
+    n = len(p)
+    return is_sum_decomposable([n + 1 - v for v in p])
 
 
 def deflate(p: Perm) -> Deflation:
@@ -572,45 +562,52 @@ def deflate(p: Perm) -> Deflation:
     uniquely determined blocks (the maximal proper intervals, which are
     pairwise disjoint once sum/skew decomposability is excluded).
 
+    One pass finds the first sum (else skew) component and shifts the
+    rest into one block.  Otherwise each block is the longest proper
+    interval starting where the previous one ends: O(n) per block.
+
     >>> deflate((3, 1, 5, 4, 6, 2))
     Deflation(skeleton=(3, 1, 4, 2), blocks=((1,), (1,), (2, 1, 3), (1,)))
     """
-    if not p:
+    n = len(p)
+    if not n:
         raise ValueError("cannot deflate the empty permutation")
-    if len(p) == 1:
-        return Deflation((1,), ((1,),))
-    comps = sum_components(p)
-    if len(comps) > 1:
-        return Deflation((1, 2), (comps[0], _direct_sum_all(comps[1:])))
-    comps = skew_components(p)
-    if len(comps) > 1:
-        return Deflation((2, 1), (comps[0], _skew_sum_all(comps[1:])))
-    ivs = intervals(p)
-    maximal = [
-        a
-        for a in ivs
-        if not any(
-            b is not a and b.lo <= a.lo and a.hi <= b.hi for b in ivs
-        )
-    ]
-    maximal.sort()
+    mx = 0
+    for m, v in enumerate(p, start=1):
+        if v > mx:
+            mx = v
+        if mx == m:
+            break
+    if m < n:
+        return Deflation((1, 2), (p[:m], tuple([v - m for v in p[m:]])))
+    mn = n + 1
+    for m, v in enumerate(p, start=1):
+        if v < mn:
+            mn = v
+        if mn + m == n + 1:
+            break
+    if m < n:
+        return Deflation((2, 1), (tuple([v - mn + 1 for v in p[:m]]), p[m:]))
     blocks: list[Perm] = []
     reps: list[int] = []
-    pos = 1
-    for iv in maximal:
-        if iv.lo < pos:
-            raise AssertionError(f"overlapping maximal intervals in {p}")
-        while pos < iv.lo:
-            blocks.append((1,))
-            reps.append(p[pos - 1])
-            pos += 1
-        blocks.append(tuple(v - iv.value_lo + 1 for v in p[iv.lo - 1 : iv.hi]))
-        reps.append(iv.value_lo)
-        pos = iv.hi + 1
-    while pos <= len(p):
-        blocks.append((1,))
-        reps.append(p[pos - 1])
-        pos += 1
+    start = 0
+    while start < n:
+        mn = mx = lo = p[start]
+        end = start  # the longest proper interval from start ends here
+        last = n - 1 if start else n - 2
+        for hi in range(start + 1, last + 1):
+            v = p[hi]
+            if v < mn:
+                mn = v
+            elif v > mx:
+                mx = v
+            if mx - mn == hi - start:
+                end, lo = hi, mn
+            elif mx - mn > last - start:
+                break  # too wide in value for the positions left
+        blocks.append(tuple([v - lo + 1 for v in p[start : end + 1]]) if end > start else (1,))
+        reps.append(lo)
+        start = end + 1
     return Deflation(standardize(reps), tuple(blocks))
 
 

@@ -6,11 +6,20 @@ here; a sweep at small lengths keeps the fast paths honest against the
 oracles.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_perms, brute_contains
+from helpers import (
+    all_perms,
+    brute_contains,
+    brute_decompositions,
+    brute_length3_patterns,
+    skew_components,
+    sum_components,
+)
 from permlab.perms import (
     Interval,
     ParseError,
@@ -26,6 +35,8 @@ from permlab.perms import (
     inflate,
     intervals,
     is_simple,
+    is_skew_decomposable,
+    is_sum_decomposable,
     leading_maxima_count,
     lr_maxima,
     lr_minima,
@@ -94,11 +105,31 @@ class TestContains:
         assert contains(P("21"), ())
 
     def test_against_oracle_exhaustive(self):
-        pats = [P("132"), P("2143"), P("3142"), P("4132"), P("2413")]
+        pats = [P("123"), P("132"), P("213"), P("231"), P("312"), P("321"),
+                P("2143"), P("3142"), P("4132"), P("2413")]
         for n in range(0, 6):
             for host in all_perms(n):
                 for pat in pats:
                     assert contains(host, pat) == brute_contains(host, pat), (host, pat)
+
+    def test_length_3_exhaustive(self):
+        # the O(n) scans for all six patterns on every host up to length 8
+        pats = list(all_perms(3))
+        for n in range(0, 9):
+            for host in all_perms(n):
+                present = brute_length3_patterns(host)
+                for pat in pats:
+                    assert contains(host, pat) == (pat in present), (host, pat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-40, 40), unique=True, max_size=12),
+           st.permutations([1, 2, 3]))
+    def test_length_3_on_unstandardized_hosts(self, host, pat_list):
+        # negative values and gaps: only relative order may matter
+        pat = tuple(pat_list)
+        want = brute_contains(tuple(host), pat)
+        assert contains(host, pat) == want
+        assert contains(tuple(host), pat) == want
 
     def test_avoids_all(self):
         basis = [P("2143"), P("3142"), P("254613")]
@@ -285,6 +316,9 @@ class TestIntervalsAndSimplicity:
                     assert bond_count(p) == 0
 
 
+_SIMPLES_4_TO_6 = [p for n in (4, 5, 6) for p in all_perms(n) if is_simple(p)]
+
+
 class TestInflateDeflate:
     def test_inflate_frozen(self):
         assert inflate(P("3241"), [P("123"), (1,), P("12"), P("123")]) == P("567489123")
@@ -310,8 +344,6 @@ class TestInflateDeflate:
                 assert inflate(skeleton, blocks) == p
 
     def test_deflation_conventions(self):
-        from permlab.perms import is_skew_decomposable, is_sum_decomposable
-
         for n in range(2, 8):
             for p in all_perms(n):
                 skeleton, blocks = deflate(p)
@@ -321,6 +353,56 @@ class TestInflateDeflate:
                     assert not is_skew_decomposable(blocks[0])
                 else:
                     assert len(skeleton) >= 4
+
+
+    def test_against_component_oracles_exhaustive(self):
+        # sum/skew decomposable: the first component and the rest; otherwise
+        # a simple skeleton of length >= 4 that inflates back, which the
+        # simple-skeleton theorem makes the unique such decomposition
+        assert deflate((1,)) == ((1,), ((1,),))
+        for n in range(2, 9):
+            for p in all_perms(n):
+                d = deflate(p)
+                sums, skews = sum_components(p), skew_components(p)
+                assert is_sum_decomposable(p) == (len(sums) > 1), p
+                assert is_skew_decomposable(p) == (len(skews) > 1), p
+                if len(sums) > 1:
+                    assert d == ((1, 2), (sums[0], reduce(direct_sum, sums[1:]))), p
+                elif len(skews) > 1:
+                    assert d == ((2, 1), (skews[0], reduce(skew_sum, skews[1:]))), p
+                else:
+                    assert len(d.skeleton) >= 4 and is_simple(d.skeleton), p
+                    assert inflate(*d) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(9, 12).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_against_brute_force_long(self, p_list):
+        p = tuple(p_list)
+        assert [deflate(p)] == brute_decompositions(p)
+        assert is_sum_decomposable(p) == (len(sum_components(p)) > 1)
+        assert is_skew_decomposable(p) == (len(skew_components(p)) > 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(_SIMPLES_4_TO_6),
+                     st.integers(1, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1))))),
+           st.data())
+    def test_inflate_against_naive_offsets(self, skeleton_list, data):
+        # any skeleton; a simple one of length >= 4 deflates back to its blocks
+        skeleton = tuple(skeleton_list)
+        blocks = tuple(
+            tuple(data.draw(st.integers(1, 4).flatmap(
+                lambda m: st.permutations(list(range(1, m + 1))))))
+            for _ in skeleton
+        )
+        sizes = [len(b) for b in blocks]
+        want = tuple(
+            w + sum(s for u, s in zip(skeleton, sizes) if u < v)
+            for v, block in zip(skeleton, blocks)
+            for w in block
+        )
+        assert inflate(skeleton, blocks) == want
+        if len(skeleton) >= 4 and is_simple(skeleton):
+            assert deflate(want) == (skeleton, blocks)
 
 
 class TestDeletions:

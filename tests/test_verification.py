@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import brute_decompositions, skew_components, sum_components
 from permlab import verification
 from permlab.enumeration import PatternBasis, class_levels
 from permlab.perms import (
@@ -21,15 +22,10 @@ from permlab.perms import (
     deflate,
     direct_sum,
     extraction,
-    is_simple,
-    is_skew_decomposable,
-    is_sum_decomposable,
     leading_maxima_count,
     parse_permutation,
-    skew_components,
     skew_sum,
     standardize,
-    sum_components,
 )
 from permlab.verification import (
     BASIS_254613,
@@ -195,47 +191,8 @@ class TestSimplesChecks:
         assert not avoids_all(bad, basis.patterns)
 
 
-def _brute_decompositions(p):
-    """The brute-force search over all 2^(n-1) cut sets, kept as the
-    oracle for _deflation_tallies."""
-    n = len(p)
-    if n == 1:
-        return [((1,), ((1,),))]
-    out = []
-    for cuts in range(1 << (n - 1)):
-        bounds = [0]
-        for b in range(n - 1):
-            if cuts >> b & 1:
-                bounds.append(b + 1)
-        bounds.append(n)
-        if len(bounds) == 2:
-            continue  # skeleton of length 1 is only for length-1 hosts
-        segments = [p[a:b] for a, b in zip(bounds, bounds[1:])]
-        blocks = []
-        reps = []
-        ok = True
-        for seg in segments:
-            lo, hi = min(seg), max(seg)
-            if hi - lo + 1 != len(seg):
-                ok = False
-                break
-            blocks.append(tuple(v - lo + 1 for v in seg))
-            reps.append(lo)
-        if not ok:
-            continue
-        skeleton = standardize(reps)
-        if not is_simple(skeleton):
-            continue
-        if skeleton == (1, 2) and is_sum_decomposable(blocks[0]):
-            continue
-        if skeleton == (2, 1) and is_skew_decomposable(blocks[0]):
-            continue
-        out.append((skeleton, tuple(blocks)))
-    return out
-
-
 def _assert_tally_matches_brute_force(p, counts, agrees, r):
-    brute = _brute_decompositions(p)
+    brute = brute_decompositions(p)
     assert counts[r] == len(brute), p
     assert bool(agrees[r]) == (deflate(p) in brute), p
 
