@@ -178,7 +178,10 @@ def contains(host: Sequence[int], pattern: Perm) -> bool:
                     return True
         return False
 
-    return rec(0, 0)
+    try:
+        return rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its cell: free it without a cycle
 
 
 def avoids_all(host: Sequence[int], patterns: Iterable[Perm]) -> bool:
@@ -231,7 +234,10 @@ def occurs_with_new_max(parent: Sequence[int], slot: int, pattern: Perm) -> bool
                     return True
         return False
 
-    return rec(0, 0)
+    try:
+        return rec(0, 0)
+    finally:
+        del rec  # rec refers to itself through its cell: free it without a cycle
 
 
 def window_sources(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -503,14 +509,17 @@ def is_simple(p: Perm) -> bool:
     n = len(p)
     for lo0 in range(n):
         mn = mx = p[lo0]
-        for hi0 in range(lo0 + 1, n):
+        last = n - 1 if lo0 else n - 2  # the whole of p is no proper interval
+        for hi0 in range(lo0 + 1, last + 1):
             v = p[hi0]
             if v < mn:
                 mn = v
             elif v > mx:
                 mx = v
-            if hi0 - lo0 + 1 < n and mx - mn == hi0 - lo0:
+            if mx - mn == hi0 - lo0:
                 return False
+            if mx - mn > last - lo0:
+                break  # too wide in value for the positions left
     return True
 
 

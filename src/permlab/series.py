@@ -6,10 +6,12 @@ grading for class generating functions, whose t/u slices are honest
 polynomials) or by total degree (used for the simple-permutation series,
 whose natural grade is u-degree + x-degree).
 
-No floating point anywhere: coefficients are ints or
-:class:`fractions.Fraction`.  ``reciprocal`` and ``sqrt1`` solve for one
-grade at a time, so each costs about one multiplication's worth of
-work rather than ``order`` of them.
+Arithmetic runs on graded slices: a series is split by grade, and a slice
+keys each (t, u) pair by one packed int, x following from the grade.  One
+kernel multiplies two slices, and every product, reciprocal, square root,
+substitution and solve is made of it.  No floating point anywhere:
+coefficients are ints unless one is truly fractional, then
+:class:`fractions.Fraction`.
 
 ``RelaxedSeries`` is the same kind of series computed one grade at a
 time, on demand: grade d of a sum, product, reciprocal or substitution
@@ -20,9 +22,8 @@ On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
 registry of checkable identities, each with a deliberately corrupted
 variant for mutation testing.  The solver is online: it evaluates an
-equation's step once, on relaxed unknowns, and then asks for grades
-0, 1, ..., order in turn, so grade d of the solution is computed from
-the grades below it, once.
+equation's step once, on relaxed unknowns, and then computes grade 0,
+1, ..., order, each unknown's grade in turn, from the grades already stored.
 """
 
 from __future__ import annotations
@@ -93,27 +94,44 @@ def _grade(key: Key, grading: str) -> int:
     return key[0] if grading == X_GRADED else key[0] + key[1] + key[2]
 
 
-# Per-grade solves (reciprocal, sqrt1, RelaxedSeries) keep a series as
-# {grade: {key: coeff}}, without empty grades.
+# The engine keeps a series as {grade: slice}, without empty grades.  A
+# slice maps _key(t, u) = t << 32 | u to the coefficient of its (t, u)
+# pair, and x follows from the grade d: x = d when x-graded, d - t - u
+# when total-graded.  A stored u stays below 2**31, so the sum of two
+# keys is the key of the product and never carries into t.
+_U_MASK = (1 << 32) - 1
+_U_CARRY = 1 << 31
+_HALF = Fraction(1, 2)
 
 
-def _add_products(acc: dict[Key, object], left, right) -> None:
-    """acc += left * right for two grade slices; a missing slice is zero."""
+def _key(t: int, u: int) -> int:
+    """The slice key of the exponent pair (t, u)."""
+    if not 0 <= u < _U_CARRY:
+        raise SeriesError(f"u exponent {u} is outside 0..2**31-1")
+    return t << 32 | u
+
+
+def _add_products(acc: dict[int, object], left, right) -> None:
+    """acc += left * right for two grade slices (None is zero): the one product kernel."""
     if not left or not right:
         return
-    for (x1, t1, u1), c1 in left.items():
-        for (x2, t2, u2), c2 in right.items():
-            key = (x1 + x2, t1 + t2, u1 + u2)
-            acc[key] = acc.get(key, 0) + c1 * c2
+    if len(left) > len(right):
+        left, right = right, left  # fewer passes over the longer slice
+    get = acc.get
+    pairs = right.items()
+    for k1, c1 in left.items():
+        for k2, c2 in pairs:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
-def _convolve(acc: dict[Key, object], left, right, d: int, start: int = 0) -> None:
+def _convolve(acc: dict[int, object], left, right, d: int, start: int = 0) -> None:
     """acc += sum(left(i) * right(d - i) for i in start..d).
 
-    ``left`` and ``right`` map a grade to its slice.  Each pair asks for
-    the lower of its two grades first (the right one on a tie) and is
-    skipped when that slice is zero, so a relaxed operand is never asked
-    for a grade the product cannot use.
+    ``left`` and ``right`` map a grade to its slice, or to None if it is
+    zero.  Each pair asks for the lower of its two grades first (the
+    right one on a tie) and is skipped when that slice is zero, so a
+    relaxed operand is never asked for a grade the product cannot use.
     """
     for i in range(start, d + 1):
         j = d - i
@@ -127,33 +145,46 @@ def _convolve(acc: dict[Key, object], left, right, d: int, start: int = 0) -> No
                 _add_products(acc, left(i), sr)
 
 
-def _store_slice(slices: dict[int, dict[Key, object]], d: int,
-                 acc: dict[Key, object], scale) -> None:
-    """slices[d] = scale * acc, without zero coefficients."""
+def _store_slice(slices: dict[int, dict[int, object]], d: int,
+                 acc: dict[int, object], scale=1) -> None:
+    """slices[d] = scale * acc without zeros; a scale of 1/2 halves an even int exactly."""
     out = {}
-    for key, c in acc.items():
-        c = _norm_coeff(c * scale)
+    one = scale == 1
+    for k, c in acc.items():
         if c:
-            out[key] = c
+            if not one:
+                c = c >> 1 if scale is _HALF and type(c) is int and not c & 1 else c * scale
+            if type(c) is not int:
+                c = _norm_coeff(c)
+            if k & _U_CARRY:
+                raise SeriesError("a u exponent reached 2**31")
+            out[k] = c
     if out:
         slices[d] = out
 
 
-def _from_slices(slices: dict[int, dict[Key, object]], order: int,
+def _from_slices(slices: dict[int, dict[int, object]], order: int,
                  grading: str) -> "MSeries":
+    """The series of grade slices up to the order, without zero coefficients."""
     out: dict[Key, object] = {}
-    for sl in slices.values():
-        out.update(sl)
-    return MSeries(out, order, grading)
+    total = grading == TOTAL_GRADED
+    for d, sl in slices.items():
+        for k, c in sl.items():
+            if c and d <= order:
+                t, u = k >> 32, k & _U_MASK
+                out[(d - t - u if total else d, t, u)] = c if type(c) is int else _norm_coeff(c)
+    s = object.__new__(MSeries)
+    s.coeffs, s.order, s.grading = out, order, grading
+    return s
 
 
-def _plain_constant(grade0: dict[Key, object] | None):
+def _plain_constant(grade0: dict[int, object] | None):
     """The constant term of a grade-0 slice that must be a plain rational."""
     if not grade0:
         return 0
-    if any(key != (0, 0, 0) for key in grade0):
+    if any(grade0):
         raise SeriesError("grade-0 part is not a plain rational constant")
-    return grade0[(0, 0, 0)]
+    return grade0[0]
 
 
 class MSeries:
@@ -168,10 +199,12 @@ class MSeries:
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
         clean: dict[Key, object] = {}
+        total = grading == TOTAL_GRADED
         for key, c in coeffs.items():
-            if _grade(key, grading) > order:
+            if (key[0] + key[1] + key[2] if total else key[0]) > order:
                 continue
-            c = _norm_coeff(c)
+            if type(c) is not int:
+                c = _norm_coeff(c)
             if c:
                 clean[key] = c
         self.coeffs = clean
@@ -182,12 +215,12 @@ class MSeries:
 
     @classmethod
     def const(cls, c, order: int, grading: str = X_GRADED) -> "MSeries":
-        return cls({(0, 0, 0): Fraction(c)}, order, grading)
+        return cls.monomial(c, order, grading)
 
     @classmethod
     def monomial(cls, c, order: int, grading: str = X_GRADED, *,
                  x: int = 0, t: int = 0, u: int = 0) -> "MSeries":
-        return cls({(x, t, u): Fraction(c)}, order, grading)
+        return cls({(x, t, u): c if type(c) is int else Fraction(c)}, order, grading)
 
     @classmethod
     def var(cls, name: str, order: int, grading: str = X_GRADED) -> "MSeries":
@@ -290,7 +323,7 @@ class MSeries:
 
     def __mul__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
-            c = _norm_coeff(Fraction(other))
+            c = other if type(other) is int else _norm_coeff(Fraction(other))
             if not c:
                 return MSeries({}, self.order, self.grading)
             return MSeries(
@@ -298,30 +331,14 @@ class MSeries:
             )
         other = self._coerce(other)
         order = min(self.order, other.order)
-        grading = self.grading
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Key, object] = {}
-        if grading == X_GRADED:
-            bitems = sorted(b.items())
-            for (x1, t1, u1), c1 in a.items():
-                rem = order - x1
-                for (x2, t2, u2), c2 in bitems:
-                    if x2 > rem:
-                        break
-                    key = (x1 + x2, t1 + t2, u1 + u2)
-                    out[key] = out.get(key, 0) + c1 * c2
-        else:
-            bitems = sorted(b.items(), key=lambda kv: sum(kv[0]))
-            for (x1, t1, u1), c1 in a.items():
-                rem = order - (x1 + t1 + u1)
-                for (x2, t2, u2), c2 in bitems:
-                    if x2 + t2 + u2 > rem:
-                        break
-                    key = (x1 + x2, t1 + t2, u1 + u2)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return MSeries(out, order, grading)
+        right = sorted(other._by_grade().items())
+        products: dict[int, dict[int, object]] = {}
+        for i, sl in self._by_grade().items():
+            for j, sr in right:
+                if i + j > order:
+                    break
+                _add_products(products.setdefault(i + j, {}), sl, sr)
+        return _from_slices(products, order, self.grading)
 
     __rmul__ = __mul__
 
@@ -339,10 +356,11 @@ class MSeries:
 
     # -- division-like operations ------------------------------------------
 
-    def _by_grade(self) -> dict[int, dict[Key, object]]:
-        by_grade: dict[int, dict[Key, object]] = {}
-        for key, c in self.coeffs.items():
-            by_grade.setdefault(_grade(key, self.grading), {})[key] = c
+    def _by_grade(self) -> dict[int, dict[int, object]]:
+        by_grade: dict[int, dict[int, object]] = {}
+        total = self.grading == TOTAL_GRADED
+        for (ex, et, eu), c in self.coeffs.items():
+            by_grade.setdefault(ex + et + eu if total else ex, {})[_key(et, eu)] = c
         return by_grade
 
     def reciprocal(self) -> "MSeries":
@@ -364,15 +382,14 @@ class MSeries:
         by_grade = self._by_grade()
         if _plain_constant(by_grade.get(0)) != 1:
             raise SeriesError("sqrt1 requires constant term exactly 1")
-        root: dict[int, dict[Key, object]] = {0: {(0, 0, 0): 1}}
+        root: dict[int, dict[int, object]] = {0: {0: 1}}
         for d in range(1, self.order + 1):
-            acc: dict[Key, object] = {}
-            for i in range(1, d):
-                _add_products(acc, root.get(i), root.get(d - i))
+            acc: dict[int, object] = {}
+            _convolve(acc, root.get, root.get, d, 1)  # root(d) is not there yet
             rhs = dict(by_grade.get(d, {}))
-            for key, c in acc.items():
-                rhs[key] = rhs.get(key, 0) - c
-            _store_slice(root, d, rhs, Fraction(1, 2))
+            for k, c in acc.items():
+                rhs[k] = rhs.get(k, 0) - c
+            _store_slice(root, d, rhs, _HALF)
         return _from_slices(root, self.order, self.grading)
 
     def divide_one_minus(self, var: str) -> "MSeries":
@@ -442,7 +459,7 @@ class RelaxedSeries:
     """A truncated series whose grades are computed one at a time, on demand.
 
     ``fill(slices, d)`` stores grade d into ``slices`` (a
-    ``{grade: {key: coeff}}`` map without empty grades), reading only the
+    ``{grade: {_key(t, u): coeff}}`` map without empty grades), reading only the
     grades its operands have up to d.  It runs the first time anything
     asks for grade d, after grades 0..d-1, and the grade is kept, so each
     grade of each node is computed once.  Arithmetic builds new nodes and
@@ -458,7 +475,7 @@ class RelaxedSeries:
     def __init__(self, fill: Callable[[dict, int], None], order: int, grading: str):
         self.order = order
         self.grading = grading
-        self._slices: dict[int, dict[Key, object]] = {}
+        self._slices: dict[int, dict[int, object]] = {}
         self._done = 0
         self._fill = fill
 
@@ -470,8 +487,8 @@ class RelaxedSeries:
         out._done = s.order + 1
         return out
 
-    def slice(self, d: int) -> dict[Key, object] | None:
-        """Grade d as {key: coeff}, or None if it is zero."""
+    def slice(self, d: int) -> dict[int, object] | None:
+        """Grade d as a slice, or None if it is zero."""
         while self._done <= d:
             self._fill(self._slices, self._done)
             self._done += 1
@@ -502,7 +519,7 @@ class RelaxedSeries:
             acc = dict(sa or {})
             for key, c in sb.items():
                 acc[key] = acc.get(key, 0) + sign * c
-            _store_slice(slices, d, acc, 1)
+            _store_slice(slices, d, acc)
 
         return RelaxedSeries(fill, min(a.order, b.order), self.grading)
 
@@ -524,9 +541,9 @@ class RelaxedSeries:
         a, b = self, self._coerce(other)
 
         def fill(slices, d):
-            acc: dict[Key, object] = {}
+            acc: dict[int, object] = {}
             _convolve(acc, a.slice, b.slice, d)
-            _store_slice(slices, d, acc, 1)
+            _store_slice(slices, d, acc)
 
         return RelaxedSeries(fill, min(a.order, b.order), self.grading)
 
@@ -541,11 +558,11 @@ class RelaxedSeries:
                 c0 = _plain_constant(a.slice(0))
                 if not c0:
                     raise SeriesError("not invertible: zero constant term")
-                slices[0] = {(0, 0, 0): _norm_coeff(1 / Fraction(c0))}
+                slices[0] = {0: c0 if c0 in (1, -1) else _norm_coeff(1 / Fraction(c0))}
                 return
-            acc: dict[Key, object] = {}
+            acc: dict[int, object] = {}
             _convolve(acc, a.slice, slices.get, d, 1)
-            _store_slice(slices, d, acc, -slices[0][(0, 0, 0)])
+            _store_slice(slices, d, acc, -slices[0][0])
 
         return RelaxedSeries(fill, self.order, self.grading)
 
@@ -601,7 +618,7 @@ def _compose(s: MSeries, bindings) -> RelaxedSeries:
     # recursion down a chain of powers shallow.
     groups: dict[tuple, list] = {}
     for key, c in sorted(s.coeffs.items()):
-        shift = [0, 0, 0]
+        shift = [0, 0, 0]  # free x only moves the grade: x follows from it
         offset = 0
         bound = []
         for i, v in enumerate(("x", "t", "u")):
@@ -611,12 +628,13 @@ def _compose(s: MSeries, bindings) -> RelaxedSeries:
             if v in series:
                 bound.append((v, e))
             elif v in bindings:
-                c = _norm_coeff(c * Fraction(bindings[v]) ** e)
+                b = bindings[v]
+                c = _norm_coeff(c * (b if type(b) is int else Fraction(b)) ** e)
             else:
                 shift[i] = e
                 offset += e if grading == TOTAL_GRADED or v == "x" else 0
         if c:
-            groups.setdefault(tuple(bound), []).append((offset, tuple(shift), c))
+            groups.setdefault(tuple(bound), []).append((offset, _key(*shift[1:]), c))
     # a group's product of powers is head * last, where last is the power
     # of its last variable (None if it has one variable or none); that
     # product is convolved into the result, not kept as a node, since
@@ -636,9 +654,9 @@ def _compose(s: MSeries, bindings) -> RelaxedSeries:
             for v in checked:
                 if factors[v].slice(0):
                     raise SeriesError(f"binding for {v!r} must have zero constant term")
-        acc: dict[Key, object] = {}
+        acc: dict[int, object] = {}
         for head, last, entries in terms:
-            for offset, (sx, st, su), c in entries:
+            for offset, shift, c in entries:
                 if offset > d:
                     continue
                 if last is None:
@@ -646,11 +664,13 @@ def _compose(s: MSeries, bindings) -> RelaxedSeries:
                 else:
                     sl = {}
                     _convolve(sl, head.slice, last.slice, d - offset)
+                    if any(k & _U_CARRY for k in sl):  # a shift could carry it
+                        raise SeriesError("a u exponent reached 2**31")
                 if sl:
-                    for (ex, et, eu), v in sl.items():
-                        key = (ex + sx, et + st, eu + su)
-                        acc[key] = acc.get(key, 0) + c * v
-        _store_slice(slices, d, acc, 1)
+                    for k, v in sl.items():
+                        k += shift
+                        acc[k] = acc.get(k, 0) + c * v
+        _store_slice(slices, d, acc)
 
     return RelaxedSeries(fill, order, grading)
 
@@ -725,10 +745,10 @@ def lead_4132_first_not_one_closed(order: int, *, corrupt: bool = False) -> MSer
 
 
 def a033321_series(order: int) -> MSeries:
-    """2 / (1 + x + sqrt((1 - x)(1 - 5x)))."""
+    """2 / (1 + x + sqrt((1 - x)(1 - 5x))); every coefficient of 1 + x + sqrt is even."""
     x = _x(order)
     rad = ((1 - x) * (1 - 5 * x)).sqrt1()
-    return 2 * (1 + x + rad).reciprocal()
+    return ((1 + x + rad) * _HALF).reciprocal()
 
 
 def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
@@ -746,7 +766,7 @@ def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
     q = x * x + 3 * x + 1
     rad = (1 + u * u * p * p - 2 * u * q).sqrt1()
     numer = -x * (u - 1 + (2 if corrupt else 3) * u * x + u * x * x + rad)
-    return numer * ((2 * (u + 1) * (x + 1)).reciprocal())
+    return numer * ((u + 1) * (x + 1)).reciprocal() * _HALF
 
 
 def stat132_system(order: int) -> tuple[MSeries, MSeries]:
@@ -921,9 +941,10 @@ def _stat132_step(h, g, *, corrupt: bool = False) -> tuple:
     p = h * (tx + 1) + ((u - 1) * tx - 1)
     q = g * (ux + 1) - 1
     r = g * (t * ux + 1) - 1
-    pq = p * q
-    h_new = pq * x + r * ((u * u if corrupt else u) * x) + 1
-    g_new = (pq + p) * x + 1  # p*(q+1) reuses the big product
+    px = p * x  # before the big product, which then needs q only below the order
+    pxq = px * q
+    h_new = pxq + r * ((u * u if corrupt else u) * x) + 1
+    g_new = pxq + px + 1  # px*(q+1) reuses the big product
     return h_new, g_new
 
 
@@ -985,71 +1006,69 @@ EQUATIONS: dict[str, _Equation] = {
 
 
 class _Unknown(RelaxedSeries):
-    """An unknown of a fixed-point solve: grade d is grade d of its definition.
+    """An unknown of a fixed-point solve, whose grades the solve stores.
 
-    While grade d is being computed, asking for grade d of this unknown
-    gives the initial guess's grade d, and the computed grade must then
-    equal it.
+    While the solve computes grade d, asking for grade d of an unknown
+    whose grade d is not stored yet gives the initial guess's grade d,
+    and asking for a higher grade is an error.
     """
 
-    __slots__ = ("_equation_id", "_guess", "_busy", "_guess_read", "definition")
+    __slots__ = ("_guess", "_guess_read", "_solving", "definition")
 
-    def __init__(self, equation_id: str, guess: MSeries):
+    def __init__(self, guess: MSeries):
         super().__init__(_beyond_order, guess.order, guess.grading)
-        self._equation_id = equation_id
         self._guess = guess._by_grade()
-        self._busy = -1
         self._guess_read = False
+        self._solving = 0
         self.definition: RelaxedSeries | None = None
 
-    def slice(self, d: int) -> dict[Key, object] | None:
-        if d == self._busy:
-            self._guess_read = True
-            return self._guess.get(d)
-        while self._done <= d:
-            self._solve_grade(self._done)
-            self._done += 1
-        return self._slices.get(d)
-
-    def _solve_grade(self, d: int) -> None:
-        self._busy, self._guess_read = d, False
-        try:
-            got = self.definition.slice(d)
-        finally:
-            self._busy = -1
-        if self._guess_read and got != self._guess.get(d):
-            raise NonContractionError(self._equation_id, d, d + 1)
-        if got:
-            self._slices[d] = got
+    def slice(self, d: int) -> dict[int, object] | None:
+        if d < self._done:
+            return self._slices.get(d)
+        if d > self._solving:
+            raise SeriesError(
+                f"grade {d} of an unknown was read while grade {self._solving} is solved"
+            )
+        self._guess_read = True
+        return self._guess.get(d)
 
 
 def fixed_point_solve(equation_id: str, order: int):
     """Solve a registered fixed-point equation to the given order, online.
 
     The step runs once, on relaxed unknowns, and builds the map as a
-    network of relaxed nodes; the solve then asks for grades 0, 1, ...,
-    order of every unknown in turn.  For a contraction, grade d of the
-    step reads only grades below d of the unknowns, which are final by
-    then, so each grade of each node is computed once, and the result is
-    the truncated solution that Picard iteration from the initial guess
-    converges to.
+    network of relaxed nodes; the solve then computes grade 0, 1, ...,
+    order, each of the unknowns in turn, and stores an unknown's grade as
+    soon as it is computed.  For a contraction, grade d of the step reads
+    only stored grades of the unknowns, so each grade of each node is
+    computed once, and the result is the truncated solution that Picard
+    iteration from the initial guess converges to.
 
-    Where grade d of the step does read grade d of an unknown still being
-    solved (grade 0 of ``f * f`` in the 263514 equation, say), it is given
-    the initial guess's grade d, and the grade computed must reproduce
-    it.  Otherwise the map is not a contraction there and
-    :class:`NonContractionError` is raised, with ``agreement`` d and
-    ``passes`` d + 1, the grades attempted.
+    Where grade d of the step does read grade d of an unknown not stored
+    yet (grade 0 of ``f * f`` in the 263514 equation, say), it is given
+    the initial guess's grade d, and once every unknown's grade d is
+    stored, each guess so read must be reproduced.  Otherwise the map is
+    not a contraction there and :class:`NonContractionError` is raised,
+    with ``agreement`` d and ``passes`` d + 1, the grades attempted.
     """
     if equation_id not in EQUATIONS:
         raise SeriesError(f"unknown equation {equation_id!r}")
     eq = EQUATIONS[equation_id]
-    unknowns = tuple(_Unknown(equation_id, guess) for guess in eq.initial(order))
+    unknowns = tuple(_Unknown(guess) for guess in eq.initial(order))
     for y, value in zip(unknowns, eq.step(*unknowns)):
         y.definition = y._coerce(value)
     for d in range(order + 1):
         for y in unknowns:
-            y.slice(d)
+            y._solving = d
+        for y in unknowns:
+            got = y.definition.slice(d)
+            if got:
+                y._slices[d] = got
+            y._done = d + 1
+        for y in unknowns:
+            if y._guess_read and y._slices.get(d) != y._guess.get(d):
+                raise NonContractionError(equation_id, d, d + 1)
+            y._guess_read = False
     solution = tuple(y.to_mseries() for y in unknowns)
     for y in unknowns:
         y.definition = None  # the nodes refer back to the unknowns: free them now

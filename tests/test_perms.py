@@ -6,6 +6,7 @@ here; a sweep at small lengths keeps the fast paths honest against the
 oracles.
 """
 
+import gc
 from functools import reduce
 
 import pytest
@@ -305,7 +306,7 @@ class TestIntervalsAndSimplicity:
         assert not any(is_simple(p) for p in all_perms(3))
 
     def test_simple_agrees_with_interval_scan(self):
-        for n in range(0, 7):
+        for n in range(0, 9):
             for p in all_perms(n):
                 assert is_simple(p) == (not intervals(p))
 
@@ -419,6 +420,18 @@ class TestDeletions:
     def test_standardize(self):
         assert standardize((3, 1, 5, 6)) == (2, 1, 3, 4)
         assert standardize(()) == ()
+
+
+def test_searches_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            contains((2, 4, 1, 3, 5), (2, 1, 4, 3))
+            occurs_with_new_max((2, 4, 1, 3), 2, (2, 1, 4, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_identity_helper():
