@@ -1,41 +1,38 @@
 """Exhaustive, pruned enumeration of pattern-avoidance classes.
 
-Generation proceeds level by level: every member of Av_n(basis) arises
-exactly once by inserting the new maximum n into a member of
-Av_{n-1}(basis), so only occurrences through the new maximum need to be
-tested.  One slot filter per basis (``_slot_filter``) gives the slots of
-a parent where the new maximum completes no pattern.  The frequent
-patterns (2143, 3142, 132, 4132) each map a parent, in one O(n) pass, to
-a bitmask of the slots they block.  Every other pattern is compiled once
-per filter by :func:`permlab.perms.pinned_max_search`, which drops from
-the slots still free those it blocks, in one search per parent.
+Every member of Av_{n+1}(basis) arises exactly once by inserting the new
+maximum n+1 into one of the n+1 slots of a member of Av_n(basis).  Each
+member carries a blocked-slot mask, bit s set when the new maximum at
+slot s completes a pattern; the one slot of the root () is blocked only
+by the pattern 1.  A child gets its mask from its parent's
+(``_child_masks``): the parent's, with the slot of n+1 counted on both
+sides of it, since an occurrence that misses n+1 is one in the parent
+already, ORed with the slots where n+2 completes an occurrence as the
+pattern's largest entry k with n+1 as its k-1.  The pattern's other
+entries then occur in the parent, so each parent keeps one list, one
+int per slot, into which every pattern ORs the new blocks of that
+slot's child: 3142 and 4132 by a closed rule, every other pattern by a
+search for those other entries, generated as Python source for that
+pattern and compiled once per call.  2143 adds, per child, the slots
+between the parent's increasing prefix and the child's n+1.  No member
+is ever searched for a pattern.
 
-``class_levels`` builds and caches whole levels.  Output is
-deterministic: each level is sorted lexicographically, with or without
-worker processes.  A parallel build with p processes forks p - 1
-workers once per call (``_in_workers``); each of the p processes, the
-caller included, takes every p-th parent of one level and grows those
-subtrees to the requested length, and the sorted levels are merged
-level by level.
+``class_levels`` grows whole levels breadth-first (``_grow``), each
+sorted lexicographically, and caches them per basis.  The cache holds
+no masks, so a call that continues a cached prefix grows the masks of
+its top level again from the root.  The last level built gets no masks.
 
 ``count_class`` reads, builds and caches no level: it walks the
-insertion tree depth-first from the root and counts each node's
-children as the popcount of its free slots.  The slot filter runs only
-on the nodes it starts from.  Below them each child inherits its
-parent's blocked slots, the slot of the new maximum doubled, since an
-occurrence that misses the parent's maximum n+1 is one in the parent
-already.  A new block uses the next maximum n+2 as the pattern's
-largest entry k and n+1 as its k-1, so the pattern's other entries
-occur in the parent.  Each parent therefore keeps one list, one int
-per slot, into which every pattern ORs the new blocks of that slot's
-child: 3142 and 4132 by a closed rule, every other pattern by a search
-for those other entries, generated as Python source for that pattern
-and compiled once per count (once per process with workers).  2143
-adds, per child, the slots between the parent's increasing prefix and
-the child's n+1.  No search runs on a child, and the last two levels
-are never built.  A parallel count with p processes sums the per-level
-subtree totals of p strided shares of one level, the caller counting
-one share and p - 1 forked workers the others.
+insertion tree depth-first from the root (``_walk``) and counts each
+node's children as the popcount of its free slots, so the last two
+levels are never built.
+
+With p processes, both grow levels here until one is large enough, then
+fork p - 1 workers once per call (``_in_workers``).  Each of the p
+processes, the caller included, takes every p-th (member, mask) pair of
+that level: a level build grows its share down to the requested length
+and the sorted runs are merged level by level; a count sums the
+per-level totals of the shares' subtrees.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from math import inf
 from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
@@ -53,10 +51,8 @@ from permlab.perms import (
     is_simple,
     leading_maxima_count,
     lr_minima,
-    occurs_with_new_max,
     parse_permutation,
     perm_to_text,
-    pinned_max_search,
     standardize,
     window_sources,
 )
@@ -132,193 +128,6 @@ class PatternBasis:
 
 
 # ---------------------------------------------------------------------------
-# blocked-slot masks
-#
-# Inserting the new maximum n+1 into a parent of length n at slot s gives
-# parent[:s] + (n+1,) + parent[s:].  For each special pattern a function
-# maps the parent to the int whose bit s is set exactly when that child
-# has an occurrence of the pattern through the new maximum.  Value sets
-# are ints too (bit v for value v), so each mask costs one O(n) pass.
-# The conditions are exact for any parent, not only for avoiders.
-
-
-def _blocked_2143(parent: Perm) -> int:
-    # New max plays the 4: blocked iff the smallest inversion top left of
-    # the slot lies below the largest value right of it.
-    n = len(parent)
-    suffix_max = [0] * (n + 1)
-    top = 0
-    for j in range(n - 1, -1, -1):
-        v = parent[j]
-        if v > top:
-            top = v
-        suffix_max[j] = top
-    mask = 0
-    seen = 0
-    min_top = n + 1
-    for s, v in enumerate(parent):
-        if suffix_max[s] > min_top:
-            mask |= 1 << s
-        above = seen >> (v + 1)  # prefix values above v, shifted down
-        if above:
-            t = (above & -above).bit_length() + v
-            if t < min_top:
-                min_top = t
-        seen |= 1 << v
-    return mask
-
-
-def _blocked_3142(parent: Perm) -> int:
-    # New max plays the 4: blocked iff a value right of the slot lies in
-    # (w, max-so-far) for some inversion bottom w left of the slot.
-    n = len(parent)
-    suffix = [0] * (n + 1)
-    acc = 0
-    for j in range(n - 1, -1, -1):
-        acc |= 1 << parent[j]
-        suffix[j] = acc
-    mask = 0
-    covered = 0
-    top = 0
-    for s, v in enumerate(parent):
-        if covered & suffix[s]:
-            mask |= 1 << s
-        if v < top:
-            covered |= (1 << top) - (2 << v)  # values v+1 .. top-1
-        else:
-            top = v
-    return mask
-
-
-def _blocked_132(parent: Perm) -> int:
-    # New max plays the 3: blocked iff some value left of the slot lies
-    # below some value right of it, i.e. unless the prefix holds exactly
-    # the top s values (its minimum is n+1-s).
-    n = len(parent)
-    mask = 0
-    low = n + 1
-    for s, v in enumerate(parent):
-        if low != n + 1 - s:
-            mask |= 1 << s
-        if v < low:
-            low = v
-    return mask
-
-
-def _blocked_4132(parent: Perm) -> int:
-    # New max plays the 4 in front: blocked iff the suffix from the slot
-    # contains a 132, i.e. for every slot up to the last start of a 132.
-    seen = 0
-    max_bottom = 0  # largest inversion bottom right of j
-    for j in range(len(parent) - 1, -1, -1):
-        v = parent[j]
-        if max_bottom > v:
-            return (2 << j) - 1
-        below = (seen & ((1 << v) - 1)).bit_length() - 1
-        if below > max_bottom:
-            max_bottom = below
-        seen |= 1 << v
-    return 0
-
-
-_BLOCKED_SLOTS: dict[Perm, Callable[[Perm], int]] = {
-    (2, 1, 4, 3): _blocked_2143,
-    (3, 1, 4, 2): _blocked_3142,
-    (1, 3, 2): _blocked_132,
-    (4, 1, 3, 2): _blocked_4132,
-}
-
-
-def _per_slot_search(pattern: Perm) -> Callable[[Perm, int], int]:
-    """The oracle for ``pinned_max_search``: one ``occurs_with_new_max`` per slot.
-
-    The module name is read per call, so a rebound one is used.
-    """
-    def blocked(parent: Perm, slots: int) -> int:
-        return sum(
-            1 << s for s in range(len(parent) + 1)
-            if slots >> s & 1 and occurs_with_new_max(parent, s, pattern)
-        )
-
-    return blocked
-
-
-def _slot_filter(patterns: Sequence[Perm],
-                 generic_only: bool = False) -> Callable[[Perm], int]:
-    """A function from a parent to its free slots: those no pattern blocks.
-
-    Slots blocked by a special pattern are dropped first; each other
-    pattern, compiled once here by ``pinned_max_search``, then drops the
-    free slots it blocks, in basis order.  ``generic_only`` tests every
-    pattern slot by slot instead, as an oracle.  Building levels runs the
-    filter on every parent, a depth-first count only on the nodes it
-    starts from.
-    """
-    if generic_only:
-        masks, searches = (), tuple(_per_slot_search(p) for p in patterns)
-    else:
-        masks = tuple(_BLOCKED_SLOTS[p] for p in patterns if p in _BLOCKED_SLOTS)
-        searches = tuple(
-            pinned_max_search(p) for p in patterns if p not in _BLOCKED_SLOTS
-        )
-
-    def free_slots(parent: Perm) -> int:
-        blocked = 0
-        for blocked_slots in masks:
-            blocked |= blocked_slots(parent)
-        free = ~blocked & ((2 << len(parent)) - 1)
-        for search in searches:
-            if not free:
-                break
-            free &= ~search(parent, free)
-        return free
-
-    return free_slots
-
-
-def _extend_level(parents: Sequence[Perm], patterns: Sequence[Perm],
-                  generic_only: bool = False, cap: int = DEFAULT_CAP) -> list[Perm]:
-    """Children of ``parents`` under max-insertion that stay in the class.
-
-    The slots come from ``_slot_filter(patterns, generic_only)``.  The
-    scan stops after the first parent that takes the output past ``cap``.
-    """
-    free_slots = _slot_filter(patterns, generic_only)
-    out: list[Perm] = []
-    append = out.append
-    for parent in parents:
-        new_val = len(parent) + 1
-        free = free_slots(parent)
-        while free:
-            low = free & -free
-            free ^= low
-            slot = low.bit_length() - 1
-            append(parent[:slot] + (new_val,) + parent[slot:])
-        if len(out) > cap:
-            break
-    return out
-
-
-def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
-                  cap: int) -> list[list[Perm]]:
-    """The next ``depth`` levels grown from ``parents``, each sorted.
-
-    One process's share of a parallel build.  It stops after the first
-    level whose own size passes ``cap``, and leaves that level unsorted:
-    the sum over all shards is then past the cap too, so the level is
-    never used.
-    """
-    levels = []
-    for _ in range(depth):
-        parents = _extend_level(parents, patterns, cap=cap)
-        levels.append(parents)
-        if len(parents) > cap:
-            break
-        parents.sort()
-    return levels
-
-
-# ---------------------------------------------------------------------------
 # blocked-slot masks inherited down the insertion tree
 #
 # A child inserts n+1 at slot s of a parent of length n.  Inserting n+2
@@ -333,7 +142,9 @@ def _extend_shard(parents: Sequence[Perm], patterns: Sequence[Perm], depth: int,
 # tau'' generated for that pattern.  2143 writes no entry: the child at
 # slot s gains the slots run+1..s, run being the length of the parent's
 # increasing prefix.  A table function takes the parent, its free slots
-# and ``added``, and is exact at every free slot.
+# and ``added``, and is exact at every free slot.  The pattern 1 writes
+# no entry either: it blocks the root's one slot, so the class is empty
+# from length 1 on.
 
 
 def _increasing_run(parent: Perm) -> int:
@@ -519,32 +330,44 @@ def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
     return namespace["search"]
 
 
-def _walk(parent: Perm, blocked: int, d: int, last: int, totals: list[int],
-          tables: Sequence[Callable[[Perm, int, list[int]], None]],
-          run_2143: Callable[[Perm], int]) -> None:
-    """Count the subtree of ``parent``, whose blocked-slot mask is ``blocked``.
+_Rules = tuple[tuple[Callable[[Perm, int, list[int]], None], ...], Callable[[Perm], int]]
 
-    ``totals[d]`` gains the node's children, and ``totals[last]`` is the
-    level counted by popcounts.  Each free slot s gives the child's exact
-    mask: the parent's, with bit s doubled, ORed with ``added[s]`` from
-    the ``tables`` and with 2143's slots run+1..s, run being
-    ``run_2143(parent)`` (``len`` when 2143 is not in the basis).  A
-    node two levels above the last adds its children's free slots in
-    the same loop and builds no child.
+
+def _insertion_rules(patterns: Sequence[Perm]) -> _Rules:
+    """The ``added`` tables and the 2143 run function of ``patterns``.
+
+    Each pattern but 1 and 2143 gets its closed rule or its generated
+    search, compiled here: once per call, before any worker is forked.
+    The run function is ``len`` when 2143 is not in the basis.
     """
-    n = len(parent)
-    free = ~blocked & ((2 << n) - 1)
-    totals[d] += free.bit_count()
-    if d == last or not free:
-        return
-    added = [0] * (n + 1)
+    tables = tuple(
+        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
+        for pattern in patterns if len(pattern) > 1 and pattern != (2, 1, 4, 3)
+    )
+    return tables, _increasing_run if (2, 1, 4, 3) in patterns else len
+
+
+def _root(patterns: Sequence[Perm]) -> tuple[list[Perm], list[int]]:
+    """Level 0 and its masks: the one slot of () is blocked only by the pattern 1."""
+    return [()], [int((1,) in patterns)]
+
+
+def _child_masks(parent: Perm, blocked: int, free: int, rules: _Rules) -> list[int]:
+    """The blocked-slot masks of ``parent``'s children, one per slot in ``free``.
+
+    ``blocked`` is the parent's exact mask and ``free`` its complement.
+    The child at slot s gets the parent's mask with bit s doubled, ORed
+    with ``added[s]`` from the tables and, when s > run, with 2143's
+    slots run+1..s, run being the run function of the parent.  The
+    masks come in increasing slot order.
+    """
+    tables, run_2143 = rules
+    added = [0] * (len(parent) + 1)
     for table in tables:
         table(parent, free, added)
     run = run_2143(parent)
     past_run = 2 << run  # the bit of slot run + 1
-    leaves = d + 1 == last
-    new_val = n + 1
-    free_leaves = 0
+    masks = []
     while free:
         low = free & -free
         free ^= low
@@ -552,41 +375,94 @@ def _walk(parent: Perm, blocked: int, d: int, last: int, totals: list[int],
         mask = (blocked & (low - 1)) | ((blocked >> s) << (s + 1)) | added[s]
         if s > run:
             mask |= (2 << s) - past_run
-        if leaves:
-            free_leaves += n + 2 - mask.bit_count()
-        else:
-            _walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1, last, totals,
-                  tables, run_2143)
-    if leaves:
-        totals[last] += free_leaves
+        masks.append(mask)
+    return masks
 
 
-def _count_subtrees(parents: Sequence[Perm], patterns: Sequence[Perm],
-                    depth: int) -> list[int]:
-    """How many class members lie 1, ..., ``depth`` levels below ``parents``.
+def _walk(parent: Perm, blocked: int, d: int, last: int, totals: list[int],
+          rules: _Rules) -> None:
+    """Count the subtree of ``parent``, whose blocked-slot mask is ``blocked``.
 
-    A depth-first walk (``_walk``) that holds one root-to-leaf path.
-    ``_slot_filter`` gives the blocked slots of each starting parent;
-    below them every node gets its mask from its parent: one ``added``
-    list per parent, written by each pattern's closed rule or generated
-    tau'' search, and 2143's shift per child, so no search runs on a
-    child.  The last level is counted as popcounts of free slots: a
-    node two levels above it sums the free slots of its children's
-    masks, so neither the last level nor the one above it is built.
-    Also one process's share of a parallel count.
+    ``totals[d]`` gains the node's children, and ``totals[last]`` is the
+    level counted by popcounts: a node two levels above the last adds
+    its children's free slots from their masks and builds no child.
     """
-    free_slots = _slot_filter(patterns)
-    tables = tuple(
-        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
-        for pattern in patterns if len(pattern) > 1 and pattern != (2, 1, 4, 3)
-    )
-    run_2143 = _increasing_run if (2, 1, 4, 3) in patterns else len
+    n = len(parent)
+    free = ~blocked & ((2 << n) - 1)
+    totals[d] += free.bit_count()
+    if d == last or not free:
+        return
+    masks = _child_masks(parent, blocked, free, rules)
+    if d + 1 == last:
+        totals[last] += (n + 2) * len(masks) - sum(map(int.bit_count, masks))
+        return
+    new_val = n + 1
+    for mask in masks:
+        low = free & -free
+        free ^= low
+        s = low.bit_length() - 1
+        _walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1, last, totals, rules)
+
+
+def _count_subtrees(members: Sequence[Perm], masks: Sequence[int], depth: int,
+                    rules: _Rules) -> list[int]:
+    """How many class members lie 1, ..., ``depth`` levels below ``members``.
+
+    ``masks[i]`` is the blocked-slot mask of ``members[i]``.  A
+    depth-first walk (``_walk``) that holds one root-to-leaf path, so
+    neither the last level nor the one above it is built.  Also one
+    process's share of a parallel count.
+    """
     totals = [0] * depth
     if depth > 0:
-        for parent in parents:
-            _walk(parent, ~free_slots(parent) & ((2 << len(parent)) - 1), 0, depth - 1,
-                  totals, tables, run_2143)
+        for parent, blocked in zip(members, masks):
+            _walk(parent, blocked, 0, depth - 1, totals, rules)
     return totals
+
+
+def _grow(members: Sequence[Perm], masks: Sequence[int], depth: int, rules: _Rules,
+          cap: float = DEFAULT_CAP, last_masks: bool = False
+          ) -> tuple[list[list[Perm]], tuple[list[Perm], list[int]]]:
+    """The next ``depth`` levels below ``members``, each sorted, and the last with its masks.
+
+    ``masks[i]`` is the blocked-slot mask of ``members[i]``.  Each level
+    that is a parent in this call, and the last one if ``last_masks``,
+    gets its members' masks from ``_child_masks``; the masks returned
+    are empty otherwise.  The build stops after the first parent that
+    takes a level past ``cap``, and leaves that level unsorted: over all
+    shares of a parallel build the level is then past the cap too, so it
+    is never used.  Also one process's share of a parallel build.
+    """
+    levels = []
+    for d in range(depth):
+        with_masks = last_masks or d + 1 < depth
+        children: list[Perm] = []
+        child_masks: list[int] = []
+        append = children.append
+        for parent, blocked in zip(members, masks):
+            n = len(parent)
+            free = ~blocked & ((2 << n) - 1)
+            if with_masks and free:
+                child_masks += _child_masks(parent, blocked, free, rules)
+            new_val = n + 1
+            while free:
+                low = free & -free
+                free ^= low
+                s = low.bit_length() - 1
+                append(parent[:s] + (new_val,) + parent[s:])
+            if len(children) > cap:
+                break
+        levels.append(children)
+        if len(children) > cap:
+            break
+        if with_masks:
+            order = sorted(range(len(children)), key=children.__getitem__)
+            children[:] = [children[i] for i in order]
+            child_masks = [child_masks[i] for i in order]
+        else:
+            children.sort()
+        members, masks = children, child_masks
+    return levels, (members, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -689,38 +565,63 @@ def check_parallelism(value: int) -> int:
     return value
 
 
-def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
-                 cap: int = DEFAULT_CAP) -> list[list[Perm]]:
-    """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis).
-
-    With ``parallelism`` p > 1, levels are built in this process until
-    one has at least 4p parents.  Then p - 1 workers are forked once for
-    the whole call, and share i of those parents, every p-th from the
-    i-th, goes to worker i, share 0 to this process.  Each grows its
-    share's subtrees down to ``max_n``, sorting each level it builds.
-    The p sorted runs of each level are merged here, so every level is
-    the same as without workers.
-
-    >>> [len(level) for level in class_levels(PatternBasis([(1, 3, 2)]), 5)]
-    [1, 1, 2, 5, 14, 42]
-    """
+def _checked_patterns(basis: PatternBasis, max_n: int, parallelism: int) -> tuple[Perm, ...]:
+    """The patterns of ``basis``, once the request is valid; raises ``ValueError`` else."""
     check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if len(basis) == 0:
         raise ValueError("basis must be nonempty")
-    patterns = basis.patterns
+    return basis.patterns
+
+
+def _in_shares(fn: Callable, members: list[Perm], masks: list[int],
+               parallelism: int) -> list:
+    """``fn`` of each of ``parallelism`` strided shares of the (member, mask) pairs.
+
+    Share i, the pairs every p-th from the i-th, goes to worker i and
+    share 0 to this process (``_in_workers``); with one share nothing is
+    forked.  Strided, not contiguous: the costly parents come first in
+    lexicographic order.
+    """
+    if parallelism == 1:
+        return [fn((members, masks))]
+    return _in_workers(fn, [(members[i::parallelism], masks[i::parallelism])
+                            for i in range(parallelism)])
+
+
+def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
+                 cap: int = DEFAULT_CAP) -> list[list[Perm]]:
+    """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis).
+
+    The levels are grown breadth-first by ``_grow`` from the top cached
+    level, whose masks are grown again from the root, under no cap since
+    those levels passed theirs when they were built.  With one process
+    ``_grow`` builds every missing level in one call.  With
+    ``parallelism`` p > 1, levels are built here one at a time until one
+    has at least 4p members.  Then p - 1 workers are forked once for the
+    whole call, each process grows one strided share of those members
+    down to ``max_n``, sorting each level it builds, and the p sorted
+    runs of each level are merged here, so every level is the same as
+    without workers.
+
+    >>> [len(level) for level in class_levels(PatternBasis([(1, 3, 2)]), 5)]
+    [1, 1, 2, 5, 14, 42]
+    """
+    patterns = _checked_patterns(basis, max_n, parallelism)
     levels = _LEVELS_CACHE.setdefault(patterns, [[()]])
+    if len(levels) > max_n:
+        return levels[: max_n + 1]
+    rules = _insertion_rules(patterns)
+    members, masks = _grow(*_root(patterns), len(levels) - 1, rules, inf, True)[1]
     while len(levels) <= max_n:
-        parents = levels[-1]
-        if parallelism > 1 and len(parents) >= 4 * parallelism:
-            # strided, not contiguous: the costly parents come first in
-            # lexicographic order
-            depth = max_n + 1 - len(levels)
-            shards = _in_workers(lambda shard: _extend_shard(shard, patterns, depth, cap),
-                                 [parents[i::parallelism] for i in range(parallelism)])
+        depth = max_n + 1 - len(levels)
+        if parallelism == 1 or len(members) >= 4 * parallelism:
+            shards = _in_shares(lambda share: _grow(*share, depth, rules, cap)[0],
+                                members, masks, parallelism)
         else:
-            shards = [_extend_shard(parents, patterns, 1, cap)]
+            part, (members, masks) = _grow(members, masks, 1, rules, cap, True)
+            shards = [part]
         # a shard ends early only at a level past the cap, so zip stops
         # no later than the level that raises
         for parts in zip(*shards):
@@ -743,34 +644,28 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
 
     The class is counted depth-first from the root by
     ``_count_subtrees``, whatever the level cache holds: no level is
-    read, built or cached, and the slot filter's compiled searches run
-    only on the root, since every node below it takes its blocked slots
-    from its parent's mask and ``added`` list.  With ``parallelism``
-    p > 1, levels are first grown here from the root until one has at
-    least 32p parents.  This process and p - 1 forked workers then each
-    count the subtrees of one of p strided shares of them, every p-th
-    parent, and the per-level totals are summed.
+    read, built or cached.  With ``parallelism`` p > 1, levels are first
+    grown here by ``_grow``, with their masks, until one has at least
+    32p members.  This process and p - 1 forked workers then each count
+    the subtrees of one of p strided shares of them, and the per-level
+    totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
     """
-    check_parallelism(parallelism)
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    patterns = basis.patterns
+    patterns = _checked_patterns(basis, max_n, parallelism)
+    rules = _insertion_rules(patterns)
+    members, masks = _root(patterns)
     counts = [1]
-    frontier = [()]
     if parallelism > 1:
-        while len(counts) <= max_n and len(frontier) < 32 * parallelism:
-            frontier = _extend_level(frontier, patterns)
-            counts.append(len(frontier))
+        while len(counts) <= max_n and len(members) < 32 * parallelism:
+            members, masks = _grow(members, masks, 1, rules, last_masks=True)[1]
+            counts.append(len(members))
     depth = max_n + 1 - len(counts)
-    if parallelism > 1 and depth > 0:
-        shards = _in_workers(lambda share: _count_subtrees(share, patterns, depth),
-                             [frontier[i::parallelism] for i in range(parallelism)])
+    if depth > 0:
+        shards = _in_shares(lambda share: _count_subtrees(*share, depth, rules),
+                            members, masks, parallelism)
         counts.extend(sum(totals) for totals in zip(*shards))
-    else:
-        counts.extend(_count_subtrees(frontier, patterns, depth))
     return counts
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import inf
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -246,8 +246,8 @@ def window_sources(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Entry j lies above the largest earlier entry below it (index
     ``lo_of[j]``) and below the smallest earlier entry above it
     (``hi_of[j]``).  With no such entry the index is m = len(pattern)
-    for the lower bound and m + 1 for the upper: a search keeps its
-    chosen values there at 0 and at the host's maximum + 1.
+    for the lower bound and m + 1 for the upper, which a search reads
+    as no bound.
 
     >>> window_sources((2, 4, 1, 3))
     ((4, 0, 4, 0), (5, 5, 0, 1))
@@ -264,110 +264,6 @@ def window_sources(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for j in range(m)
     )
     return lo_of, hi_of
-
-
-def pinned_max_search(pattern: Perm) -> Callable[[Sequence[int], int], int]:
-    """Compile ``pattern`` into a search over all slots of a parent at once.
-
-    Returns ``blocked(parent, slots)``: the subset of the slot bitmask
-    ``slots`` (bit s for 0-based slot s, at most ``len(parent)``) at which
-    :func:`occurs_with_new_max` is true.  The new maximum plays the
-    pattern's maximum, at index q; the other k - 1 entries occur at parent
-    positions i_0 < ... < i_(k-2), and such an occurrence blocks exactly
-    the slots s with i_(q-1) < s <= i_q (taking i_(-1) = -1 and
-    i_(k-1) = len(parent)).  One depth-first search per parent finds, for
-    each occurrence of the entries left of the maximum, the last i_q that
-    completes it, and stops once every slot in ``slots`` is blocked.  The
-    value window at each depth is read from two earlier entries, chosen
-    once when the pattern is compiled.  Its one caller is the slot filter
-    of :mod:`permlab.enumeration`, which serves level builds and the
-    nodes a depth-first count starts from.
-
-    >>> blocked = pinned_max_search((2, 1, 4, 3))
-    >>> [occurs_with_new_max((2, 1, 3, 4), s, (2, 1, 4, 3)) for s in range(5)]
-    [False, False, True, True, False]
-    >>> bin(blocked((2, 1, 3, 4), 0b11111)), bin(blocked((2, 1, 3, 4), 0b00101))
-    ('0b1100', '0b100')
-    """
-    k = len(pattern)
-    if k == 0:
-        return lambda parent, slots: 0
-    if k == 1:
-        return lambda parent, slots: slots & ((2 << len(parent)) - 1)
-    q = pattern.index(k)  # entries before it go left of the slot
-    m = k - 1
-    # chosen[m] stays 0 and chosen[m + 1] holds n + 1: the open bounds
-    lo_of, hi_of = window_sources(pattern[:q] + pattern[q + 1 :])
-    last_idx = m - 1
-
-    def blocked(parent: Sequence[int], slots: int) -> int:
-        n = len(parent)
-        top_slot = n - (m - q)  # room for the entries right of the slot
-        if top_slot < q:
-            return 0
-        wanted = slots & ((2 << top_slot) - (1 << q))
-        if not wanted:
-            return 0
-        todo = wanted
-        chosen = [0] * (m + 2)
-        chosen[m + 1] = n + 1
-
-        def rest(j: int, start: int) -> bool:
-            # any completion of the entries after i_q
-            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
-            for pos in range(start, n - m + j + 1):
-                v = parent[pos]
-                if lo < v < hi:
-                    if j == last_idx:
-                        return True
-                    chosen[j] = v
-                    if rest(j + 1, pos + 1):
-                        return True
-            return False
-
-        def right(a: int) -> bool:
-            # the prefix ends at a: block (a, b] for the last b that
-            # completes it; True once no wanted slot is left
-            nonlocal todo
-            if q == m:
-                todo &= (1 << (a + 1)) - 1
-                return not todo
-            lo, hi = chosen[lo_of[q]], chosen[hi_of[q]]
-            low = 1 << (a + 1)
-            for b in range(top_slot, a, -1):
-                window = todo & ((2 << b) - low)
-                if not window:
-                    return False
-                v = parent[b]
-                if lo < v < hi:
-                    chosen[q] = v
-                    if q == last_idx or rest(q + 1, b + 1):
-                        todo ^= window
-                        return not todo
-            return False
-
-        def left(j: int, start: int) -> bool:
-            lo, hi = chosen[lo_of[j]], chosen[hi_of[j]]
-            # i_j must leave q - j - 1 entries and a wanted slot after it
-            last = todo.bit_length() - 1 - q + j
-            pos = start
-            while pos <= last:
-                v = parent[pos]
-                if lo < v < hi:
-                    chosen[j] = v
-                    if right(pos) if j == q - 1 else left(j + 1, pos + 1):
-                        return True
-                    last = todo.bit_length() - 1 - q + j
-                pos += 1
-            return False
-
-        if q:
-            left(0, 0)
-        else:
-            right(-1)
-        return wanted ^ todo
-
-    return blocked
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 Everything here is deliberately naive (subsequence scans over
 itertools.combinations, full S_n filters, every component of a sum or
-skew sum, every cut set of a deflation) so that it cannot share a bug
-with the pruned search paths it is used to check.  ``count_pools``
-records the worker groups a call starts.
+skew sum, every cut set of a deflation, one occurrence search per slot)
+so that it cannot share a bug with the pruned search paths it is used
+to check.  ``count_pools`` records the worker groups a call starts.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from permlab.perms import Perm, is_simple, standardize
+from permlab.perms import Perm, is_simple, occurs_with_new_max, standardize
 
 
 def brute_contains(host: Perm, pattern: Perm) -> bool:
@@ -34,6 +34,19 @@ def all_perms(n: int):
 
 def brute_class(patterns, n: int) -> list[Perm]:
     return sorted(p for p in all_perms(n) if brute_avoids_all(p, patterns))
+
+
+def brute_free_slots(parent: Perm, patterns) -> int:
+    """The slots of ``parent`` where a new maximum completes none of ``patterns``.
+
+    Bit s is set when no pattern occurs through the new maximum inserted
+    at slot s: one ``occurs_with_new_max`` per slot and pattern, exact
+    for any parent.
+    """
+    return sum(
+        1 << s for s in range(len(parent) + 1)
+        if not any(occurs_with_new_max(parent, s, p) for p in patterns)
+    )
 
 
 def brute_length3_patterns(host) -> set[Perm]:

@@ -1,12 +1,15 @@
 """Keep the docstring examples executable and the README's commands parseable."""
 
 import doctest
+import re
 import shlex
 from pathlib import Path
 
+import permlab.cli
 import permlab.enumeration
 import permlab.perms
 import permlab.series
+import permlab.verification
 from permlab.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +42,19 @@ def test_readme_command_lines_parse():
     parser = _build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_module_names_resolve():
+    """Every backticked ``module.name`` in the README names something in that module."""
+    modules = {name: getattr(permlab, name)
+               for name in ("perms", "enumeration", "series", "verification", "cli")}
+    text = README.read_text(encoding="utf-8")
+    found = re.findall(r"`(perms|enumeration|series|verification|cli)((?:\.\w+)+)", text)
+    assert found
+    for module, path in found:
+        if path == ".py":
+            continue  # a file name
+        target = modules[module]
+        for attr in path[1:].split("."):
+            assert hasattr(target, attr), f"README names {module}{path}, which does not exist"
+            target = getattr(target, attr)

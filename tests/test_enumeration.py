@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_class, count_pools
+from helpers import brute_class, brute_free_slots, count_pools
 from permlab import enumeration
 from permlab.enumeration import (
     CapacityError,
@@ -26,18 +26,18 @@ from permlab.enumeration import (
     enumerate_simples,
     refined_count,
     simples_by_insertion,
-    _BLOCKED_SLOTS,
     _NEW_SLOT_RULES,
+    _child_masks,
     _count_subtrees,
-    _extend_level,
+    _grow,
     _increasing_run,
+    _insertion_rules,
     _new_slot_search,
-    _slot_filter,
+    _root,
 )
 from permlab.perms import (
     avoids_all,
     is_simple,
-    occurs_with_new_max,
     parse_permutation,
     standardize,
 )
@@ -50,6 +50,19 @@ A033321 = [1, 1, 2, 6, 21, 79, 311, 1265, 5275, 22431, 96900]
 NEAR_MISS = [1, 1, 2, 6, 22, 90, 395, 1823]
 
 SCHRODER_TAUS = ["254613", "524361", "546132", "263514"]
+
+
+def _generic_levels(patterns, max_n):
+    """The oracle for the inherited masks: levels grown slot by slot, each sorted."""
+    levels = [[()]]
+    for n in range(max_n):
+        free = [brute_free_slots(parent, patterns) for parent in levels[-1]]
+        levels.append(sorted(
+            parent[:s] + (n + 1,) + parent[s:]
+            for parent, slots in zip(levels[-1], free)
+            for s in range(n + 1) if slots >> s & 1
+        ))
+    return levels
 
 
 class TestBasis:
@@ -142,12 +155,11 @@ class TestEnumerate:
                  *(f"2143,3142,{t}" for t in SCHRODER_TAUS)]
         for text in bases:
             basis = PatternBasis.from_text(text)
-            level = [()]
-            for n in range(1, 8):
-                fast = _extend_level(level, basis.patterns)
-                slow = _extend_level(level, basis.patterns, generic_only=True)
-                assert fast == slow, (text, n)
-                level = fast
+            enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+            fast = class_levels(basis, 7)
+            slow = _generic_levels(basis.patterns, 7)
+            for n in range(8):
+                assert fast[n] == slow[n], (text, n)
 
     def test_parallel_matches_sequential(self):
         from permlab import enumeration
@@ -212,6 +224,31 @@ class TestEnumerate:
         # cap, and the partial level never entered the cache
         assert 100 < exc.value.size <= 100 + n
         assert len(enumeration._LEVELS_CACHE[basis.patterns]) == n
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_capacity_error_continuing_a_level_past_the_cap(self, parallelism):
+        from permlab import enumeration
+
+        # the cached levels 0-6 (719 members at n = 6) are served as they
+        # are under a smaller cap, and a continuation checks the cap on
+        # the new level 7 only
+        basis = PatternBasis.from_text("654321")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        complete = class_levels(basis, 6)
+        assert class_levels(basis, 6, cap=500) == complete
+        with pytest.raises(CapacityError) as exc:
+            class_levels(basis, 8, parallelism=parallelism, cap=500)
+        assert exc.value.n == 7
+        assert 500 < exc.value.size <= parallelism * (500 + 7)
+        assert enumeration._LEVELS_CACHE[basis.patterns] == complete
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        # Erdos-Szekeres: level 10 of this class is empty, so it passes a
+        # cap that its cached levels 8 and 9 (1764 members each) do not
+        basis = PatternBasis.from_text("1234,4321")
+        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
+        class_levels(basis, 9)
+        assert class_levels(basis, 10, parallelism=parallelism, cap=1000)[10] == []
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
 
     def test_capacity_error_parallel(self):
@@ -340,24 +377,11 @@ class TestInWorkers:
             enumeration._in_workers(_share_or_fail, [1, "die", "raise"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))))
-def test_blocked_slot_masks_match_pinned_search(parent_list):
-    # exact for any parent, not only for members of the class
-    parent = tuple(parent_list)
-    for pattern, blocked_slots in _BLOCKED_SLOTS.items():
-        mask = blocked_slots(parent)
-        assert mask >> (len(parent) + 1) == 0
-        for slot in range(len(parent) + 1):
-            assert bool(mask >> slot & 1) == occurs_with_new_max(parent, slot, pattern), (
-                pattern, parent, slot)
-
-
-# half the draws are a pattern with its own blocked-slot rule; a random
-# length-4 pattern alone would be 2143 only one time in 24
+# half the draws are a pattern the paper's classes use, three of them
+# with their own rule; a random length-4 pattern alone would be 2143 only
+# one time in 24
 PATTERNS = st.one_of(
-    st.sampled_from(sorted(_BLOCKED_SLOTS)),
+    st.sampled_from([(1, 3, 2), (2, 1, 4, 3), (3, 1, 4, 2), (4, 1, 3, 2)]),
     st.integers(1, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1)))),
 ).map(tuple)
 BASES = st.lists(PATTERNS, min_size=1, max_size=3).map(PatternBasis)
@@ -376,31 +400,20 @@ def _with_free_slots(parents):
 def test_children_inherit_exact_masks(basis, parent_list):
     # exact for any parent, so the parent need not avoid the basis
     parent = tuple(parent_list)
-    free_slots = _slot_filter(basis.patterns)
     n = len(parent)
-    free = free_slots(parent)
-    got = []
-    walk = enumeration._walk
-
-    def record(child, mask, d, *context):
-        # the walk recurses through the module name: run the starting
-        # node, and record each child it hands a mask
-        if d:
-            got.append((child, mask))
-        else:
-            walk(child, mask, d, *context)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_walk", record)
-        _count_subtrees([parent], basis.patterns, 3)
-    slots = [s for s in range(n + 1) if free >> s & 1]
-    assert [child for child, _ in got] == [parent[:s] + (n + 1,) + parent[s:] for s in slots]
-    for child, mask in got:
-        assert mask == ~free_slots(child) & ((4 << n) - 1), (basis, child)
+    rules = _insertion_rules(basis.patterns)
+    free = brute_free_slots(parent, basis.patterns)
+    blocked = ~free & ((2 << n) - 1)
+    children = [parent[:s] + (n + 1,) + parent[s:] for s in range(n + 1) if free >> s & 1]
+    masks = _child_masks(parent, blocked, free, rules)
+    assert len(masks) == len(children)
+    child_free = [brute_free_slots(child, basis.patterns) for child in children]
+    for child, mask, slots in zip(children, masks, child_free):
+        assert mask == ~slots & ((4 << n) - 1), (basis, child)
     # the node above the last level adds its children's free slots from
     # the same masks
-    assert _count_subtrees([parent], basis.patterns, 2) == [
-        len(slots), sum(free_slots(child).bit_count() for child, _ in got)]
+    assert _count_subtrees([parent], [blocked], 2, rules) == [
+        len(children), sum(slots.bit_count() for slots in child_free)]
 
 
 def _new_slots_by_brute_force(pattern, parent, free):
@@ -478,6 +491,52 @@ def test_long_pattern_counts(parallelism):
     assert count_class(basis, 6, parallelism=parallelism) == [1, 1, 2, 6, 24, 120, 720]
 
 
+@settings(max_examples=100, deadline=None)
+@given(BASES, st.integers(0, 7), st.integers(0, 7))
+@example(PatternBasis([(1,)]), 7, 0)  # only the root's mask holds the pattern 1
+@example(PatternBasis([(1, 2)]), 7, 3)
+@example(PatternBasis([(2, 1)]), 7, 5)
+@example(PatternBasis([LONG_PATTERNS[3]]), 7, 4)  # all of S_n; two workers grow levels 5-7
+def test_levels_match_generic_levels(basis, max_n, warm_n):
+    # cold, below a cached prefix of any length, and with two workers;
+    # each member's carried mask is its blocked slots
+    patterns = basis.patterns
+    want = _generic_levels(patterns, max_n)
+    cache = enumeration._LEVELS_CACHE
+    cache.pop(patterns, None)
+    try:
+        assert class_levels(basis, max_n) == want
+        cache.pop(patterns)
+        class_levels(basis, warm_n)
+        assert class_levels(basis, max_n) == want
+        cache.pop(patterns)
+        assert class_levels(basis, max_n, parallelism=2) == want
+        members, masks = _grow(*_root(patterns), max_n, _insertion_rules(patterns),
+                               last_masks=True)[1]
+        assert members == want[max_n]
+        assert masks == [~brute_free_slots(p, patterns) & ((2 << max_n) - 1) for p in members]
+    finally:
+        cache.pop(patterns, None)
+
+
+def test_empty_basis_rejected_before_any_work(monkeypatch):
+    def no_rules(patterns):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(enumeration, "_insertion_rules", no_rules)
+    basis = PatternBasis([])
+    calls = [
+        lambda: count_class(basis, 4),
+        lambda: count_class(basis, 4, parallelism=2),
+        lambda: class_levels(basis, 4),
+        lambda: refined_count(basis, 4, ["bond"]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="basis must be nonempty"):
+            call()
+    assert () not in enumeration._LEVELS_CACHE
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([*sorted(_NEW_SLOT_RULES), (2, 1, 4, 3)]), _with_free_slots(PARENTS))
 def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
@@ -494,38 +553,6 @@ def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
     for s in range(len(parent) + 1):
         if free >> s & 1:
             assert rule[s] == generic[s], (pattern, parent, s)
-
-
-def test_count_searches_only_its_starting_nodes(monkeypatch):
-    # a count starts from the root, whatever levels the cache holds, and
-    # below it every mask comes from the parent's tables
-    calls = []
-    real_search = enumeration.pinned_max_search
-
-    def counting_search(pattern):
-        search = real_search(pattern)
-
-        def counted(parent, slots):
-            calls.append(parent)
-            return search(parent, slots)
-
-        return counted
-
-    monkeypatch.setattr(enumeration, "pinned_max_search", counting_search)
-    real_4132 = _BLOCKED_SLOTS[(4, 1, 3, 2)]
-    monkeypatch.setitem(_BLOCKED_SLOTS, (4, 1, 3, 2),
-                        lambda parent: calls.append(parent) or real_4132(parent))
-    for text, want in [("2143,3142,254613", SCHRODER[:9]), ("2143,3142,4132", A033321[:9])]:
-        basis = PatternBasis.from_text(text)
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        calls.clear()
-        assert count_class(basis, 8) == want
-        assert calls == [()]
-        class_levels(basis, 4)
-        calls.clear()
-        assert count_class(basis, 8) == want
-        assert calls == [()]
-        enumeration._LEVELS_CACHE.pop(basis.patterns)
 
 
 def _level_sizes(basis, max_n):
@@ -581,12 +608,7 @@ def test_count_reads_and_changes_no_cached_level(text):
 
 
 def _generic_level_sizes(basis, max_n):
-    """The oracle for the inherited masks: levels grown slot by slot."""
-    level, sizes = [()], [1]
-    for _ in range(max_n):
-        level = _extend_level(level, basis.patterns, generic_only=True)
-        sizes.append(len(level))
-    return sizes
+    return [len(level) for level in _generic_levels(basis.patterns, max_n)]
 
 
 @pytest.mark.parametrize("text", [

@@ -45,7 +45,6 @@ from permlab.perms import (
     parse_permutation,
     perm,
     perm_to_text,
-    pinned_max_search,
     skew_sum,
     standardize,
     strip_leading_maxima,
@@ -174,49 +173,6 @@ class TestContains:
                         assert occurs_with_new_max(parent, slot, pat) == brute_contains(
                             child, pat
                         ), (parent, slot, pat)
-
-
-def _pattern_with_max_at(rest: list[int], q: int) -> tuple[int, ...]:
-    return tuple(rest[:q]) + (len(rest) + 1,) + tuple(rest[q:])
-
-
-def _per_slot_mask(pattern, parent, slots):
-    return sum(
-        1 << s for s in range(len(parent) + 1)
-        if slots >> s & 1 and occurs_with_new_max(parent, s, pattern)
-    )
-
-
-# a pattern of length 1-7 with its maximum at any position, a parent of
-# length 0-10 and any mask of its slots
-_patterns = st.integers(0, 6).flatmap(
-    lambda m: st.builds(_pattern_with_max_at,
-                        st.permutations(list(range(1, m + 1))), st.integers(0, m)))
-_parents_and_slots = st.integers(0, 10).flatmap(
-    lambda n: st.tuples(st.permutations(list(range(1, n + 1))),
-                        st.integers(0, (2 << n) - 1)))
-
-
-@settings(max_examples=500, deadline=None)
-@given(_patterns, _parents_and_slots)
-def test_pinned_max_search_matches_per_slot_search(pattern, parent_and_slots):
-    # exact for any parent, not only for avoiders of the pattern
-    parent_list, slots = parent_and_slots
-    parent = tuple(parent_list)
-    want = _per_slot_mask(pattern, parent, slots)
-    assert pinned_max_search(pattern)(parent, slots) == want
-
-
-def test_pinned_max_search_exhaustive_small():
-    # every pattern up to length 4 on every parent up to length 5, all slots
-    for k in range(1, 5):
-        for pattern in all_perms(k):
-            search = pinned_max_search(pattern)
-            for n in range(6):
-                full = (2 << n) - 1
-                for parent in all_perms(n):
-                    want = _per_slot_mask(pattern, parent, full)
-                    assert search(parent, full) == want, (pattern, parent)
 
 
 class TestStatistics:
