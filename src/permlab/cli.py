@@ -1,8 +1,8 @@
 """Command-line front end: counting, enumeration, statistics, series, verification.
 
 Exit codes: 0 success, 1 verification or capacity failure, 2 usage error.
-All output is deterministic for fixed flags, including with
-``--parallelism`` above 1 (at most ``os.cpu_count()``).
+All output is deterministic for fixed flags, worker processes included:
+only ``count`` starts them, at most ``os.cpu_count()`` in all.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     basis = PatternBasis.from_text(args.basis)
-    levels = class_levels(basis, args.max_n, parallelism=args.parallelism)
+    levels = class_levels(basis, args.max_n)
     rows = [(n, perm_to_text(p)) for n, lv in enumerate(levels) for p in lv]
     _print_rows(rows, ["n", "perm"], args.format)
     return OK
@@ -91,9 +91,7 @@ def cmd_enumerate(args) -> int:
 def cmd_stat(args) -> int:
     basis = PatternBasis.from_text(args.basis)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-    table = refined_count(
-        basis, args.max_n, stats, args.filter, parallelism=args.parallelism
-    )
+    table = refined_count(basis, args.max_n, stats, args.filter)
     if args.format == "json":
         print(table.to_json())
     else:
@@ -108,10 +106,7 @@ def cmd_stat(args) -> int:
 def cmd_simples(args) -> int:
     basis = PatternBasis.from_text(args.basis)
     # longest first: that call builds and caches every shorter level
-    simples = {
-        n: enumerate_simples(basis, n, parallelism=args.parallelism)
-        for n in range(args.max_n, -1, -1)
-    }
+    simples = {n: enumerate_simples(basis, n) for n in range(args.max_n, -1, -1)}
     rows = [(n, perm_to_text(p)) for n in range(args.max_n + 1) for p in simples[n]]
     _print_rows(rows, ["n", "perm"], args.format)
     return OK
@@ -171,17 +166,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, basis=True):
-        if basis:
-            p.add_argument("--basis", required=True,
-                           help="comma-separated digit-string patterns, e.g. 2143,3142")
+    def common(p):
+        p.add_argument("--basis", required=True,
+                       help="comma-separated digit-string patterns, e.g. 2143,3142")
         p.add_argument("--max-n", type=_non_negative, default=8)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        p.add_argument("--parallelism", type=_parallelism, default=1,
-                       help="worker processes, 1..CPU count (default 1)")
 
     p_count = sub.add_parser("count", help="count a class by length")
     common(p_count)
+    p_count.add_argument("--parallelism", type=_parallelism, default=1,
+                         help="worker processes, 1..CPU count (default 1)")
     p_count.set_defaults(fn=cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list class members by length")
@@ -208,10 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ser.set_defaults(fn=cmd_series)
 
     p_ver = sub.add_parser("verify", help="run structural checks and identities")
-    p_ver.add_argument("--all", action="store_true",
-                       help="run the whole registry (default when no --id)")
-    p_ver.add_argument("--id", default=None, help="run a single check by id")
-    p_ver.add_argument("--list-ids", action="store_true")
+    only = p_ver.add_mutually_exclusive_group()
+    only.add_argument("--all", action="store_true",
+                      help="run the whole registry (default when no --id)")
+    only.add_argument("--id", default=None, help="run a single check by id")
+    only.add_argument("--list-ids", action="store_true")
     p_ver.add_argument("--max-n", type=_non_negative, default=8)
     p_ver.add_argument("--order", type=_non_negative, default=12)
     p_ver.add_argument("--count-n", type=_non_negative, default=10)

@@ -27,12 +27,11 @@ insertion tree depth-first from the root (``_walk``) and counts each
 node's children as the popcount of its free slots, so the last two
 levels are never built.
 
-With p processes, both grow levels here until one is large enough, then
-fork p - 1 workers once per call (``_in_workers``).  Each of the p
-processes, the caller included, takes every p-th (member, mask) pair of
-that level: a level build grows its share down to the requested length
-and the sorted runs are merged level by level; a count sums the
-per-level totals of the shares' subtrees.
+Level builds run in one process.  With p processes, ``count_class``
+grows levels here until one is large enough, then forks p - 1 workers
+once per call (``_in_workers``).  Each of the p processes, the caller
+included, counts the subtrees of every p-th (member, mask) pair of that
+level, and the per-level totals are summed.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from math import inf
 from typing import Callable, Iterable, Sequence
 
@@ -429,9 +427,8 @@ def _grow(members: Sequence[Perm], masks: Sequence[int], depth: int, rules: _Rul
     that is a parent in this call, and the last one if ``last_masks``,
     gets its members' masks from ``_child_masks``; the masks returned
     are empty otherwise.  The build stops after the first parent that
-    takes a level past ``cap``, and leaves that level unsorted: over all
-    shares of a parallel build the level is then past the cap too, so it
-    is never used.  Also one process's share of a parallel build.
+    takes a level past ``cap``, and leaves that level unsorted: the
+    caller raises on it, so it is never used.
     """
     levels = []
     for d in range(depth):
@@ -565,9 +562,8 @@ def check_parallelism(value: int) -> int:
     return value
 
 
-def _checked_patterns(basis: PatternBasis, max_n: int, parallelism: int) -> tuple[Perm, ...]:
+def _checked_patterns(basis: PatternBasis, max_n: int) -> tuple[Perm, ...]:
     """The patterns of ``basis``, once the request is valid; raises ``ValueError`` else."""
-    check_parallelism(parallelism)
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if len(basis) == 0:
@@ -575,68 +571,35 @@ def _checked_patterns(basis: PatternBasis, max_n: int, parallelism: int) -> tupl
     return basis.patterns
 
 
-def _in_shares(fn: Callable, members: list[Perm], masks: list[int],
-               parallelism: int) -> list:
-    """``fn`` of each of ``parallelism`` strided shares of the (member, mask) pairs.
-
-    Share i, the pairs every p-th from the i-th, goes to worker i and
-    share 0 to this process (``_in_workers``); with one share nothing is
-    forked.  Strided, not contiguous: the costly parents come first in
-    lexicographic order.
-    """
-    if parallelism == 1:
-        return [fn((members, masks))]
-    return _in_workers(fn, [(members[i::parallelism], masks[i::parallelism])
-                            for i in range(parallelism)])
-
-
-def class_levels(basis: PatternBasis, max_n: int, *, parallelism: int = 1,
+def class_levels(basis: PatternBasis, max_n: int, *,
                  cap: int = DEFAULT_CAP) -> list[list[Perm]]:
     """Av_0(basis) .. Av_max_n(basis) as sorted lists (cached per basis).
 
-    The levels are grown breadth-first by ``_grow`` from the top cached
-    level, whose masks are grown again from the root, under no cap since
-    those levels passed theirs when they were built.  With one process
-    ``_grow`` builds every missing level in one call.  With
-    ``parallelism`` p > 1, levels are built here one at a time until one
-    has at least 4p members.  Then p - 1 workers are forked once for the
-    whole call, each process grows one strided share of those members
-    down to ``max_n``, sorting each level it builds, and the p sorted
-    runs of each level are merged here, so every level is the same as
-    without workers.
+    Every missing level comes from one ``_grow`` call in this process,
+    from the top cached level, whose masks are grown again from the
+    root under no cap since those levels passed theirs when they were
+    built.  Each new level is checked against ``cap`` before it is
+    cached.
 
     >>> [len(level) for level in class_levels(PatternBasis([(1, 3, 2)]), 5)]
     [1, 1, 2, 5, 14, 42]
     """
-    patterns = _checked_patterns(basis, max_n, parallelism)
+    patterns = _checked_patterns(basis, max_n)
     levels = _LEVELS_CACHE.setdefault(patterns, [[()]])
     if len(levels) > max_n:
         return levels[: max_n + 1]
     rules = _insertion_rules(patterns)
     members, masks = _grow(*_root(patterns), len(levels) - 1, rules, inf, True)[1]
-    while len(levels) <= max_n:
-        depth = max_n + 1 - len(levels)
-        if parallelism == 1 or len(members) >= 4 * parallelism:
-            shards = _in_shares(lambda share: _grow(*share, depth, rules, cap)[0],
-                                members, masks, parallelism)
-        else:
-            part, (members, masks) = _grow(members, masks, 1, rules, cap, True)
-            shards = [part]
-        # a shard ends early only at a level past the cap, so zip stops
-        # no later than the level that raises
-        for parts in zip(*shards):
-            size = sum(len(part) for part in parts)
-            if size > cap:
-                raise CapacityError(len(levels), size, cap)
-            # each part is sorted; timsort merges the runs
-            levels.append(parts[0] if len(parts) == 1 else sorted(chain.from_iterable(parts)))
+    for level in _grow(members, masks, max_n + 1 - len(levels), rules, cap)[0]:
+        if len(level) > cap:
+            raise CapacityError(len(levels), len(level), cap)
+        levels.append(level)
     return levels[: max_n + 1]
 
 
-def enumerate_class(basis: PatternBasis, n: int, *, parallelism: int = 1,
-                    cap: int = DEFAULT_CAP) -> list[Perm]:
+def enumerate_class(basis: PatternBasis, n: int) -> list[Perm]:
     """Exactly Av_n(basis) in lexicographic order."""
-    return class_levels(basis, n, parallelism=parallelism, cap=cap)[n]
+    return class_levels(basis, n)[n]
 
 
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> list[int]:
@@ -646,14 +609,15 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
     ``_count_subtrees``, whatever the level cache holds: no level is
     read, built or cached.  With ``parallelism`` p > 1, levels are first
     grown here by ``_grow``, with their masks, until one has at least
-    32p members.  This process and p - 1 forked workers then each count
-    the subtrees of one of p strided shares of them, and the per-level
-    totals are summed.
+    32p members.  This process and p - 1 forked workers
+    (``_in_workers``) then each count the subtrees of one of p strided
+    shares of them, and the per-level totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
     """
-    patterns = _checked_patterns(basis, max_n, parallelism)
+    check_parallelism(parallelism)
+    patterns = _checked_patterns(basis, max_n)
     rules = _insertion_rules(patterns)
     members, masks = _root(patterns)
     counts = [1]
@@ -663,8 +627,14 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
             counts.append(len(members))
     depth = max_n + 1 - len(counts)
     if depth > 0:
-        shards = _in_shares(lambda share: _count_subtrees(*share, depth, rules),
-                            members, masks, parallelism)
+        if parallelism == 1:
+            shards = [_count_subtrees(members, masks, depth, rules)]
+        else:
+            # share i holds every p-th pair from the i-th: strided, not
+            # contiguous, since the costly parents come first in lexicographic order
+            shards = _in_workers(lambda share: _count_subtrees(*share, depth, rules),
+                                 [(members[i::parallelism], masks[i::parallelism])
+                                  for i in range(parallelism)])
         counts.extend(sum(totals) for totals in zip(*shards))
     return counts
 
@@ -730,7 +700,7 @@ class RefinedCountTable:
 
 
 def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
-                  filter_id: str = "none", *, parallelism: int = 1) -> RefinedCountTable:
+                  filter_id: str = "none") -> RefinedCountTable:
     """Count class members by length and the named statistics.
 
     Statistics come from the closed registry {leading-maxima, bond,
@@ -747,7 +717,7 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
     keep = FILTERS[filter_id]
     table = RefinedCountTable(basis, max_n, tuple(stats), filter_id)
     counts = table.counts
-    for n, level in enumerate(class_levels(basis, max_n, parallelism=parallelism)):
+    for n, level in enumerate(class_levels(basis, max_n)):
         for p in level:
             if keep(p):
                 key = (n, tuple(fn(p) for fn in fns))
@@ -759,10 +729,9 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
 # simple permutations
 
 
-def enumerate_simples(basis: PatternBasis, n: int, *,
-                      parallelism: int = 1) -> list[Perm]:
+def enumerate_simples(basis: PatternBasis, n: int) -> list[Perm]:
     """The simple members of Av_n(basis), sorted."""
-    return [p for p in enumerate_class(basis, n, parallelism=parallelism) if is_simple(p)]
+    return [p for p in enumerate_class(basis, n) if is_simple(p)]
 
 
 def simples_by_insertion(n: int) -> list[Perm]:

@@ -632,13 +632,13 @@ DEFAULT_COUNT_TARGETS: list[tuple[PatternBasis, str]] = [
 
 
 def check_cross_counts(max_n: int = 10,
-                       targets: Sequence[tuple[PatternBasis, str]] | None = None,
-                       *, parallelism: int = 1) -> VerificationReport:
+                       targets: Sequence[tuple[PatternBasis, str]] | None = None
+                       ) -> VerificationReport:
     """Class counts match their closed-form series coefficient by coefficient."""
     started = time.perf_counter()
     witnesses: list[tuple[Perm, str]] = []
     for basis, series_name in (targets if targets is not None else DEFAULT_COUNT_TARGETS):
-        counts = count_class(basis, max_n, parallelism=parallelism)
+        counts = count_class(basis, max_n)
         coeffs = named_series(series_name, max_n).x_coefficients()
         for n, (got, want) in enumerate(zip(counts, coeffs)):
             if got != want:

@@ -51,19 +51,6 @@ class TestCount:
         assert code == 2
         assert "digit string" in err
 
-    def test_parallel_output_identical(self, capsys):
-        code1, out1, _ = run(capsys, "enumerate", "--basis", "2413,3142",
-                             "--max-n", "6")
-        from permlab import enumeration
-
-        enumeration._LEVELS_CACHE.pop(
-            enumeration.PatternBasis.from_text("2413,3142").patterns, None
-        )
-        code2, out2, _ = run(capsys, "enumerate", "--basis", "2413,3142",
-                             "--max-n", "6", "--parallelism", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
     @pytest.mark.parametrize("value", ["0", "-1", str((os.cpu_count() or 1) + 1)])
     def test_parallelism_out_of_range_rejected_at_parse_time(
         self, capsys, monkeypatch, value
@@ -120,6 +107,24 @@ class TestCount:
         assert out.out == ""
         assert "unrecognized arguments: --cache-dir" in out.err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--basis", "132", "--max-n", "9"],
+        ["stat", "--basis", "132", "--max-n", "9", "--stats", "bond"],
+        ["simples", "--basis", "132", "--max-n", "9"],
+    ], ids=lambda argv: argv[0])
+    def test_parallelism_is_an_option_of_count_only(self, capsys, argv):
+        from permlab import enumeration
+
+        cache = enumeration._LEVELS_CACHE
+        before = {key: [level[:] for level in levels] for key, levels in cache.items()}
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--parallelism", "2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --parallelism 2" in out.err
+        assert cache == before
+
 
 class TestEnumerateAndSimples:
     def test_enumerate(self, capsys):
@@ -134,21 +139,6 @@ class TestEnumerateAndSimples:
         assert out.strip().splitlines() == [
             "n,perm", "0,", "1,1", "2,12", "2,21", "4,2413",
         ]
-
-    def test_simples_parallel_output_identical(self, capsys, monkeypatch):
-        from helpers import count_pools
-        from permlab import enumeration
-
-        argv = ["simples", "--basis", "2143,3142,4132", "--max-n", "8"]
-        patterns = enumeration.PatternBasis.from_text("2143,3142,4132").patterns
-        enumeration._LEVELS_CACHE.pop(patterns, None)
-        code1, out1, _ = run(capsys, *argv)
-        enumeration._LEVELS_CACHE.pop(patterns, None)
-        started = count_pools(monkeypatch)
-        code2, out2, _ = run(capsys, *argv, "--parallelism", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert started == [2]
 
     def test_simples_negative_max_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +208,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--list-ids")
         assert code == 0
         assert "rebuild-254613" in out.split()
+
+    @pytest.mark.parametrize("argv", [
+        ["--all", "--id", "top-values"],
+        ["--list-ids", "--id", "top-values"],
+        ["--all", "--list-ids"],
+    ], ids=["all+id", "list-ids+id", "all+list-ids"])
+    def test_conflicting_modes_are_usage_error(self, capsys, monkeypatch, argv):
+        from permlab import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("run_check", "run_all", "check_ids"):
+            monkeypatch.setattr(cli, name, no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
 
     def test_all_small_budget(self, capsys):
         code, out, _ = run(capsys, "verify", "--all", "--max-n", "4",

@@ -161,48 +161,6 @@ class TestEnumerate:
             for n in range(8):
                 assert fast[n] == slow[n], (text, n)
 
-    def test_parallel_matches_sequential(self):
-        from permlab import enumeration
-
-        # Erdos-Szekeres: every permutation of length 10 has 1234 or 4321,
-        # so the shards of that class run into empty levels
-        for text, max_n in [("2413,3142", 8), ("2143,3142,263514", 8), ("1234,4321", 11)]:
-            basis = PatternBasis.from_text(text)
-            enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-            seq = class_levels(basis, max_n)
-            enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-            par = class_levels(basis, max_n, parallelism=2)
-            # levels 5 and up are built from at least 8 parents, so by the workers
-            assert len(par) == len(seq) == max_n + 1, text
-            for n, (got, want) in enumerate(zip(par, seq)):
-                assert got == want, (text, n)
-        assert par[10] == par[11] == []
-
-    def test_parallel_continues_cached_serial_prefix(self):
-        from permlab import enumeration
-
-        basis = PatternBasis.from_text("2143,3142,263514")
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        seq = class_levels(basis, 8)
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        class_levels(basis, 5)
-        par = class_levels(basis, 8, parallelism=2)
-        assert len(par) == len(seq)
-        for n, (got, want) in enumerate(zip(par, seq)):
-            assert got == want, n
-
-    def test_one_pool_per_parallel_call(self, monkeypatch):
-        from permlab import enumeration
-
-        started = count_pools(monkeypatch)
-        basis = PatternBasis.from_text("2143,3142,254613")
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        levels = class_levels(basis, 9, parallelism=2)
-        assert [len(level) for level in levels] == SCHRODER[:10]
-        assert started == [2]
-        class_levels(basis, 9, parallelism=2)  # served from the cache
-        assert started == [2]
-
     def test_one_pool_per_parallel_count(self, monkeypatch):
         started = count_pools(monkeypatch)
         basis = PatternBasis.from_text("2143,3142,254613")
@@ -226,8 +184,7 @@ class TestEnumerate:
         assert len(enumeration._LEVELS_CACHE[basis.patterns]) == n
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_capacity_error_continuing_a_level_past_the_cap(self, parallelism):
+    def test_capacity_error_continuing_a_level_past_the_cap(self):
         from permlab import enumeration
 
         # the cached levels 0-6 (719 members at n = 6) are served as they
@@ -238,9 +195,9 @@ class TestEnumerate:
         complete = class_levels(basis, 6)
         assert class_levels(basis, 6, cap=500) == complete
         with pytest.raises(CapacityError) as exc:
-            class_levels(basis, 8, parallelism=parallelism, cap=500)
+            class_levels(basis, 8, cap=500)
         assert exc.value.n == 7
-        assert 500 < exc.value.size <= parallelism * (500 + 7)
+        assert 500 < exc.value.size <= 500 + 7
         assert enumeration._LEVELS_CACHE[basis.patterns] == complete
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
         # Erdos-Szekeres: level 10 of this class is empty, so it passes a
@@ -248,39 +205,7 @@ class TestEnumerate:
         basis = PatternBasis.from_text("1234,4321")
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
         class_levels(basis, 9)
-        assert class_levels(basis, 10, parallelism=parallelism, cap=1000)[10] == []
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-
-    def test_capacity_error_parallel(self):
-        from permlab import enumeration
-
-        basis = PatternBasis.from_text("654321")
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        with pytest.raises(CapacityError) as exc:
-            class_levels(basis, 6, parallelism=2, cap=50)
-        # 24 parents in two chunks; each chunk stops once it passes the cap
-        assert exc.value.n == 5
-        assert 50 < exc.value.size <= 2 * (50 + 5)
-        assert len(enumeration._LEVELS_CACHE[basis.patterns]) == 5
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-
-    @pytest.mark.parametrize("cap, n", [(100, 5), (500, 6)])
-    def test_capacity_error_across_shards(self, cap, n):
-        from permlab import enumeration
-
-        # the 24 parents of length 4 go to two shards of 12.  With cap 100
-        # each shard's level 5 (60) stays under the cap but the sum (120)
-        # does not; with cap 500 the same happens one level deeper (719)
-        basis = PatternBasis.from_text("654321")
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        complete = class_levels(basis, n - 1)
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        with pytest.raises(CapacityError) as exc:
-            class_levels(basis, 8, parallelism=2, cap=cap)
-        assert exc.value.n == n
-        assert cap < exc.value.size <= 2 * (cap + n)
-        # no partial or deeper level entered the cache
-        assert enumeration._LEVELS_CACHE[basis.patterns] == complete
+        assert class_levels(basis, 10, cap=1000)[10] == []
         enumeration._LEVELS_CACHE.pop(basis.patterns, None)
 
     def test_negative_max_n_rejected_before_cache_read(self):
@@ -298,17 +223,8 @@ class TestEnumerate:
 
         monkeypatch.setattr(enumeration, "_in_workers", no_pool)
         basis = PatternBasis.from_text("4321")
-        enumeration._LEVELS_CACHE.pop(basis.patterns, None)
-        calls = [
-            lambda: class_levels(basis, 9, parallelism=value),
-            lambda: enumerate_class(basis, 9, parallelism=value),
-            lambda: count_class(basis, 9, parallelism=value),
-            lambda: refined_count(basis, 9, ["bond"], parallelism=value),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}"):
-                call()
-        assert basis.patterns not in enumeration._LEVELS_CACHE
+        with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}"):
+            count_class(basis, 9, parallelism=value)
 
     def test_parallelism_without_fork_rejected(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -496,10 +412,10 @@ def test_long_pattern_counts(parallelism):
 @example(PatternBasis([(1,)]), 7, 0)  # only the root's mask holds the pattern 1
 @example(PatternBasis([(1, 2)]), 7, 3)
 @example(PatternBasis([(2, 1)]), 7, 5)
-@example(PatternBasis([LONG_PATTERNS[3]]), 7, 4)  # all of S_n; two workers grow levels 5-7
+@example(PatternBasis([LONG_PATTERNS[3]]), 7, 4)  # all of S_n
 def test_levels_match_generic_levels(basis, max_n, warm_n):
-    # cold, below a cached prefix of any length, and with two workers;
-    # each member's carried mask is its blocked slots
+    # cold and below a cached prefix of any length; each member's
+    # carried mask is its blocked slots
     patterns = basis.patterns
     want = _generic_levels(patterns, max_n)
     cache = enumeration._LEVELS_CACHE
@@ -509,8 +425,6 @@ def test_levels_match_generic_levels(basis, max_n, warm_n):
         cache.pop(patterns)
         class_levels(basis, warm_n)
         assert class_levels(basis, max_n) == want
-        cache.pop(patterns)
-        assert class_levels(basis, max_n, parallelism=2) == want
         members, masks = _grow(*_root(patterns), max_n, _insertion_rules(patterns),
                                last_masks=True)[1]
         assert members == want[max_n]
