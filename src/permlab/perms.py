@@ -6,7 +6,7 @@ their arguments as immutable, so values can be shared freely across
 threads.
 
 Positions in returned index sets (``lr_maxima``, ``horizontal_gaps``,
-``lr_minima``, ``intervals``) are 1-based, matching the usual one-line
+``lr_minima``) are 1-based, matching the usual one-line
 conventions; values are 1-based by construction.
 
 Text format (shared repo-wide): a digit string for length <= 9
@@ -369,35 +369,7 @@ def extraction(a: Perm, b: Perm, i: int) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# intervals, simplicity, inflation, deflation
-
-
-class Interval(NamedTuple):
-    lo: int
-    hi: int
-    value_lo: int
-    value_hi: int
-
-
-def intervals(p: Perm) -> list[Interval]:
-    """All nontrivial intervals (1 < length < n), sorted by (lo, hi).
-
-    >>> intervals((2, 4, 1, 3))
-    []
-    """
-    n = len(p)
-    out = []
-    for lo0 in range(n):
-        mn = mx = p[lo0]
-        for hi0 in range(lo0 + 1, n):
-            v = p[hi0]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if hi0 - lo0 + 1 < n and mx - mn == hi0 - lo0:
-                out.append(Interval(lo0 + 1, hi0 + 1, mn, mx))
-    return out
+# simplicity, inflation, deflation
 
 
 def is_simple(p: Perm) -> bool:

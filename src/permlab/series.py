@@ -1,22 +1,22 @@
 """Exact truncated power series over the rationals, in x, t, u.
 
-``MSeries`` stores a finite map from exponent triples (x, t, u) to
-nonzero rational coefficients, truncated either by x-degree (the usual
+``MSeries`` is a truncated series, cut off either by x-degree (the usual
 grading for class generating functions, whose t/u slices are honest
 polynomials) or by total degree (used for the simple-permutation series,
-whose natural grade is u-degree + x-degree).
+whose natural grade is u-degree + x-degree).  It stores graded slices
+and nothing else: a slice keys each (t, u) pair by one packed int, x
+following from the grade, and ``coeffs`` is a view keyed by exponent
+triples (x, t, u).  No floating point anywhere: coefficients are ints
+unless one is truly fractional, then :class:`fractions.Fraction`.
 
-Arithmetic runs on graded slices: a series is split by grade, and a slice
-keys each (t, u) pair by one packed int, x following from the grade.  One
-kernel multiplies two slices, and every product, reciprocal, square root,
-substitution and solve is made of it.  No floating point anywhere:
-coefficients are ints unless one is truly fractional, then
-:class:`fractions.Fraction`.
-
-``RelaxedSeries`` is the same kind of series computed one grade at a
-time, on demand: grade d of a sum, product, reciprocal or substitution
-is built from the grades of its operands the first time it is asked for,
-and kept (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
+``RelaxedSeries`` is the arithmetic: a series computed one grade at a
+time, on demand.  Grade d of a sum, product, rational multiple,
+reciprocal, square root or substitution is built from the grades of its
+operands the first time it is asked for, and kept (van der Hoeven,
+"Relax, but don't be too lazy", JSC 2002).  Each operation is written
+once, as such a node, and an ``MSeries`` operation runs its node to the
+order.  One kernel multiplies two slices, and every product, reciprocal,
+square root, substitution and solve is made of it.
 
 On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
@@ -90,15 +90,12 @@ def _norm_coeff(c):
     return c
 
 
-def _grade(key: Key, grading: str) -> int:
-    return key[0] if grading == X_GRADED else key[0] + key[1] + key[2]
-
-
-# The engine keeps a series as {grade: slice}, without empty grades.  A
-# slice maps _key(t, u) = t << 32 | u to the coefficient of its (t, u)
-# pair, and x follows from the grade d: x = d when x-graded, d - t - u
-# when total-graded.  A stored u stays below 2**31, so the sum of two
-# keys is the key of the product and never carries into t.
+# A series is kept as {grade: slice}, without empty grades.  A slice maps
+# _key(t, u) = t << 32 | u to the nonzero coefficient of its (t, u) pair,
+# and x follows from the grade d: x = d when x-graded, d - t - u when
+# total-graded.  A stored u stays below 2**31, so the sum of two keys is
+# the key of the product and never carries into t.  A slice is never
+# changed once stored, so series share slices freely.
 _U_MASK = (1 << 32) - 1
 _U_CARRY = 1 << 31
 _HALF = Fraction(1, 2)
@@ -147,13 +144,23 @@ def _convolve(acc: dict[int, object], left, right, d: int, start: int = 0) -> No
 
 def _store_slice(slices: dict[int, dict[int, object]], d: int,
                  acc: dict[int, object], scale=1) -> None:
-    """slices[d] = scale * acc without zeros; a scale of 1/2 halves an even int exactly."""
+    """slices[d] = scale * acc without zeros, for a nonzero scale.
+
+    One scaling rule: a scale p/q takes an int c to c * p // q whenever q
+    divides c * p, so an exact halving builds no ``Fraction``.
+    """
+    p, q = scale.numerator, scale.denominator
+    scaled = scale != 1
     out = {}
-    one = scale == 1
     for k, c in acc.items():
         if c:
-            if not one:
-                c = c >> 1 if scale is _HALF and type(c) is int and not c & 1 else c * scale
+            if scaled:
+                if type(c) is int:
+                    c *= p
+                    if q != 1:
+                        c = Fraction(c, q) if c % q else c // q
+                else:
+                    c *= scale
             if type(c) is not int:
                 c = _norm_coeff(c)
             if k & _U_CARRY:
@@ -161,21 +168,6 @@ def _store_slice(slices: dict[int, dict[int, object]], d: int,
             out[k] = c
     if out:
         slices[d] = out
-
-
-def _from_slices(slices: dict[int, dict[int, object]], order: int,
-                 grading: str) -> "MSeries":
-    """The series of grade slices up to the order, without zero coefficients."""
-    out: dict[Key, object] = {}
-    total = grading == TOTAL_GRADED
-    for d, sl in slices.items():
-        for k, c in sl.items():
-            if c and d <= order:
-                t, u = k >> 32, k & _U_MASK
-                out[(d - t - u if total else d, t, u)] = c if type(c) is int else _norm_coeff(c)
-    s = object.__new__(MSeries)
-    s.coeffs, s.order, s.grading = out, order, grading
-    return s
 
 
 def _plain_constant(grade0: dict[int, object] | None):
@@ -188,9 +180,14 @@ def _plain_constant(grade0: dict[int, object] | None):
 
 
 class MSeries:
-    """Truncated multivariate series with exact rational coefficients."""
+    """Truncated multivariate series with exact rational coefficients.
 
-    __slots__ = ("coeffs", "order", "grading")
+    It holds its grade slices and nothing else; ``coeffs`` is a view of
+    them keyed by (x, t, u).  Each operation is a :class:`RelaxedSeries`
+    node on the series, run to the order.
+    """
+
+    __slots__ = ("_slices", "order", "grading")
 
     def __init__(self, coeffs: Mapping[Key, object], order: int,
                  grading: str = X_GRADED):
@@ -198,16 +195,17 @@ class MSeries:
             raise SeriesError(f"unknown grading {grading!r}")
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
-        clean: dict[Key, object] = {}
+        slices: dict[int, dict[int, object]] = {}
         total = grading == TOTAL_GRADED
-        for key, c in coeffs.items():
-            if (key[0] + key[1] + key[2] if total else key[0]) > order:
+        for (ex, et, eu), c in coeffs.items():
+            d = ex + et + eu if total else ex
+            if d > order:
                 continue
             if type(c) is not int:
                 c = _norm_coeff(c)
             if c:
-                clean[key] = c
-        self.coeffs = clean
+                slices.setdefault(d, {})[_key(et, eu)] = c
+        self._slices = slices
         self.order = order
         self.grading = grading
 
@@ -230,42 +228,39 @@ class MSeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[Key, object]:
+        """The nonzero coefficients keyed by (x, t, u), built on each read."""
+        total = self.grading == TOTAL_GRADED
+        out = {}
+        for d, sl in self._slices.items():
+            for k, c in sl.items():
+                t, u = k >> 32, k & _U_MASK
+                out[(d - t - u if total else d, t, u)] = c
+        return out
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._slices
 
     def coefficient(self, *, x: int = 0, t: int = 0, u: int = 0) -> Fraction:
         return Fraction(self.coeffs.get((x, t, u), 0))
-
-    def valuation(self) -> int:
-        """Smallest grade with a nonzero coefficient (order+1 if zero)."""
-        if not self.coeffs:
-            return self.order + 1
-        return min(_grade(k, self.grading) for k in self.coeffs)
-
-    def variables(self) -> tuple[str, ...]:
-        used = [False, False, False]
-        for key in self.coeffs:
-            for i in range(3):
-                if key[i]:
-                    used[i] = True
-        return tuple(v for v, ok in zip(("x", "t", "u"), used) if ok)
 
     def x_coefficients(self, upto: int | None = None) -> list[Fraction]:
         """Coefficient list of a univariate series in x."""
         hi = self.order if upto is None else upto
         if hi > self.order:
             raise SeriesError("coefficients beyond the truncation order are unknown")
-        if any(k[1] or k[2] for k in self.coeffs):
+        if any(any(sl) for sl in self._slices.values()):
             raise SeriesError("series is not univariate in x")
-        return [Fraction(self.coeffs.get((n, 0, 0), 0)) for n in range(hi + 1)]
+        return [Fraction(self._slices.get(n, {}).get(0, 0)) for n in range(hi + 1)]
 
-    def terms(self):
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (_grade(kv[0], self.grading), kv[0])
-        )
+    def terms(self) -> list[tuple[Key, object]]:
+        """The (key, coefficient) pairs sorted by grade, then by (x, t, u)."""
+        grade = sum if self.grading == TOTAL_GRADED else (lambda k: k[0])
+        return sorted(self.coeffs.items(), key=lambda kv: (grade(kv[0]), kv[0]))
 
     def pretty(self) -> str:
-        if not self.coeffs:
+        if not self._slices:
             return "0"
         lines = []
         for key, c in self.terms():
@@ -280,65 +275,45 @@ class MSeries:
         return (
             self.grading == other.grading
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self._slices == other._slices
         )
 
     def __hash__(self):
         raise TypeError("MSeries is not hashable")
 
     def __repr__(self):
-        head = ", ".join(
-            f"{k}: {c}" for k, c in list(self.terms())[:4]
-        )
-        more = "..." if len(self.coeffs) > 4 else ""
+        terms = self.terms()
+        head = ", ".join(f"{k}: {c}" for k, c in terms[:4])
+        more = "..." if len(terms) > 4 else ""
         return f"MSeries({{{head}{more}}}, order={self.order}, grading={self.grading!r})"
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: each operation is a relaxed node run to the order ------
 
-    def _coerce(self, other) -> "MSeries":
-        if isinstance(other, MSeries):
-            if other.grading != self.grading:
-                raise SeriesError("grading mismatch")
-            return other
-        return MSeries.const(other, self.order, self.grading)
+    def _lift(self, other) -> "RelaxedSeries":
+        """This series as a node, for an operation with ``other``."""
+        if isinstance(other, RelaxedSeries):
+            raise SeriesError(
+                "an MSeries operator takes no relaxed operand: "
+                "write relaxed operands on the left"
+            )
+        return RelaxedSeries.lift(self)
 
     def __add__(self, other) -> "MSeries":
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return MSeries(out, order, self.grading)
+        return (self._lift(other) + other).to_mseries()
 
     __radd__ = __add__
 
     def __neg__(self) -> "MSeries":
-        return MSeries({k: -c for k, c in self.coeffs.items()}, self.order, self.grading)
+        return (-RelaxedSeries.lift(self)).to_mseries()
 
     def __sub__(self, other) -> "MSeries":
-        return self + (-self._coerce(other))
+        return (self._lift(other) - other).to_mseries()
 
     def __rsub__(self, other) -> "MSeries":
-        return self._coerce(other) - self
+        return (other - self._lift(other)).to_mseries()
 
     def __mul__(self, other) -> "MSeries":
-        if not isinstance(other, MSeries):
-            c = other if type(other) is int else _norm_coeff(Fraction(other))
-            if not c:
-                return MSeries({}, self.order, self.grading)
-            return MSeries(
-                {k: v * c for k, v in self.coeffs.items()}, self.order, self.grading
-            )
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        right = sorted(other._by_grade().items())
-        products: dict[int, dict[int, object]] = {}
-        for i, sl in self._by_grade().items():
-            for j, sr in right:
-                if i + j > order:
-                    break
-                _add_products(products.setdefault(i + j, {}), sl, sr)
-        return _from_slices(products, order, self.grading)
+        return (self._lift(other) * other).to_mseries()
 
     __rmul__ = __mul__
 
@@ -353,15 +328,6 @@ class MSeries:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    # -- division-like operations ------------------------------------------
-
-    def _by_grade(self) -> dict[int, dict[int, object]]:
-        by_grade: dict[int, dict[int, object]] = {}
-        total = self.grading == TOTAL_GRADED
-        for (ex, et, eu), c in self.coeffs.items():
-            by_grade.setdefault(ex + et + eu if total else ex, {})[_key(et, eu)] = c
-        return by_grade
 
     def reciprocal(self) -> "MSeries":
         """Multiplicative inverse; requires a nonzero rational constant term.
@@ -378,19 +344,10 @@ class MSeries:
         return RelaxedSeries.lift(self).reciprocal().to_mseries()
 
     def sqrt1(self) -> "MSeries":
-        """Square root with constant term 1, by per-grade convolution."""
-        by_grade = self._by_grade()
-        if _plain_constant(by_grade.get(0)) != 1:
-            raise SeriesError("sqrt1 requires constant term exactly 1")
-        root: dict[int, dict[int, object]] = {0: {0: 1}}
-        for d in range(1, self.order + 1):
-            acc: dict[int, object] = {}
-            _convolve(acc, root.get, root.get, d, 1)  # root(d) is not there yet
-            rhs = dict(by_grade.get(d, {}))
-            for k, c in acc.items():
-                rhs[k] = rhs.get(k, 0) - c
-            _store_slice(root, d, rhs, _HALF)
-        return _from_slices(root, self.order, self.grading)
+        """Square root with constant term 1."""
+        return RelaxedSeries.lift(self).sqrt1().to_mseries()
+
+    # -- division-like operations, on the (x, t, u) view --------------------
 
     def divide_one_minus(self, var: str) -> "MSeries":
         """Exact division by (1 - var); raises if the division is inexact."""
@@ -462,17 +419,20 @@ class RelaxedSeries:
     ``{grade: {_key(t, u): coeff}}`` map without empty grades), reading only the
     grades its operands have up to d.  It runs the first time anything
     asks for grade d, after grades 0..d-1, and the grade is kept, so each
-    grade of each node is computed once.  Arithmetic builds new nodes and
-    computes nothing.
+    grade of each node is computed once.  Asking for a grade beyond the
+    order is an error.  Arithmetic builds new nodes and computes nothing.
 
-    An ``MSeries`` or rational operand is lifted.  ``MSeries`` operators
-    never take a relaxed operand, so write relaxed operands on the left
-    (``y * x``, ``y + 1``; ``1 + y`` and ``2 * y`` also work).
+    Every series operation is written once, as a node here or in
+    :func:`_compose`: an ``MSeries`` operation lifts the series, which
+    shares its slices, and runs the node to the order.  An ``MSeries``
+    or rational operand is lifted.  ``MSeries`` operators never take a
+    relaxed operand, so write relaxed operands on the left (``y * x``,
+    ``y + 1``; ``1 + y`` and ``2 * y`` also work).
     """
 
     __slots__ = ("order", "grading", "_slices", "_done", "_fill")
 
-    def __init__(self, fill: Callable[[dict, int], None], order: int, grading: str):
+    def __init__(self, fill: Callable[[dict, int], None] | None, order: int, grading: str):
         self.order = order
         self.grading = grading
         self._slices: dict[int, dict[int, object]] = {}
@@ -481,23 +441,27 @@ class RelaxedSeries:
 
     @classmethod
     def lift(cls, s: MSeries) -> "RelaxedSeries":
-        """A relaxed view of an ``MSeries``, every grade already known."""
-        out = cls(_beyond_order, s.order, s.grading)
-        out._slices = s._by_grade()
+        """An ``MSeries`` as a node, sharing its slices, every grade already known."""
+        out = cls(None, s.order, s.grading)
+        out._slices = s._slices
         out._done = s.order + 1
         return out
 
     def slice(self, d: int) -> dict[int, object] | None:
         """Grade d as a slice, or None if it is zero."""
         while self._done <= d:
+            if self._done > self.order:
+                raise SeriesError(f"grade {d} is beyond the truncation order")
             self._fill(self._slices, self._done)
             self._done += 1
         return self._slices.get(d)
 
     def to_mseries(self) -> MSeries:
-        """Every grade up to the order, as an ``MSeries``."""
+        """Every grade up to the order, as an ``MSeries`` sharing the slices."""
         self.slice(self.order)
-        return _from_slices(self._slices, self.order, self.grading)
+        s = object.__new__(MSeries)
+        s._slices, s.order, s.grading = self._slices, self.order, self.grading
+        return s
 
     def _coerce(self, other) -> "RelaxedSeries":
         if isinstance(other, (MSeries, RelaxedSeries)):
@@ -538,6 +502,8 @@ class RelaxedSeries:
         return self * -1
 
     def __mul__(self, other) -> "RelaxedSeries":
+        if not isinstance(other, (MSeries, RelaxedSeries)):
+            return self._scale(other if type(other) is int else _norm_coeff(Fraction(other)))
         a, b = self, self._coerce(other)
 
         def fill(slices, d):
@@ -548,6 +514,17 @@ class RelaxedSeries:
         return RelaxedSeries(fill, min(a.order, b.order), self.grading)
 
     __rmul__ = __mul__
+
+    def _scale(self, c) -> "RelaxedSeries":
+        """c times this series, for a rational c."""
+        a = self
+
+        def fill(slices, d):
+            sl = a.slice(d)
+            if sl and c:
+                _store_slice(slices, d, sl, c)
+
+        return RelaxedSeries(fill, self.order, self.grading)
 
     def reciprocal(self) -> "RelaxedSeries":
         """Multiplicative inverse: inv_d = -inv_0 * sum(a_i * inv_(d-i), i = 1..d)."""
@@ -566,9 +543,24 @@ class RelaxedSeries:
 
         return RelaxedSeries(fill, self.order, self.grading)
 
+    def sqrt1(self) -> "RelaxedSeries":
+        """Square root with constant term 1: root_d = (a_d - sum(root_i * root_(d-i), i = 1..d-1)) / 2."""
+        a = self
 
-def _beyond_order(slices, d):
-    raise SeriesError(f"grade {d} is beyond the truncation order")
+        def fill(slices, d):
+            if d == 0:
+                if _plain_constant(a.slice(0)) != 1:
+                    raise SeriesError("sqrt1 requires constant term exactly 1")
+                slices[0] = {0: 1}
+                return
+            acc: dict[int, object] = {}
+            _convolve(acc, slices.get, slices.get, d, 1)  # root_d is not there yet
+            rhs = dict(a.slice(d) or {})
+            for k, c in acc.items():
+                rhs[k] = rhs.get(k, 0) - c
+            _store_slice(slices, d, rhs, _HALF)
+
+        return RelaxedSeries(fill, self.order, self.grading)
 
 
 def _compose(s: MSeries, bindings) -> RelaxedSeries:
@@ -912,9 +904,10 @@ class _Equation:
     """A fixed-point equation y = step(y) on a tuple of series.
 
     ``initial(order)`` is the initial guess, one series per name.
-    ``step`` maps the unknowns to their new values.  It runs on
-    ``MSeries`` (Picard iteration) and on relaxed unknowns (the solver),
-    so it keeps every relaxed operand on the left of an ``MSeries`` one.
+    ``step`` maps the unknowns to their new values.  The solver runs it
+    once, on relaxed unknowns; plain Picard iteration (the tests' oracle)
+    runs it on ``MSeries``.  An ``MSeries`` operator takes no relaxed
+    operand, so the step keeps every relaxed operand on the left.
     """
 
     names: tuple[str, ...]
@@ -1016,8 +1009,8 @@ class _Unknown(RelaxedSeries):
     __slots__ = ("_guess", "_guess_read", "_solving", "definition")
 
     def __init__(self, guess: MSeries):
-        super().__init__(_beyond_order, guess.order, guess.grading)
-        self._guess = guess._by_grade()
+        super().__init__(None, guess.order, guess.grading)
+        self._guess = guess._slices
         self._guess_read = False
         self._solving = 0
         self.definition: RelaxedSeries | None = None
@@ -1438,7 +1431,7 @@ def check_identity(identity_id: str, order: int, *,
         residual = lhs - rhs
         if residual.is_zero():
             continue
-        key = min(residual.coeffs, key=lambda k: (_grade(k, residual.grading), k))
+        key = residual.terms()[0][0]
         ex, et, eu = key
         return IdentityCheck(
             identity_id,

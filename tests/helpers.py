@@ -2,16 +2,21 @@
 
 Everything here is deliberately naive (subsequence scans over
 itertools.combinations, full S_n filters, every component of a sum or
-skew sum, every cut set of a deflation, one occurrence search per slot)
-so that it cannot share a bug with the pruned search paths it is used
-to check.  ``count_pools`` records the worker groups a call starts.
+skew sum, every cut set of a deflation, one occurrence search per slot,
+every interval, series arithmetic term by term on (x, t, u) dicts) so
+that it cannot share a bug with the pruned search paths or the series
+engine it is used to check.  ``count_pools`` records the worker groups
+a call starts.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from permlab.perms import Perm, is_simple, occurs_with_new_max, standardize
+from permlab.series import MSeries
 
 
 def brute_contains(host: Perm, pattern: Perm) -> bool:
@@ -86,6 +91,26 @@ def skew_components(p: Perm) -> list[Perm]:
     return out
 
 
+class Interval(NamedTuple):
+    lo: int
+    hi: int
+    value_lo: int
+    value_hi: int
+
+
+def intervals(p: Perm) -> list[Interval]:
+    """All nontrivial intervals (1 < length < n), 1-based, sorted by (lo, hi)."""
+    n = len(p)
+    out = []
+    for lo0 in range(n):
+        for hi0 in range(lo0 + 1, n):
+            window = p[lo0 : hi0 + 1]
+            mn, mx = min(window), max(window)
+            if hi0 - lo0 + 1 < n and mx - mn == hi0 - lo0:
+                out.append(Interval(lo0 + 1, hi0 + 1, mn, mx))
+    return out
+
+
 def brute_decompositions(p: Perm) -> list[tuple[Perm, tuple[Perm, ...]]]:
     """Every convention-respecting (skeleton, blocks) pair inflating to ``p``.
 
@@ -142,3 +167,85 @@ def count_pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(enumeration, "_in_workers", in_workers)
     return started
+
+
+# ---------------------------------------------------------------------------
+# series oracles: arithmetic term by term on the (x, t, u) view, with the
+# MSeries constructor doing the truncation
+
+
+def term_sum(a: MSeries, b: MSeries, sign: int = 1) -> MSeries:
+    """a + sign * b, one term at a time."""
+    out = dict(a.coeffs)
+    for key, c in b.coeffs.items():
+        out[key] = out.get(key, 0) + sign * c
+    return MSeries(out, min(a.order, b.order), a.grading)
+
+
+def term_product(a: MSeries, b: MSeries) -> MSeries:
+    """a * b, one pair of terms at a time."""
+    out = {}
+    for (x1, t1, u1), c1 in a.coeffs.items():
+        for (x2, t2, u2), c2 in b.coeffs.items():
+            key = (x1 + x2, t1 + t2, u1 + u2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return MSeries(out, min(a.order, b.order), a.grading)
+
+
+def term_scale(a: MSeries, c) -> MSeries:
+    """c * a for a rational c, one term at a time."""
+    return MSeries({k: v * Fraction(c) for k, v in a.coeffs.items()}, a.order, a.grading)
+
+
+def term_power(a: MSeries, e: int) -> MSeries:
+    out = MSeries.const(1, a.order, a.grading)
+    for _ in range(e):
+        out = term_product(out, a)
+    return out
+
+
+def geometric_reciprocal(s: MSeries) -> MSeries:
+    """1/s = inv0 * (1 + m + m^2 + ...) with m = 1 - inv0 * s, term by term.
+
+    Costs ``order`` full products; ``reciprocal`` solves grade by grade
+    instead and must give the same series.
+    """
+    inv0 = 1 / Fraction(s.coefficient())
+    m = MSeries(
+        {k: -c * inv0 for k, c in s.coeffs.items() if k != (0, 0, 0)},
+        s.order,
+        s.grading,
+    )
+    one = MSeries.const(1, s.order, s.grading)
+    acc = one
+    for _ in range(s.order):
+        acc = term_sum(term_product(acc, m), one)
+    return term_scale(acc, inv0)
+
+
+def naive_substitute(s: MSeries, bindings) -> MSeries:
+    """The sum over the terms of s of c * x'^a * t'^b * u'^c, term by term.
+
+    ``substitute`` builds one relaxed node over shared powers instead and
+    must give the same series.
+    """
+    series = [b for b in bindings.values() if isinstance(b, MSeries)]
+    grading = series[0].grading if series else s.grading
+    order = min([s.order] + [b.order for b in series])
+
+    def factor(v):
+        b = bindings.get(v)
+        if isinstance(b, MSeries):
+            assert order <= b.order  # a truncated series cannot be extended
+            return MSeries(b.coeffs, order, b.grading)
+        if b is None:
+            return MSeries.var(v, order, grading)
+        return MSeries.const(b, order, grading)
+
+    total = MSeries({}, order, grading)
+    for (ex, et, eu), c in s.coeffs.items():
+        term = term_product(term_product(term_power(factor("x"), ex),
+                                         term_power(factor("t"), et)),
+                            term_power(factor("u"), eu))
+        total = term_sum(total, term_scale(term, c))
+    return total

@@ -14,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Interval,
     all_perms,
     brute_contains,
     brute_decompositions,
     brute_length3_patterns,
+    intervals,
     skew_components,
     sum_components,
 )
 from permlab.perms import (
-    Interval,
     ParseError,
     avoids_all,
     bond_count,
@@ -34,7 +35,6 @@ from permlab.perms import (
     horizontal_gaps,
     identity,
     inflate,
-    intervals,
     is_simple,
     is_skew_decomposable,
     is_sum_decomposable,
@@ -399,5 +399,5 @@ def test_operations_are_pure():
     p = P("2413")
     lr_maxima(p)
     deflate(p)
-    intervals(p)
+    is_simple(p)
     assert p == (2, 4, 1, 3)

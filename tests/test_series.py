@@ -12,6 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    geometric_reciprocal,
+    naive_substitute,
+    term_product,
+    term_scale,
+    term_sum,
+)
 from permlab.series import (
     ENUM_DEPTH_LIMIT,
     EQUATIONS,
@@ -53,49 +60,6 @@ COEFFS = st.one_of(
 )
 
 
-def geometric_reciprocal(s: MSeries) -> MSeries:
-    """Oracle: 1/s = inv0 * (1 + m + m^2 + ...) with m = 1 - inv0 * s.
-
-    Costs ``order`` full multiplications; ``MSeries.reciprocal`` solves
-    grade by grade instead and must give the same series.
-    """
-    inv0 = 1 / Fraction(s.coefficient())
-    m = MSeries(
-        {k: -c * inv0 for k, c in s.coeffs.items() if k != (0, 0, 0)},
-        s.order,
-        s.grading,
-    )
-    acc = MSeries.const(1, s.order, s.grading)
-    for _ in range(s.order):
-        acc = acc * m + 1
-    return acc * inv0
-
-
-def naive_substitute(s: MSeries, bindings) -> MSeries:
-    """Oracle: the sum over the terms of s of c * x'^a * t'^b * u'^c in MSeries arithmetic.
-
-    ``MSeries.substitute`` and a relaxed substitution both build one
-    relaxed node over shared powers and must give the same series.
-    """
-    series = [b for b in bindings.values() if isinstance(b, MSeries)]
-    grading = series[0].grading if series else s.grading
-    order = min([s.order] + [b.order for b in series])
-
-    def factor(v):
-        b = bindings.get(v)
-        if isinstance(b, MSeries):
-            assert order <= b.order  # a truncated series cannot be extended
-            return MSeries(b.coeffs, order, b.grading)
-        if b is None:
-            return MSeries.var(v, order, grading)
-        return MSeries.const(b, order, grading)
-
-    total = MSeries({}, order, grading)
-    for (ex, et, eu), c in s.coeffs.items():
-        total = total + factor("x") ** ex * factor("t") ** et * factor("u") ** eu * c
-    return total
-
-
 def random_series(data, grading, *, min_grade=0) -> MSeries:
     """A small random series; every term has grade >= min_grade."""
     order = data.draw(st.integers(0, 5))
@@ -103,6 +67,12 @@ def random_series(data, grading, *, min_grade=0) -> MSeries:
         lambda k: (k[0] if grading == X_GRADED else sum(k)) >= min_grade
     )
     return MSeries(data.draw(st.dictionaries(keys, COEFFS, max_size=5)), order, grading)
+
+
+def lowest_grade(s: MSeries) -> int:
+    """The smallest grade with a nonzero coefficient (order + 1 if s is zero)."""
+    grade = sum if s.grading == TOTAL_GRADED else (lambda k: k[0])
+    return min((grade(k) for k in s.coeffs), default=s.order + 1)
 
 
 def full_order_picard(equation_id: str, order: int):
@@ -119,7 +89,7 @@ def full_order_picard(equation_id: str, order: int):
     agreement, stalled = -1, 0
     for _ in range(unknowns * (order + 2)):
         nxt = eq.step(*cur)
-        diff = min((a - b).valuation() for a, b in zip(cur, nxt))
+        diff = min(lowest_grade(a - b) for a, b in zip(cur, nxt))
         if diff > order:
             return nxt if len(nxt) > 1 else nxt[0]
         if diff > agreement:
@@ -209,17 +179,16 @@ class TestArithmetic:
     def test_product_matches_term_by_term(self, data):
         grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
         a, b = random_series(data, grading), random_series(data, grading)
-        want = {}
-        for (x1, t1, u1), c1 in a.coeffs.items():
-            for (x2, t2, u2), c2 in b.coeffs.items():
-                key = (x1 + x2, t1 + t2, u1 + u2)
-                want[key] = want.get(key, 0) + c1 * c2
-        assert a * b == MSeries(want, min(a.order, b.order), grading)
+        assert a * b == term_product(a, b)
 
     def test_exponents_exact_up_to_the_u_limit(self):
         big = MSeries({(1, 2**40, 2**30): 3}, 4)
-        square = big * big
-        assert square.coeffs == {(2, 2**41, 2**31): 9}
+        with pytest.raises(SeriesError, match="u exponent"):
+            big * big  # u = 2**31
+        with pytest.raises(SeriesError, match="u exponent"):
+            MSeries({(2, 2**41, 2**31): 9}, 4)
+        square = MSeries({(1, 2**40, 2**30 - 1): 3}, 4) ** 2
+        assert square.coeffs == {(2, 2**41, 2**31 - 2): 9}
         with pytest.raises(SeriesError, match="u exponent"):
             square * big
         with pytest.raises(SeriesError, match="u exponent"):
@@ -307,7 +276,7 @@ class TestReciprocal:
 
 
 class TestRelaxedSeries:
-    """Each relaxed operation, assembled from its slices, against MSeries arithmetic."""
+    """Each relaxed operation, assembled from its slices, against term-by-term oracles."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -315,23 +284,63 @@ class TestRelaxedSeries:
         grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
         a, b = random_series(data, grading), random_series(data, grading)
         c = data.draw(COEFFS)
+        const = MSeries.const(c, a.order, grading)
         ra, rb = RelaxedSeries.lift(a), RelaxedSeries.lift(b)
-        assert (ra + rb).to_mseries() == a + b
-        assert (ra - b).to_mseries() == a - b
-        assert (c - ra).to_mseries() == c - a
-        assert (-ra).to_mseries() == -a
-        assert (ra * rb).to_mseries() == a * b
-        assert (ra * b).to_mseries() == a * b
-        assert (c * ra).to_mseries() == a * c
+        assert (ra + rb).to_mseries() == term_sum(a, b) == a + b
+        assert (ra - b).to_mseries() == term_sum(a, b, -1) == a - b
+        assert (c - ra).to_mseries() == term_sum(const, a, -1) == c - a
+        assert (-ra).to_mseries() == term_scale(a, -1) == -a
+        assert (ra * rb).to_mseries() == term_product(a, b) == a * b
+        assert (ra * b).to_mseries() == term_product(a, b)
+        assert (c * ra).to_mseries() == term_scale(a, c) == a * c
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_reciprocal_matches_mseries(self, data):
         grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
         tail = random_series(data, grading, min_grade=1)
-        s = tail + data.draw(COEFFS.filter(bool))
+        s = term_sum(tail, MSeries.const(data.draw(COEFFS.filter(bool)), tail.order, grading))
         got = RelaxedSeries.lift(s).reciprocal().to_mseries()
         assert got == s.reciprocal() == geometric_reciprocal(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sqrt1_squares_back(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        tail = random_series(data, grading, min_grade=1)
+        radicand = term_sum(tail, MSeries.const(1, tail.order, grading))
+        root = RelaxedSeries.lift(radicand).sqrt1().to_mseries()
+        assert root.coefficient() == 1
+        assert term_product(root, root) == radicand
+        assert radicand.sqrt1() == root
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_coeffs_view_round_trips(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        s = random_series(data, grading)
+        assert MSeries(s.coeffs, s.order, s.grading) == s
+        grade = sum if grading == TOTAL_GRADED else (lambda k: k[0])
+        keys = [k for k, _ in s.terms()]
+        assert keys == sorted(s.coeffs, key=lambda k: (grade(k), k))
+        assert dict(s.terms()) == s.coeffs
+
+    def test_mseries_operators_take_no_relaxed_operand(self):
+        s = x(4)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(SeriesError, match="relaxed operands on the left"):
+                op(s, RelaxedSeries.lift(s))
+            assert op(RelaxedSeries.lift(s), s).to_mseries() == op(s, s)
+
+    def test_no_grade_beyond_the_order(self):
+        # an MSeries shares its node's slices, so no node may add a grade
+        # past its order; the binding here could supply one
+        s = named_series("catalan", 3) - 1
+        composed = s.substitute({"x": RelaxedSeries.lift(x(10))})
+        assert composed.order == 3
+        with pytest.raises(SeriesError, match="beyond the truncation order"):
+            composed.slice(5)
+        assert composed.to_mseries() == s
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -372,7 +381,7 @@ class TestRelaxedSeries:
 
     def test_product_skips_pairs_with_an_empty_lower_grade(self):
         # f = x + x^2 has f_0 = 0, so grade d of f * f needs f only below d
-        grades = (x(4) + x(4) * x(4))._by_grade()
+        grades = (x(4) + x(4) * x(4))._slices
         computed = []
 
         def fill(slices, d):
