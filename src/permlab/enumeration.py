@@ -672,12 +672,6 @@ class RefinedCountTable:
     filter_name: str = "none"
     counts: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
-    def total(self, n: int) -> int:
-        return sum(c for (m, _), c in self.counts.items() if m == n)
-
-    def get(self, n: int, stats: tuple[int, ...]) -> int:
-        return self.counts.get((n, stats), 0)
-
     def rows(self):
         for (n, stats), count in sorted(self.counts.items()):
             yield n, stats, count

@@ -3,27 +3,29 @@
 ``MSeries`` is a truncated series, cut off either by x-degree (the usual
 grading for class generating functions, whose t/u slices are honest
 polynomials) or by total degree (used for the simple-permutation series,
-whose natural grade is u-degree + x-degree).  It stores graded slices
-and nothing else: a slice keys each (t, u) pair by one packed int, x
-following from the grade, and ``coeffs`` is a view keyed by exponent
-triples (x, t, u).  No floating point anywhere: coefficients are ints
-unless one is truly fractional, then :class:`fractions.Fraction`.
+whose natural grade is u-degree + x-degree).  It stores graded slices:
+a slice keys each (t, u) pair by one packed int, x following from the
+grade, and ``coeffs`` is a view keyed by exponent triples (x, t, u).  No
+floating point anywhere: coefficients are ints unless one is truly
+fractional, then :class:`fractions.Fraction`.
 
-``RelaxedSeries`` is the arithmetic: a series computed one grade at a
-time, on demand.  Grade d of a sum, product, rational multiple,
-reciprocal, square root or substitution is built from the grades of its
-operands the first time it is asked for, and kept (van der Hoeven,
-"Relax, but don't be too lazy", JSC 2002).  Each operation is written
-once, as such a node, and an ``MSeries`` operation runs its node to the
-order.  One kernel multiplies two slices, and every product, reciprocal,
-square root, substitution and solve is made of it.
+A series computes one grade at a time (van der Hoeven, "Relax, but
+don't be too lazy", JSC 2002).  Grade d of a sum, product, rational
+multiple, reciprocal, square root or substitution is built from the
+grades of its operands up to d, and kept.  A series whose operands are
+complete is computed to its order at once, so every series the public
+functions return is complete; one built on an unknown of a fixed-point
+solve computes each grade when the solve asks for it.  One kernel
+multiplies two slices, and every product, reciprocal, square root,
+substitution and solve is made of it.
 
 On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
 registry of checkable identities, each with a deliberately corrupted
 variant for mutation testing.  The solver is online: it evaluates an
-equation's step once, on relaxed unknowns, and then computes grade 0,
-1, ..., order, each unknown's grade in turn, from the grades already stored.
+equation's step once, on unknowns whose grades it stores itself, and
+then computes grade 0, 1, ..., order, each unknown's grade in turn, from
+the grades already stored.
 """
 
 from __future__ import annotations
@@ -109,9 +111,7 @@ def _key(t: int, u: int) -> int:
 
 
 def _add_products(acc: dict[int, object], left, right) -> None:
-    """acc += left * right for two grade slices (None is zero): the one product kernel."""
-    if not left or not right:
-        return
+    """acc += left * right for two nonzero grade slices: the one product kernel."""
     if len(left) > len(right):
         left, right = right, left  # fewer passes over the longer slice
     get = acc.get
@@ -127,19 +127,23 @@ def _convolve(acc: dict[int, object], left, right, d: int, start: int = 0) -> No
 
     ``left`` and ``right`` map a grade to its slice, or to None if it is
     zero.  Each pair asks for the lower of its two grades first (the
-    right one on a tie) and is skipped when that slice is zero, so a
-    relaxed operand is never asked for a grade the product cannot use.
+    right one on a tie) and is skipped when either slice is zero, so a
+    lazy operand is never asked for a grade the product cannot use.
     """
     for i in range(start, d + 1):
         j = d - i
         if i < j:
             sl = left(i)
             if sl:
-                _add_products(acc, sl, right(j))
+                sr = right(j)
+                if sr:
+                    _add_products(acc, sl, sr)
         else:
             sr = right(j)
             if sr:
-                _add_products(acc, left(i), sr)
+                sl = left(i)
+                if sl:
+                    _add_products(acc, sl, sr)
 
 
 def _store_slice(slices: dict[int, dict[int, object]], d: int,
@@ -182,12 +186,21 @@ def _plain_constant(grade0: dict[int, object] | None):
 class MSeries:
     """Truncated multivariate series with exact rational coefficients.
 
-    It holds its grade slices and nothing else; ``coeffs`` is a view of
-    them keyed by (x, t, u).  Each operation is a :class:`RelaxedSeries`
-    node on the series, run to the order.
+    It holds the grades computed so far, as slices, and until the last
+    of them is stored, a ``fill(slices, d)`` that stores grade d reading
+    only its operands' grades up to d.  A series is complete once every
+    grade up to its order is stored; it then drops ``fill``, and with it
+    its operands.  A series built from complete operands is complete
+    when it is returned, so errors raise at the operation.  One built on
+    an unknown of :func:`fixed_point_solve` computes each grade the first
+    time it is asked for, through :meth:`slice`, after the grades below.
+
+    Inspection (``coeffs``, ``terms``, ``coefficient``, ``x_coefficients``,
+    ``is_zero``, ``==``, ``pretty``, ``repr``) reads the grades stored so
+    far and computes none.
     """
 
-    __slots__ = ("_slices", "order", "grading")
+    __slots__ = ("_slices", "order", "grading", "_done", "_fill")
 
     def __init__(self, coeffs: Mapping[Key, object], order: int,
                  grading: str = X_GRADED):
@@ -208,6 +221,8 @@ class MSeries:
         self._slices = slices
         self.order = order
         self.grading = grading
+        self._done = order + 1  # grades below this one are stored
+        self._fill = None
 
     # -- constructors ------------------------------------------------------
 
@@ -226,7 +241,27 @@ class MSeries:
         key[_VAR_INDEX[name]] = 1
         return cls({tuple(key): 1}, order, grading)
 
-    # -- inspection --------------------------------------------------------
+    # -- grades --------------------------------------------------------------
+
+    def slice(self, d: int) -> dict[int, object] | None:
+        """Grade d as a slice, or None if it is zero, computing the grades up to d."""
+        while self._done <= d:
+            if self._done > self.order:
+                raise SeriesError(f"grade {d} is beyond the truncation order")
+            self._fill(self._slices, self._done)
+            self._done += 1
+            if self._done > self.order:
+                self._fill = None  # complete: let go of the operands
+        return self._slices.get(d)
+
+    def _require_complete(self, operation: str) -> None:
+        """Raise unless every grade is stored: ``operation`` needs every term."""
+        if self._done <= self.order:
+            raise SeriesError(
+                f"{operation} needs every term, and this series is still being solved"
+            )
+
+    # -- inspection: the grades stored so far --------------------------------
 
     @property
     def coeffs(self) -> dict[Key, object]:
@@ -287,35 +322,70 @@ class MSeries:
         more = "..." if len(terms) > 4 else ""
         return f"MSeries({{{head}{more}}}, order={self.order}, grading={self.grading!r})"
 
-    # -- arithmetic: each operation is a relaxed node run to the order ------
+    # -- arithmetic ----------------------------------------------------------
 
-    def _lift(self, other) -> "RelaxedSeries":
-        """This series as a node, for an operation with ``other``."""
-        if isinstance(other, RelaxedSeries):
-            raise SeriesError(
-                "an MSeries operator takes no relaxed operand: "
-                "write relaxed operands on the left"
-            )
-        return RelaxedSeries.lift(self)
+    def _coerce(self, other) -> "MSeries":
+        if isinstance(other, MSeries):
+            if other.grading != self.grading:
+                raise SeriesError("grading mismatch")
+            return other
+        return MSeries.const(other, self.order, self.grading)
+
+    def _sum(self, other, sign: int) -> "MSeries":
+        a, b = self, self._coerce(other)
+
+        def fill(slices, d):
+            sa, sb = a.slice(d), b.slice(d)
+            if not sb or (not sa and sign == 1):
+                # share the operand's slice: adding a constant copies nothing
+                if sa or sb:
+                    slices[d] = sa or sb
+                return
+            acc = dict(sa or {})
+            for key, c in sb.items():
+                acc[key] = acc.get(key, 0) + sign * c
+            _store_slice(slices, d, acc)
+
+        return _node(fill, min(a.order, b.order), self.grading, a, b)
 
     def __add__(self, other) -> "MSeries":
-        return (self._lift(other) + other).to_mseries()
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MSeries":
-        return (-RelaxedSeries.lift(self)).to_mseries()
-
     def __sub__(self, other) -> "MSeries":
-        return (self._lift(other) - other).to_mseries()
+        return self._sum(other, -1)
 
     def __rsub__(self, other) -> "MSeries":
-        return (other - self._lift(other)).to_mseries()
+        return self._coerce(other)._sum(self, -1)
+
+    def __neg__(self) -> "MSeries":
+        return self._scale(-1)
 
     def __mul__(self, other) -> "MSeries":
-        return (self._lift(other) * other).to_mseries()
+        if not isinstance(other, MSeries):
+            return self._scale(other if type(other) is int else _norm_coeff(Fraction(other)))
+        a, b = self, self._coerce(other)
+
+        def fill(slices, d):
+            acc: dict[int, object] = {}
+            _convolve(acc, a.slice, b.slice, d)
+            _store_slice(slices, d, acc)
+
+        return _node(fill, min(a.order, b.order), self.grading, a, b)
 
     __rmul__ = __mul__
+
+    def _scale(self, c) -> "MSeries":
+        """c times this series, for a rational c."""
+        a = self
+
+        def fill(slices, d):
+            sl = a.slice(d)
+            if sl and c:
+                _store_slice(slices, d, sl, c)
+
+        return _node(fill, self.order, self.grading, a)
 
     def __pow__(self, e: int) -> "MSeries":
         if e < 0:
@@ -341,16 +411,48 @@ class MSeries:
         >>> (2 - x).reciprocal().coefficient(x=3)
         Fraction(1, 16)
         """
-        return RelaxedSeries.lift(self).reciprocal().to_mseries()
+        a = self
+
+        def fill(slices, d):
+            if d == 0:
+                c0 = _plain_constant(a.slice(0))
+                if not c0:
+                    raise SeriesError("not invertible: zero constant term")
+                slices[0] = {0: c0 if c0 in (1, -1) else _norm_coeff(1 / Fraction(c0))}
+                return
+            acc: dict[int, object] = {}
+            _convolve(acc, a.slice, slices.get, d, 1)
+            _store_slice(slices, d, acc, -slices[0][0])
+
+        return _node(fill, self.order, self.grading, a)
 
     def sqrt1(self) -> "MSeries":
-        """Square root with constant term 1."""
-        return RelaxedSeries.lift(self).sqrt1().to_mseries()
+        """Square root with constant term 1.
 
-    # -- division-like operations, on the (x, t, u) view --------------------
+        root_d = (a_d - sum(root_i * root_(d-i) for i in 1..d-1)) / 2.
+        """
+        a = self
+
+        def fill(slices, d):
+            if d == 0:
+                if _plain_constant(a.slice(0)) != 1:
+                    raise SeriesError("sqrt1 requires constant term exactly 1")
+                slices[0] = {0: 1}
+                return
+            acc: dict[int, object] = {}
+            _convolve(acc, slices.get, slices.get, d, 1)  # root_d is not there yet
+            rhs = dict(a.slice(d) or {})
+            for k, c in acc.items():
+                rhs[k] = rhs.get(k, 0) - c
+            _store_slice(slices, d, rhs, _HALF)
+
+        return _node(fill, self.order, self.grading, a)
+
+    # -- operations on every term, on the (x, t, u) view ---------------------
 
     def divide_one_minus(self, var: str) -> "MSeries":
         """Exact division by (1 - var); raises if the division is inexact."""
+        self._require_complete("divide_one_minus")
         idx = _VAR_INDEX[var]
         groups: dict[tuple[int, int], dict[int, object]] = {}
         for key, c in self.coeffs.items():
@@ -382,6 +484,7 @@ class MSeries:
 
     def shift_down(self, var: str = "x", k: int = 1) -> "MSeries":
         """Exact division by var**k; raises if any term has a smaller exponent."""
+        self._require_complete("shift_down")
         idx = _VAR_INDEX[var]
         out = {}
         for key, c in self.coeffs.items():
@@ -393,278 +496,124 @@ class MSeries:
         # dividing by var^k sharpens what we know by k grades in x/total
         return MSeries(out, self.order - k, self.grading)
 
-    # -- substitution --------------------------------------------------------
-
-    def substitute(self, bindings: Mapping[str, "MSeries | RelaxedSeries | Fraction | int"],
-                   ) -> "MSeries | RelaxedSeries":
+    def substitute(self, bindings: Mapping[str, "MSeries | Fraction | int"]) -> "MSeries":
         """Compose: replace each bound variable by a series or rational.
 
         A bound variable that carries positive grade weight in this
         series' grading must be replaced by a series of positive
         valuation, so every truncated-away monomial stays beyond the
-        result's order.  If any binding is a :class:`RelaxedSeries`, so
-        is the result, and a relaxed binding's valuation is checked when
-        grade 0 of the result is computed.
+        result's order.  This series needs every term, but a bound
+        series may be one still being solved; its valuation is then
+        checked when grade 0 of the result is computed.
+
+        Grade d of the result is the sum, over the terms of this series,
+        of the term's coefficient times grade d of the product of its
+        bound variables' powers.  The powers are products built once per
+        variable and exponent; rational bindings and free variables only
+        scale a term and shift its exponents.
         """
-        composed = _compose(self, bindings)
-        if any(isinstance(b, RelaxedSeries) for b in bindings.values()):
-            return composed
-        return composed.to_mseries()
+        self._require_complete("substitute")
+        unknown = set(bindings) - set(_VAR_INDEX)
+        if unknown:
+            raise SeriesError(f"unknown variables in bindings: {sorted(unknown)}")
+        series = {v: b for v, b in bindings.items() if isinstance(b, MSeries)}
+        if series:
+            gradings = {b.grading for b in series.values()}
+            if len(gradings) > 1:
+                raise SeriesError("bound series have mismatched gradings")
+            grading = gradings.pop()
+            order = min([self.order] + [b.order for b in series.values()])
+        else:
+            grading, order = self.grading, self.order
+        # variables with positive grade weight in this series' grading
+        weighted = [v for v in bindings if self.grading == TOTAL_GRADED or v == "x"]
+        for v in weighted:
+            if v not in series and Fraction(bindings[v]) != 0:
+                raise SeriesError(f"binding for {v!r} must have zero constant term")
+        powers = {v: [None, b] for v, b in series.items()}
 
+        def power(v: str, e: int) -> MSeries:
+            cache = powers[v]
+            while len(cache) <= e:
+                cache.append(cache[-1] * series[v])
+            return cache[e]
 
-class RelaxedSeries:
-    """A truncated series whose grades are computed one at a time, on demand.
-
-    ``fill(slices, d)`` stores grade d into ``slices`` (a
-    ``{grade: {_key(t, u): coeff}}`` map without empty grades), reading only the
-    grades its operands have up to d.  It runs the first time anything
-    asks for grade d, after grades 0..d-1, and the grade is kept, so each
-    grade of each node is computed once.  Asking for a grade beyond the
-    order is an error.  Arithmetic builds new nodes and computes nothing.
-
-    Every series operation is written once, as a node here or in
-    :func:`_compose`: an ``MSeries`` operation lifts the series, which
-    shares its slices, and runs the node to the order.  An ``MSeries``
-    or rational operand is lifted.  ``MSeries`` operators never take a
-    relaxed operand, so write relaxed operands on the left (``y * x``,
-    ``y + 1``; ``1 + y`` and ``2 * y`` also work).
-    """
-
-    __slots__ = ("order", "grading", "_slices", "_done", "_fill")
-
-    def __init__(self, fill: Callable[[dict, int], None] | None, order: int, grading: str):
-        self.order = order
-        self.grading = grading
-        self._slices: dict[int, dict[int, object]] = {}
-        self._done = 0
-        self._fill = fill
-
-    @classmethod
-    def lift(cls, s: MSeries) -> "RelaxedSeries":
-        """An ``MSeries`` as a node, sharing its slices, every grade already known."""
-        out = cls(None, s.order, s.grading)
-        out._slices = s._slices
-        out._done = s.order + 1
-        return out
-
-    def slice(self, d: int) -> dict[int, object] | None:
-        """Grade d as a slice, or None if it is zero."""
-        while self._done <= d:
-            if self._done > self.order:
-                raise SeriesError(f"grade {d} is beyond the truncation order")
-            self._fill(self._slices, self._done)
-            self._done += 1
-        return self._slices.get(d)
-
-    def to_mseries(self) -> MSeries:
-        """Every grade up to the order, as an ``MSeries`` sharing the slices."""
-        self.slice(self.order)
-        s = object.__new__(MSeries)
-        s._slices, s.order, s.grading = self._slices, self.order, self.grading
-        return s
-
-    def _coerce(self, other) -> "RelaxedSeries":
-        if isinstance(other, (MSeries, RelaxedSeries)):
-            if other.grading != self.grading:
-                raise SeriesError("grading mismatch")
-            return other if isinstance(other, RelaxedSeries) else RelaxedSeries.lift(other)
-        return RelaxedSeries.lift(MSeries.const(other, self.order, self.grading))
-
-    def _sum(self, other, sign: int) -> "RelaxedSeries":
-        a, b = self, self._coerce(other)
-
-        def fill(slices, d):
-            sa, sb = a.slice(d), b.slice(d)
-            if not sb or (not sa and sign == 1):
-                # share the operand's slice: adding a constant copies nothing
-                if sa or sb:
-                    slices[d] = sa or sb
-                return
-            acc = dict(sa or {})
-            for key, c in sb.items():
-                acc[key] = acc.get(key, 0) + sign * c
-            _store_slice(slices, d, acc)
-
-        return RelaxedSeries(fill, min(a.order, b.order), self.grading)
-
-    def __add__(self, other) -> "RelaxedSeries":
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RelaxedSeries":
-        return self._sum(other, -1)
-
-    def __rsub__(self, other) -> "RelaxedSeries":
-        return self._coerce(other)._sum(self, -1)
-
-    def __neg__(self) -> "RelaxedSeries":
-        return self * -1
-
-    def __mul__(self, other) -> "RelaxedSeries":
-        if not isinstance(other, (MSeries, RelaxedSeries)):
-            return self._scale(other if type(other) is int else _norm_coeff(Fraction(other)))
-        a, b = self, self._coerce(other)
-
-        def fill(slices, d):
-            acc: dict[int, object] = {}
-            _convolve(acc, a.slice, b.slice, d)
-            _store_slice(slices, d, acc)
-
-        return RelaxedSeries(fill, min(a.order, b.order), self.grading)
-
-    __rmul__ = __mul__
-
-    def _scale(self, c) -> "RelaxedSeries":
-        """c times this series, for a rational c."""
-        a = self
-
-        def fill(slices, d):
-            sl = a.slice(d)
-            if sl and c:
-                _store_slice(slices, d, sl, c)
-
-        return RelaxedSeries(fill, self.order, self.grading)
-
-    def reciprocal(self) -> "RelaxedSeries":
-        """Multiplicative inverse: inv_d = -inv_0 * sum(a_i * inv_(d-i), i = 1..d)."""
-        a = self
-
-        def fill(slices, d):
-            if d == 0:
-                c0 = _plain_constant(a.slice(0))
-                if not c0:
-                    raise SeriesError("not invertible: zero constant term")
-                slices[0] = {0: c0 if c0 in (1, -1) else _norm_coeff(1 / Fraction(c0))}
-                return
-            acc: dict[int, object] = {}
-            _convolve(acc, a.slice, slices.get, d, 1)
-            _store_slice(slices, d, acc, -slices[0][0])
-
-        return RelaxedSeries(fill, self.order, self.grading)
-
-    def sqrt1(self) -> "RelaxedSeries":
-        """Square root with constant term 1: root_d = (a_d - sum(root_i * root_(d-i), i = 1..d-1)) / 2."""
-        a = self
-
-        def fill(slices, d):
-            if d == 0:
-                if _plain_constant(a.slice(0)) != 1:
-                    raise SeriesError("sqrt1 requires constant term exactly 1")
-                slices[0] = {0: 1}
-                return
-            acc: dict[int, object] = {}
-            _convolve(acc, slices.get, slices.get, d, 1)  # root_d is not there yet
-            rhs = dict(a.slice(d) or {})
-            for k, c in acc.items():
-                rhs[k] = rhs.get(k, 0) - c
-            _store_slice(slices, d, rhs, _HALF)
-
-        return RelaxedSeries(fill, self.order, self.grading)
-
-
-def _compose(s: MSeries, bindings) -> RelaxedSeries:
-    """s with each bound variable replaced, as one relaxed node.
-
-    Grade d of the result is the sum, over the terms of s, of the term's
-    coefficient times grade d of the product of its bound variables'
-    powers.  The powers are relaxed products, built once per variable and
-    exponent; rational bindings and free variables only scale a term and
-    shift its exponents.
-    """
-    unknown = set(bindings) - set(_VAR_INDEX)
-    if unknown:
-        raise SeriesError(f"unknown variables in bindings: {sorted(unknown)}")
-    series = {
-        v: b for v, b in bindings.items() if isinstance(b, (MSeries, RelaxedSeries))
-    }
-    if series:
-        gradings = {b.grading for b in series.values()}
-        if len(gradings) > 1:
-            raise SeriesError("bound series have mismatched gradings")
-        grading = gradings.pop()
-        order = min([s.order] + [b.order for b in series.values()])
-    else:
-        grading, order = s.grading, s.order
-    # variables with positive grade weight in s's grading
-    weighted = [v for v in bindings if s.grading == TOTAL_GRADED or v == "x"]
-    for v in weighted:
-        if v not in series and Fraction(bindings[v]) != 0:
-            raise SeriesError(f"binding for {v!r} must have zero constant term")
-    factors = {
-        v: b if isinstance(b, RelaxedSeries) else RelaxedSeries.lift(b)
-        for v, b in series.items()
-    }
-    powers = {v: [None, f] for v, f in factors.items()}
-
-    def power(v: str, e: int) -> RelaxedSeries:
-        cache = powers[v]
-        while len(cache) <= e:
-            cache.append(cache[-1] * factors[v])
-        return cache[e]
-
-    # terms grouped by the exponents of their series-bound variables:
-    # {exponents: [(grade offset, exponent shift, coefficient)]}.  Lower
-    # exponents come first, so a grade of a power is usually asked for
-    # after the same grade of the power below it, which keeps the
-    # recursion down a chain of powers shallow.
-    groups: dict[tuple, list] = {}
-    for key, c in sorted(s.coeffs.items()):
-        shift = [0, 0, 0]  # free x only moves the grade: x follows from it
-        offset = 0
-        bound = []
-        for i, v in enumerate(("x", "t", "u")):
-            e = key[i]
-            if not e:
-                continue
-            if v in series:
-                bound.append((v, e))
-            elif v in bindings:
-                b = bindings[v]
-                c = _norm_coeff(c * (b if type(b) is int else Fraction(b)) ** e)
-            else:
-                shift[i] = e
-                offset += e if grading == TOTAL_GRADED or v == "x" else 0
-        if c:
-            groups.setdefault(tuple(bound), []).append((offset, _key(*shift[1:]), c))
-    # a group's product of powers is head * last, where last is the power
-    # of its last variable (None if it has one variable or none); that
-    # product is convolved into the result, not kept as a node, since
-    # each of its grades is wanted once per entry
-    one = RelaxedSeries.lift(MSeries.const(1, order, grading))
-    terms = []
-    for bound, entries in groups.items():
-        chain = [power(v, e) for v, e in bound] or [one]
-        head, last = chain[0], (chain[-1] if len(chain) > 1 else None)
-        for f in chain[1:-1]:
-            head = head * f
-        terms.append((head, last, entries))
-    checked = [v for v in weighted if v in series]
-
-    def fill(slices, d):
-        if d == 0:
-            for v in checked:
-                if factors[v].slice(0):
-                    raise SeriesError(f"binding for {v!r} must have zero constant term")
-        acc: dict[int, object] = {}
-        for head, last, entries in terms:
-            for offset, shift, c in entries:
-                if offset > d:
+        # terms grouped by the exponents of their series-bound variables:
+        # {exponents: [(grade offset, exponent shift, coefficient)]}.  Lower
+        # exponents come first, so a grade of a power is usually asked for
+        # after the same grade of the power below it, which keeps the
+        # recursion down a chain of powers shallow.
+        groups: dict[tuple, list] = {}
+        for key, c in sorted(self.coeffs.items()):
+            shift = [0, 0, 0]  # free x only moves the grade: x follows from it
+            offset = 0
+            bound = []
+            for i, v in enumerate(("x", "t", "u")):
+                e = key[i]
+                if not e:
                     continue
-                if last is None:
-                    sl = head.slice(d - offset)
+                if v in series:
+                    bound.append((v, e))
+                elif v in bindings:
+                    b = bindings[v]
+                    c = _norm_coeff(c * (b if type(b) is int else Fraction(b)) ** e)
                 else:
-                    sl = {}
-                    _convolve(sl, head.slice, last.slice, d - offset)
-                    if any(k & _U_CARRY for k in sl):  # a shift could carry it
-                        raise SeriesError("a u exponent reached 2**31")
-                if sl:
-                    for k, v in sl.items():
-                        k += shift
-                        acc[k] = acc.get(k, 0) + c * v
-        _store_slice(slices, d, acc)
+                    shift[i] = e
+                    offset += e if grading == TOTAL_GRADED or v == "x" else 0
+            if c:
+                groups.setdefault(tuple(bound), []).append((offset, _key(*shift[1:]), c))
+        # a group's product of powers is head * last, where last is the power
+        # of its last variable (None if it has one variable or none); that
+        # product is convolved into the result, not kept as a series, since
+        # each of its grades is wanted once per entry
+        one = MSeries.const(1, order, grading)
+        terms = []
+        for bound, entries in groups.items():
+            chain = [power(v, e) for v, e in bound] or [one]
+            head, last = chain[0], (chain[-1] if len(chain) > 1 else None)
+            for f in chain[1:-1]:
+                head = head * f
+            terms.append((head, last, entries))
+        checked = [v for v in weighted if v in series]
 
-    return RelaxedSeries(fill, order, grading)
+        def fill(slices, d):
+            if d == 0:
+                for v in checked:
+                    if series[v].slice(0):
+                        raise SeriesError(f"binding for {v!r} must have zero constant term")
+            acc: dict[int, object] = {}
+            for head, last, entries in terms:
+                for offset, shift, c in entries:
+                    if offset > d:
+                        continue
+                    if last is None:
+                        sl = head.slice(d - offset)
+                    else:
+                        sl = {}
+                        _convolve(sl, head.slice, last.slice, d - offset)
+                        if any(k & _U_CARRY for k in sl):  # a shift could carry it
+                            raise SeriesError("a u exponent reached 2**31")
+                    if sl:
+                        for k, v in sl.items():
+                            k += shift
+                            acc[k] = acc.get(k, 0) + c * v
+            _store_slice(slices, d, acc)
+
+        return _node(fill, order, grading, *series.values())
+
+
+def _node(fill: Callable[[dict, int], None], order: int, grading: str,
+          *operands: MSeries) -> MSeries:
+    """The series whose grade d ``fill(slices, d)`` stores from its operands' grades.
+
+    If every operand is complete, so is the series when it is returned;
+    otherwise it computes each grade when one is asked for.
+    """
+    s = object.__new__(MSeries)
+    s._slices, s.order, s.grading, s._done, s._fill = {}, order, grading, 0, fill
+    if all(o._done > o.order for o in operands):
+        s.slice(order)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -849,12 +798,12 @@ def stat132_ending_max_enum(order: int) -> MSeries:
     return MSeries(coeffs, order, X_GRADED)
 
 
-def class_gf_enum(basis_name: str, order: int, *, from_length: int = 0) -> MSeries:
-    """Plain counting series of an enumerated class."""
+def class_gf_enum(basis_name: str, order: int) -> MSeries:
+    """Plain counting series of an enumerated class, from length 1 (no empty permutation)."""
     _check_enum_order(f"gf-enum-{basis_name}", order)
     levels = class_levels(_BASES[basis_name], order)
     return MSeries(
-        {(n, 0, 0): len(lv) for n, lv in enumerate(levels) if n >= from_length},
+        {(n, 0, 0): len(lv) for n, lv in enumerate(levels) if n},
         order,
         X_GRADED,
     )
@@ -905,9 +854,8 @@ class _Equation:
 
     ``initial(order)`` is the initial guess, one series per name.
     ``step`` maps the unknowns to their new values.  The solver runs it
-    once, on relaxed unknowns; plain Picard iteration (the tests' oracle)
-    runs it on ``MSeries``.  An ``MSeries`` operator takes no relaxed
-    operand, so the step keeps every relaxed operand on the left.
+    once, on unknowns whose grades it stores itself; plain Picard
+    iteration (the tests' oracle) runs it on complete series.
     """
 
     names: tuple[str, ...]
@@ -945,7 +893,7 @@ def _sum_part(f, *, corrupt: bool = False):
     """2xf - x^2(f+1): the sum-decomposable part of a class counted by f.
 
     ``corrupt`` puts x^2 f in place of x^2(f+1), for the identity's
-    mutation test.  ``f`` may be relaxed, so it stays on the left.
+    mutation test.
     """
     x = _x(f.order)
     return f * (2 * x) - (f if corrupt else f + 1) * (x * x)
@@ -955,7 +903,7 @@ def _skew_part(f, *, corrupt: bool = False):
     """f^2/(1+f): the skew-decomposable part of a class counted by f.
 
     ``corrupt`` puts 1 - f in place of 1 + f, for the identity's
-    mutation test.  ``f`` may be relaxed, so it stays on the left.
+    mutation test.
     """
     return f * f * (1 - f if corrupt else f + 1).reciprocal()
 
@@ -998,7 +946,7 @@ EQUATIONS: dict[str, _Equation] = {
 }
 
 
-class _Unknown(RelaxedSeries):
+class _Unknown(MSeries):
     """An unknown of a fixed-point solve, whose grades the solve stores.
 
     While the solve computes grade d, asking for grade d of an unknown
@@ -1009,11 +957,12 @@ class _Unknown(RelaxedSeries):
     __slots__ = ("_guess", "_guess_read", "_solving", "definition")
 
     def __init__(self, guess: MSeries):
-        super().__init__(None, guess.order, guess.grading)
+        super().__init__({}, guess.order, guess.grading)
+        self._done = 0
         self._guess = guess._slices
         self._guess_read = False
         self._solving = 0
-        self.definition: RelaxedSeries | None = None
+        self.definition: MSeries | None = None
 
     def slice(self, d: int) -> dict[int, object] | None:
         if d < self._done:
@@ -1029,13 +978,14 @@ class _Unknown(RelaxedSeries):
 def fixed_point_solve(equation_id: str, order: int):
     """Solve a registered fixed-point equation to the given order, online.
 
-    The step runs once, on relaxed unknowns, and builds the map as a
-    network of relaxed nodes; the solve then computes grade 0, 1, ...,
-    order, each of the unknowns in turn, and stores an unknown's grade as
-    soon as it is computed.  For a contraction, grade d of the step reads
-    only stored grades of the unknowns, so each grade of each node is
-    computed once, and the result is the truncated solution that Picard
-    iteration from the initial guess converges to.
+    The step runs once, on the unknowns, and builds the map as a network
+    of series that compute their grades on demand; the solve then
+    computes grade 0, 1, ..., order, each of the unknowns in turn, and
+    stores an unknown's grade as soon as it is computed.  For a
+    contraction, grade d of the step reads only stored grades of the
+    unknowns, so each grade of each series is computed once, and the
+    result is the truncated solution that Picard iteration from the
+    initial guess converges to.
 
     Where grade d of the step does read grade d of an unknown not stored
     yet (grade 0 of ``f * f`` in the 263514 equation, say), it is given
@@ -1062,10 +1012,13 @@ def fixed_point_solve(equation_id: str, order: int):
             if y._guess_read and y._slices.get(d) != y._guess.get(d):
                 raise NonContractionError(equation_id, d, d + 1)
             y._guess_read = False
-    solution = tuple(y.to_mseries() for y in unknowns)
+    solution = []
     for y in unknowns:
-        y.definition = None  # the nodes refer back to the unknowns: free them now
-    return solution if len(solution) > 1 else solution[0]
+        y.definition = None  # the definitions refer back to the unknowns: free them now
+        s = MSeries({}, order, y.grading)
+        s._slices = y._slices  # every grade is stored: the result is complete
+        solution.append(s)
+    return tuple(solution) if len(solution) > 1 else solution[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1307,12 +1260,12 @@ def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeri
 
 
 def _identity_sum_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    f = class_gf_enum("263514", order, from_length=1)
+    f = class_gf_enum("263514", order)
     return decomposable_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
 
 
 def _identity_skew_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
-    f = class_gf_enum("263514", order, from_length=1)
+    f = class_gf_enum("263514", order)
     return decomposable_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from permlab.perms import Perm, is_simple, occurs_with_new_max, standardize
-from permlab.series import MSeries
+from permlab.series import MSeries, _Unknown
 
 
 def brute_contains(host: Perm, pattern: Perm) -> bool:
@@ -174,6 +174,25 @@ def count_pools(monkeypatch) -> list[int]:
 # MSeries constructor doing the truncation
 
 
+def lazy(s: MSeries) -> MSeries:
+    """s as a node over an operand that is not complete.
+
+    The operand is an unknown of a solve that is at s's last grade and
+    has stored none, so it reads s's grades as its guess: the node, and
+    every series built on it, computes each grade only when asked, as a
+    series built on an unknown does inside a solve.
+    """
+    pending = _Unknown(s)
+    pending._solving = s.order
+    return pending + 0
+
+
+def forced(s: MSeries) -> MSeries:
+    """s with every grade up to its order computed."""
+    s.slice(s.order)
+    return s
+
+
 def term_sum(a: MSeries, b: MSeries, sign: int = 1) -> MSeries:
     """a + sign * b, one term at a time."""
     out = dict(a.coeffs)
@@ -226,8 +245,8 @@ def geometric_reciprocal(s: MSeries) -> MSeries:
 def naive_substitute(s: MSeries, bindings) -> MSeries:
     """The sum over the terms of s of c * x'^a * t'^b * u'^c, term by term.
 
-    ``substitute`` builds one relaxed node over shared powers instead and
-    must give the same series.
+    ``substitute`` builds one series over shared powers instead and must
+    give the same series.
     """
     series = [b for b in bindings.values() if isinstance(b, MSeries)]
     grading = series[0].grading if series else s.grading

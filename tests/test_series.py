@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    forced,
     geometric_reciprocal,
+    lazy,
     naive_substitute,
     term_product,
     term_scale,
@@ -25,10 +27,11 @@ from permlab.series import (
     IDENTITIES,
     MSeries,
     NonContractionError,
-    RelaxedSeries,
     SeriesError,
     TOTAL_GRADED,
     X_GRADED,
+    _Equation,
+    _node,
     check_identity,
     fixed_point_solve,
     identity_ids,
@@ -105,7 +108,7 @@ def full_order_picard(equation_id: str, order: int):
 def _oscillating_step(y):
     """y -> 1 + x*y - 2*(y - 1 - x - x^2).
 
-    Grade d of the result reads grade d of y at every d, since no relaxed
+    Grade d of the result reads grade d of y at every d, since no series
     operation can single out one grade.  The initial guess 1 + x + x^2 is
     the solution's grades 0-2, where the correction term vanishes, so
     grades 0-2 settle; at grade 3, [x^3] y -> 1 - 2 [x^3] y has no
@@ -192,7 +195,7 @@ class TestArithmetic:
         with pytest.raises(SeriesError, match="u exponent"):
             square * big
         with pytest.raises(SeriesError, match="u exponent"):
-            (RelaxedSeries.lift(big) * big).to_mseries()
+            forced(lazy(big) * big)
         # x t u^2 at x -> x u^m, t -> u^m: the bound product has u = 2m, and
         # the free u^2 would carry it into t
         m = 2**31 - 1
@@ -276,7 +279,11 @@ class TestReciprocal:
 
 
 class TestRelaxedSeries:
-    """Each relaxed operation, assembled from its slices, against term-by-term oracles."""
+    """Each operation, lazy and complete, against term-by-term oracles.
+
+    On a lazy operand an operation computes its grades one at a time when
+    asked; on complete operands it computes them all at once.
+    """
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -285,14 +292,14 @@ class TestRelaxedSeries:
         a, b = random_series(data, grading), random_series(data, grading)
         c = data.draw(COEFFS)
         const = MSeries.const(c, a.order, grading)
-        ra, rb = RelaxedSeries.lift(a), RelaxedSeries.lift(b)
-        assert (ra + rb).to_mseries() == term_sum(a, b) == a + b
-        assert (ra - b).to_mseries() == term_sum(a, b, -1) == a - b
-        assert (c - ra).to_mseries() == term_sum(const, a, -1) == c - a
-        assert (-ra).to_mseries() == term_scale(a, -1) == -a
-        assert (ra * rb).to_mseries() == term_product(a, b) == a * b
-        assert (ra * b).to_mseries() == term_product(a, b)
-        assert (c * ra).to_mseries() == term_scale(a, c) == a * c
+        la, lb = lazy(a), lazy(b)
+        assert forced(la + lb) == term_sum(a, b) == a + b
+        assert forced(a - lb) == forced(la - b) == term_sum(a, b, -1) == a - b
+        assert forced(c - la) == term_sum(const, a, -1) == c - a
+        assert forced(-la) == term_scale(a, -1) == -a
+        assert forced(la * lb) == term_product(a, b) == a * b
+        assert forced(a * lb) == forced(la * b) == term_product(a, b)
+        assert forced(c * la) == term_scale(a, c) == a * c
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -300,7 +307,7 @@ class TestRelaxedSeries:
         grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
         tail = random_series(data, grading, min_grade=1)
         s = term_sum(tail, MSeries.const(data.draw(COEFFS.filter(bool)), tail.order, grading))
-        got = RelaxedSeries.lift(s).reciprocal().to_mseries()
+        got = forced(lazy(s).reciprocal())
         assert got == s.reciprocal() == geometric_reciprocal(s)
 
     @settings(max_examples=100, deadline=None)
@@ -309,7 +316,7 @@ class TestRelaxedSeries:
         grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
         tail = random_series(data, grading, min_grade=1)
         radicand = term_sum(tail, MSeries.const(1, tail.order, grading))
-        root = RelaxedSeries.lift(radicand).sqrt1().to_mseries()
+        root = forced(lazy(radicand).sqrt1())
         assert root.coefficient() == 1
         assert term_product(root, root) == radicand
         assert radicand.sqrt1() == root
@@ -325,22 +332,38 @@ class TestRelaxedSeries:
         assert keys == sorted(s.coeffs, key=lambda k: (grade(k), k))
         assert dict(s.terms()) == s.coeffs
 
-    def test_mseries_operators_take_no_relaxed_operand(self):
-        s = x(4)
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            with pytest.raises(SeriesError, match="relaxed operands on the left"):
-                op(s, RelaxedSeries.lift(s))
-            assert op(RelaxedSeries.lift(s), s).to_mseries() == op(s, s)
-
     def test_no_grade_beyond_the_order(self):
-        # an MSeries shares its node's slices, so no node may add a grade
-        # past its order; the binding here could supply one
+        # series share slices, so none may add a grade past its order; the
+        # binding here could supply one
         s = named_series("catalan", 3) - 1
-        composed = s.substitute({"x": RelaxedSeries.lift(x(10))})
+        composed = s.substitute({"x": lazy(x(10))})
         assert composed.order == 3
         with pytest.raises(SeriesError, match="beyond the truncation order"):
             composed.slice(5)
-        assert composed.to_mseries() == s
+        assert composed == s
+        with pytest.raises(SeriesError, match="beyond the truncation order"):
+            s.slice(4)
+
+    def test_complete_operands_give_a_complete_series(self):
+        # computed at once, the product lets go of its fill and operands
+        product = x(4) * (1 + x(4))
+        assert product._fill is None and product._done == 5
+        assert product == MSeries({(1, 0, 0): 1, (2, 0, 0): 1}, 4)
+
+    def test_inspecting_a_lazy_series_computes_nothing(self):
+        computed = []
+
+        def fill(slices, d):
+            computed.append(d)
+
+        s = _node(fill, 4, X_GRADED, lazy(x(4)))
+        assert s.coeffs == {} and s.terms() == [] and s.is_zero()
+        assert s.coefficient(x=1) == 0 and s.x_coefficients() == [0] * 5
+        assert s == MSeries({}, 4) and s.pretty() == "0"
+        assert repr(s) == "MSeries({}, order=4, grading='x')"
+        assert computed == []
+        s.slice(2)
+        assert computed == [0, 1, 2]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -359,13 +382,10 @@ class TestRelaxedSeries:
         if not any(isinstance(b, MSeries) for b in bindings.values()):
             bindings["x"] = random_series(data, b_grading, min_grade=1)
         want = naive_substitute(s, bindings)
-        relaxed = {
-            v: RelaxedSeries.lift(b) if isinstance(b, MSeries) else b
-            for v, b in bindings.items()
-        }
-        got = s.substitute(relaxed)
-        assert isinstance(got, RelaxedSeries)
-        assert got.to_mseries() == want
+        pending = {v: lazy(b) if isinstance(b, MSeries) else b for v, b in bindings.items()}
+        got = s.substitute(pending)
+        assert got._done == 0
+        assert forced(got) == want
         assert s.substitute(bindings) == want
 
     @settings(max_examples=60, deadline=None)
@@ -381,18 +401,10 @@ class TestRelaxedSeries:
 
     def test_product_skips_pairs_with_an_empty_lower_grade(self):
         # f = x + x^2 has f_0 = 0, so grade d of f * f needs f only below d
-        grades = (x(4) + x(4) * x(4))._slices
-        computed = []
-
-        def fill(slices, d):
-            computed.append(d)
-            if d in grades:
-                slices[d] = grades[d]
-
-        f = RelaxedSeries(fill, 4, X_GRADED)
+        f = lazy(x(4) + x(4) * x(4))
         # grade 4 is x^4: its one term has t = u = 0, so key t << 32 | u = 0
         assert (f * f).slice(4) == {0: 1}
-        assert computed == [0, 1, 2, 3]
+        assert f._done == 4  # grades 0-3 computed, grade 4 never asked for
 
 
 class TestSqrt:
@@ -485,8 +497,6 @@ class TestFixedPoints:
             fixed_point_solve("no-such", 5)
 
     def test_non_contraction_detected(self):
-        from permlab.series import _Equation
-
         EQUATIONS["bad-equation"] = _Equation(
             ("bad",),
             lambda order: (MSeries.const(0, order),),
@@ -523,8 +533,6 @@ class TestRampedSolver:
                 assert g == w, (equation_id, order)
 
     def test_unknown_reading_an_earlier_one_at_the_solved_grade(self):
-        from permlab.series import _Equation
-
         # a = 1 + x a b, b = a: grade d of b reads grade d of a, stored just
         # before.  Under plain Picard iteration b lags a by one pass.
         def step(a, b):
@@ -554,8 +562,6 @@ class TestRampedSolver:
             del EQUATIONS["a-then-b"], EQUATIONS["b-then-a"]
 
     def test_x_first_stat132_step_matches_picard(self):
-        from permlab.series import _Equation
-
         EQUATIONS["stat132-x-first"] = _Equation(
             ("h", "g"), EQUATIONS["stat132-system"].initial, _stat132_x_first_step
         )
@@ -567,10 +573,8 @@ class TestRampedSolver:
             del EQUATIONS["stat132-x-first"]
 
     def test_read_above_the_solved_grade_rejected(self):
-        from permlab.series import _Equation
-
         def ahead(y):
-            return RelaxedSeries(lambda slices, d: y.slice(d + 1), y.order, y.grading)
+            return _node(lambda slices, d: y.slice(d + 1), y.order, y.grading, y)
 
         def ones(order):
             return MSeries.const(1, order), MSeries.const(1, order)
@@ -589,8 +593,6 @@ class TestRampedSolver:
             del EQUATIONS["read-ahead"], EQUATIONS["read-ahead-stored"]
 
     def test_oscillation_above_a_contracting_part(self):
-        from permlab.series import _Equation
-
         EQUATIONS["oscillating"] = _Equation(
             ("oscillating",), lambda order: (_oscillating_guess(order),), _oscillating_step
         )
@@ -605,8 +607,6 @@ class TestRampedSolver:
         assert "stalled at agreement degree 3" in str(info.value)
 
     def test_relaxed_binding_must_have_zero_constant_term(self):
-        from permlab.series import _Equation
-
         # y is 1 at grade 0, so it cannot be substituted for x
         EQUATIONS["bad-binding"] = _Equation(
             ("bad-binding",),
@@ -618,10 +618,47 @@ class TestRampedSolver:
                 fixed_point_solve("bad-binding", 4)
         finally:
             del EQUATIONS["bad-binding"]
-        bound = RelaxedSeries.lift(1 + x(4))
-        composed = named_series("catalan", 4).substitute({"x": bound})
+        # a lazy binding is checked when grade 0 is computed
+        composed = named_series("catalan", 4).substitute({"x": lazy(1 + x(4))})
         with pytest.raises(SeriesError, match="zero constant term"):
             composed.slice(0)
+
+    def test_complete_binding_checked_at_substitute(self):
+        with pytest.raises(SeriesError, match="binding for 'x' must have zero constant term"):
+            named_series("catalan", 4).substitute({"x": 1 + x(4)})
+
+    def test_complete_series_on_the_left_of_an_unknown(self):
+        # no operand order to keep: x * (y * y) + 1 is Catalan's equation
+        EQUATIONS["catalan-x-first"] = _Equation(
+            ("catalan",), EQUATIONS["catalan-fixed"].initial,
+            lambda y: (x(y.order) * (y * y) + 1,),
+        )
+        try:
+            for order in range(13):
+                got = fixed_point_solve("catalan-x-first", order)
+                assert got == full_order_picard("catalan-x-first", order), order
+                assert got == named_series("catalan", order)
+                assert got._fill is None and got._done == order + 1
+        finally:
+            del EQUATIONS["catalan-x-first"]
+
+    @pytest.mark.parametrize("operation, call", [
+        ("substitute", lambda y: y.substitute({"t": 1})),
+        ("divide_one_minus", lambda y: y.divide_one_minus("t")),
+        ("shift_down", lambda y: (y * x(y.order)).shift_down("x", 1)),
+    ])
+    def test_operations_on_every_term_refuse_a_series_being_solved(self, operation, call):
+        EQUATIONS["needs-every-term"] = _Equation(
+            ("y",), EQUATIONS["catalan-fixed"].initial, lambda y: (call(y) * x(y.order) + 1,)
+        )
+        try:
+            with pytest.raises(SeriesError, match=f"{operation} needs every term"):
+                fixed_point_solve("needs-every-term", 4)
+        finally:
+            del EQUATIONS["needs-every-term"]
+        # the same on any series still computing its grades
+        with pytest.raises(SeriesError, match=f"{operation} needs every term"):
+            call(lazy(MSeries.const(1, 4)))
 
 
 class TestNamedSeries:

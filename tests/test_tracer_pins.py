@@ -4,8 +4,10 @@
 ``sqrt1`` and ``substitute``, rebinds ``fixed_point_solve``,
 ``check_identity`` and ``identity_ids``, and replaces each ``EQUATIONS``
 entry's ``step``.  A rename under ``src/`` would leave those counters at
-zero without failing anything else, so this runs three identities under
-the tracer in a fresh interpreter and reads the counters back.
+zero without failing anything else, so this runs five identities under
+the tracer in a fresh interpreter and reads the counters back.  Between
+them they solve every registered equation, so the series built on the
+unknowns of each solve go through the wrapped methods too.
 """
 
 import json
@@ -15,8 +17,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-IDENTITIES = ["stat132-system", "schroder-cubic", "gf-263514-schroder"]
-COUNTERS = ["series.mul", "series.sqrt1", "series.reciprocal", "series.fixed_point_solve"]
+IDENTITIES = ["stat132-system", "schroder-cubic", "gf-263514-schroder",
+              "kernel-root-closed", "kernel-524361-vanishes"]
+COUNTERS = ["series.mul", "series.sqrt1", "series.reciprocal", "series.substitute",
+            "series.fixed_point_solve"]
 
 SCRIPT = f"""
 import json
@@ -24,8 +28,11 @@ from tracing import Tracer, install
 tracer = Tracer()
 install(tracer)
 from permlab import cli
+from permlab.series import EQUATIONS
 codes = [cli.main(["verify", "--id", i, "--order", "8"]) for i in {IDENTITIES!r}]
-print(json.dumps({{"codes": codes, "calls": {{k: tracer.calls[k] for k in {COUNTERS!r}}}}}))
+steps = {{e: tracer.counts["series.fixed_point.iterations." + e] for e in EQUATIONS}}
+print(json.dumps({{"codes": codes, "steps": steps,
+                  "calls": {{k: tracer.calls[k] for k in {COUNTERS!r}}}}}))
 """
 
 
@@ -37,6 +44,9 @@ def test_traced_identities_pass_and_count_every_series_layer():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     got = json.loads(done.stdout.splitlines()[-1])
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0] * len(IDENTITIES)
     for name in COUNTERS:
         assert got["calls"][name] > 0, (name, got["calls"])
+    assert len(got["steps"]) == 4
+    for equation_id, steps in got["steps"].items():
+        assert steps > 0, (equation_id, got["steps"])
