@@ -25,13 +25,18 @@ registry of checkable identities, each with a deliberately corrupted
 variant for mutation testing.  The solver is online: it evaluates an
 equation's step once, on unknowns whose grades it stores itself, and
 then computes grade 0, 1, ..., order, each unknown's grade in turn, from
-the grades already stored.
+the grades already stored.  Each builder whose only input is the order
+(the closed forms, and the fixed points they rest on) builds once per
+process: it keeps its result at the highest order asked for and serves
+a lower order cut from it, so identities that share a series share its
+build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import comb
 from typing import Callable, Mapping
 
@@ -620,6 +625,41 @@ def _node(fill: Callable[[dict, int], None], order: int, grading: str,
 # shared closed-form building blocks
 
 
+def _cut(result, order: int):
+    """A complete series (or tuple of them) cut to ``order``, sharing its slices."""
+    if isinstance(result, tuple):
+        return tuple(_cut(s, order) for s in result)
+    s = object.__new__(MSeries)
+    s._slices = {d: sl for d, sl in result._slices.items() if d <= order}
+    s.order, s.grading, s._done, s._fill = order, result.grading, order + 1, None
+    return s
+
+
+def _built_once(builder):
+    """Build an order-only series once per process and serve lower orders from it.
+
+    The wrapper keeps the builder's result at the highest order asked for
+    so far and serves every order up to it as a new complete series (or
+    tuple of them) sharing the kept slices of grade <= order.  That is
+    exact: grade d of a builder's result does not depend on its order,
+    and a stored slice never changes.  A higher order builds again and
+    replaces what is kept.  A call with ``corrupt=True`` goes to the
+    builder every time and is not kept.
+    """
+    kept, kept_order = None, -1
+
+    @wraps(builder)
+    def served(order: int, *, corrupt: bool = False):
+        nonlocal kept, kept_order
+        if corrupt:
+            return builder(order, corrupt=True)
+        if not 0 <= order <= kept_order:  # the builder rejects a negative order
+            kept, kept_order = builder(order), order
+        return _cut(kept, order)
+
+    return served
+
+
 def _x(order: int, grading: str = X_GRADED) -> MSeries:
     return MSeries.var("x", order, grading)
 
@@ -636,11 +676,13 @@ def _one(order: int, grading: str = X_GRADED) -> MSeries:
     return MSeries.const(1, order, grading)
 
 
+@_built_once
 def catalan_series(order: int) -> MSeries:
     """Catalan generating function via its quadratic fixed point."""
     return fixed_point_solve("catalan-fixed", order)
 
 
+@_built_once
 def large_schroder_series(order: int) -> MSeries:
     """(3 - x - sqrt(1 - 6x + x^2)) / 2; starts 1, 1, 2, 6, 22, ..."""
     x = _x(order)
@@ -648,6 +690,7 @@ def large_schroder_series(order: int) -> MSeries:
     return (3 - x - rad) * Fraction(1, 2)
 
 
+@_built_once
 def little_schroder_series(order: int) -> MSeries:
     """(1 + x - sqrt(1 - 6x + x^2)) / (4x); starts 1, 1, 3, 11, 45, ..."""
     x = _x(order + 1)
@@ -655,6 +698,7 @@ def little_schroder_series(order: int) -> MSeries:
     return (1 + x - rad).shift_down("x", 1) * Fraction(1, 4)
 
 
+@_built_once
 def catalan_layered(order: int) -> MSeries:
     """C(x / (1 - tx)): Catalan with extra LR-maxima slots marked by t."""
     x, t = _x(order), _t(order)
@@ -662,6 +706,7 @@ def catalan_layered(order: int) -> MSeries:
     return catalan_series(order).substitute({"x": z})
 
 
+@_built_once
 def lead_4132_closed(order: int, *, corrupt: bool = False) -> MSeries:
     """Closed form of the leading-maxima series over the 4132 class.
 
@@ -674,6 +719,7 @@ def lead_4132_closed(order: int, *, corrupt: bool = False) -> MSeries:
     return numer * ((1 - x * cs).reciprocal()) * ((1 - t * x).reciprocal())
 
 
+@_built_once
 def lead_4132_first_not_one_closed(order: int, *, corrupt: bool = False) -> MSeries:
     """Closed form of the same series restricted to first entry != 1.
 
@@ -685,6 +731,7 @@ def lead_4132_first_not_one_closed(order: int, *, corrupt: bool = False) -> MSer
     return t * x * (cs if corrupt else cs - 1) * (1 - x * cs).reciprocal()
 
 
+@_built_once
 def a033321_series(order: int) -> MSeries:
     """2 / (1 + x + sqrt((1 - x)(1 - 5x))); every coefficient of 1 + x + sqrt is even."""
     x = _x(order)
@@ -692,6 +739,7 @@ def a033321_series(order: int) -> MSeries:
     return ((1 + x + rad) * _HALF).reciprocal()
 
 
+@_built_once
 def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
     """Radical closed form of the constrained/free simples series (total grade).
 
@@ -710,10 +758,12 @@ def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
     return numer * ((u + 1) * (x + 1)).reciprocal() * _HALF
 
 
+@_built_once
 def stat132_system(order: int) -> tuple[MSeries, MSeries]:
     return fixed_point_solve("stat132-system", order)
 
 
+@_built_once
 def stat132_ending_max(order: int, *, corrupt: bool = False) -> MSeries:
     """Bond/LR-min series over 132-avoiders ending in their maximum (n >= 2).
 
@@ -726,19 +776,25 @@ def stat132_ending_max(order: int, *, corrupt: bool = False) -> MSeries:
     return x * (h - 1) * inv + u * (1 if corrupt else t) * x * x * inv
 
 
+@_built_once
 def simples_gf_from_stats(order: int) -> MSeries:
     """Monomial-summation route to the simples series.
 
     Each coefficient c of t^b u^m x^n in the ending-max table contributes
     c * x^(m+1) u^(n+b-m) (1+u)^(n-b-1); the exponents are provably
-    nonnegative (m <= n and b <= n-1 for n >= 2), which is asserted here.
+    nonnegative (m <= n and b <= n-1 for n >= 2), and a table entry where
+    one is not raises :class:`SeriesError`.
     """
-    # contributions of total degree <= order need table entries with
-    # n + b + 1 <= order only
-    table = stat132_ending_max(max(order - 1, 0))
+    # an entry of x-degree n contributes at total degree n + b + 1 or more,
+    # so the table to this order covers every contribution kept; at this
+    # order it shares the stat132-system solve of the same order
+    table = stat132_ending_max(order)
     out: dict[Key, object] = {}
     for (n, b, m), c in table.coeffs.items():
-        assert n + b - m >= 0 and n - b - 1 >= 0, (n, b, m)
+        if n + b - m < 0 or n - b - 1 < 0:
+            raise SeriesError(
+                f"ending-max table entry (n, b, m) = {(n, b, m)} gives a negative exponent"
+            )
         base_u = n + b - m
         for j in range(n - b):  # expand (1+u)^(n-b-1)
             x_e = m + 1
@@ -750,8 +806,15 @@ def simples_gf_from_stats(order: int) -> MSeries:
     return MSeries(out, order, TOTAL_GRADED)
 
 
+@_built_once
 def gf_263514_fixed(order: int) -> MSeries:
     return fixed_point_solve("gf-263514-fixed", order)
+
+
+@_built_once
+def kernel_root_series(order: int) -> MSeries:
+    """The kernel root, as the fixed point of its step; equals the little Schroder series."""
+    return fixed_point_solve("kernel-root", order)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1098,7 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
         (3 - _x(order) - ((3 - _x(order)) * (3 - _x(order)) - 8).sqrt1())
         * Fraction(1, 2)
     ),
-    "kernel-root": lambda order: fixed_point_solve("kernel-root", order),
+    "kernel-root": kernel_root_series,
     "catalan-layered": catalan_layered,
     "a033321": a033321_series,
     "lead-4132": lead_4132_closed,
@@ -1219,7 +1282,7 @@ def _identity_kernel_root_closed(order: int, corrupt: bool) -> tuple[MSeries, MS
     closed = little_schroder_series(order)
     if corrupt:
         closed = closed * (1 + _x(order))
-    return named_series("kernel-root", order), closed
+    return kernel_root_series(order), closed
 
 
 def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:

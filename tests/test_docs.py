@@ -58,3 +58,17 @@ def test_readme_module_names_resolve():
         for attr in path[1:].split("."):
             assert hasattr(target, attr), f"README names {module}{path}, which does not exist"
             target = getattr(target, attr)
+
+
+def test_readme_series_registry_names_exist():
+    """Every backticked name in the README's series registry is a registered series."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Series registry", 1)[1].split("\n## ", 1)[0]
+    found = re.findall(r"`([a-z0-9*-]+)`", section)
+    assert len(found) >= 15
+    names = set(permlab.series.series_names())
+    for name in found:
+        if name.endswith("*"):
+            assert any(n.startswith(name[:-1]) for n in names), name
+        else:
+            assert name in names, f"README's series registry names {name!r}, which is not registered"

@@ -6,6 +6,10 @@ frozen; involution-style checks (square the square root, multiply by
 the reciprocal) guard the nontrivial operations.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +25,7 @@ from helpers import (
     term_scale,
     term_sum,
 )
+import permlab.series as series_mod
 from permlab.series import (
     ENUM_DEPTH_LIMIT,
     EQUATIONS,
@@ -31,6 +36,7 @@ from permlab.series import (
     TOTAL_GRADED,
     X_GRADED,
     _Equation,
+    _built_once,
     _node,
     check_identity,
     fixed_point_solve,
@@ -43,6 +49,20 @@ SCHRODER = [1, 1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098]
 LITTLE = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 A033321 = [1, 1, 2, 6, 21, 79, 311, 1265, 5275, 22431, 96900]
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the builders whose only input is the order, each built once per process
+BUILT_ONCE = [
+    "catalan_series", "large_schroder_series", "little_schroder_series",
+    "catalan_layered", "lead_4132_closed", "lead_4132_first_not_one_closed",
+    "a033321_series", "simples_gf_closed", "stat132_system", "stat132_ending_max",
+    "simples_gf_from_stats", "gf_263514_fixed", "kernel_root_series",
+]
+CORRUPTIBLE = ["lead_4132_closed", "lead_4132_first_not_one_closed",
+               "simples_gf_closed", "stat132_ending_max"]
+# up, down, up past every order before, down again
+ORDER_SEQUENCE = [*range(13), *range(12, -1, -1), 20, 5]
 
 
 def x(order, grading=X_GRADED):
@@ -278,7 +298,7 @@ class TestReciprocal:
         assert s.reciprocal() == geometric_reciprocal(s)
 
 
-class TestRelaxedSeries:
+class TestLazySeries:
     """Each operation, lazy and complete, against term-by-term oracles.
 
     On a lazy operand an operation computes its grades one at a time when
@@ -699,6 +719,109 @@ class TestNamedSeries:
         s = named_series("stat132-ending-max", 4)
         lines = s.pretty().splitlines()
         assert lines[0] == "1 * x^2 t^1 u^1"
+
+
+class TestBuiltOnce:
+    """The order-only builders build once per process and serve lower orders.
+
+    Each result is compared with the undecorated builder (``__wrapped__``)
+    run fresh at that order, both through the module's builder, whose
+    memo the rest of the suite shares, and through a new memo on the
+    same builder, which starts empty.
+    """
+
+    @staticmethod
+    def assert_complete(result):
+        for s in result if isinstance(result, tuple) else (result,):
+            assert s._fill is None and s._done == s.order + 1
+            s.slice(s.order)  # every grade is there: computes nothing
+
+    @pytest.mark.parametrize("builder", BUILT_ONCE)
+    def test_served_orders_equal_a_fresh_build(self, builder):
+        served = getattr(series_mod, builder)
+        undecorated = served.__wrapped__
+        fresh = {n: undecorated(n) for n in set(ORDER_SEQUENCE)}
+        built = []
+
+        def counted(order):
+            built.append(order)
+            return undecorated(order)
+
+        own = _built_once(counted)
+        for n in ORDER_SEQUENCE:
+            for got in (served(n), own(n)):
+                assert got == fresh[n], (builder, n)
+                self.assert_complete(got)
+        # a lower order is cut from the highest one built so far
+        assert built == [*range(13), 20]
+        assert served(5) is not served(5)
+
+    @pytest.mark.parametrize("builder", CORRUPTIBLE)
+    def test_corrupt_calls_are_never_kept(self, builder):
+        served = getattr(series_mod, builder)
+        undecorated = served.__wrapped__
+        built = []
+
+        def counted(order, **kwargs):
+            built.append((order, kwargs.get("corrupt", False)))
+            return undecorated(order, **kwargs)
+
+        own = _built_once(counted)
+        plain = {n: undecorated(n) for n in (5, 8)}
+        corrupt = {n: undecorated(n, corrupt=True) for n in (5, 8)}
+        assert plain[8] != corrupt[8]
+        for build in (own, served):
+            assert build(8, corrupt=True) == corrupt[8]
+            assert build(8) == plain[8]
+            assert build(8, corrupt=True) == corrupt[8]
+            assert build(5, corrupt=True) == corrupt[5]
+            assert build(5) == plain[5]
+        assert built == [(8, True), (8, False), (8, True), (5, True)]
+
+    def test_each_equation_is_solved_once_per_process(self):
+        # a fresh interpreter: this one has built the series at other orders
+        script = """
+import dataclasses, json
+from collections import Counter
+from permlab.series import EQUATIONS, check_identity, identity_ids, IDENTITIES
+steps = Counter()
+def counted(eq_id, step):
+    def run(*args, **kwargs):
+        steps[eq_id] += 1
+        return step(*args, **kwargs)
+    return run
+for eq_id, eq in list(EQUATIONS.items()):
+    EQUATIONS[eq_id] = dataclasses.replace(eq, step=counted(eq_id, eq.step))
+passed = [check_identity(i, 10).passed for i in identity_ids() if not IDENTITIES[i].enum_backed]
+print(json.dumps({"passed": passed, "steps": steps}))
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120, check=True)
+        got = json.loads(done.stdout)
+        assert got["passed"] == [True] * 11
+        assert got["steps"] == {eq_id: 1 for eq_id in EQUATIONS}
+
+    def test_simples_from_stats_reads_the_table_at_its_own_order(self, monkeypatch):
+        asked = []
+        table = series_mod.stat132_ending_max
+
+        def recorded(order, **kwargs):
+            asked.append(order)
+            return table(order, **kwargs)
+
+        monkeypatch.setattr(series_mod, "stat132_ending_max", recorded)
+        for order in (0, 1, 9):
+            series_mod.simples_gf_from_stats.__wrapped__(order)
+        assert asked == [0, 1, 9]
+
+    def test_negative_exponent_in_the_table_is_an_error(self, monkeypatch):
+        # raised, not asserted, so python -O keeps the check
+        monkeypatch.setattr(
+            series_mod, "stat132_ending_max",
+            lambda order, **kwargs: MSeries.monomial(1, order, x=2, t=2),
+        )
+        with pytest.raises(SeriesError, match=r"\(2, 2, 0\)"):
+            series_mod.simples_gf_from_stats.__wrapped__(6)
 
 
 class TestIdentities:
