@@ -6,11 +6,12 @@ skew sum, every cut set of a deflation, one occurrence search per slot,
 every interval, series arithmetic term by term on (x, t, u) dicts) so
 that it cannot share a bug with the pruned search paths or the series
 engine it is used to check.  ``count_pools`` records the worker groups
-a call starts.
+a call starts, and ``calls_to`` the calls of one module function.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -167,6 +168,23 @@ def count_pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(enumeration, "_in_workers", in_workers)
     return started
+
+
+@contextmanager
+def calls_to(module, name: str):
+    """Wrap ``module.name`` inside the block; yields a list of each call's arguments."""
+    real = getattr(module, name)
+    calls: list[tuple] = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    setattr(module, name, spy)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, real)
 
 
 # ---------------------------------------------------------------------------

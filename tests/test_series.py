@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    calls_to,
     forced,
     geometric_reciprocal,
     lazy,
@@ -35,6 +37,7 @@ from permlab.series import (
     SeriesError,
     TOTAL_GRADED,
     X_GRADED,
+    _PACK_MIN,
     _Equation,
     _built_once,
     _node,
@@ -90,6 +93,30 @@ def random_series(data, grading, *, min_grade=0) -> MSeries:
         lambda k: (k[0] if grading == X_GRADED else sum(k)) >= min_grade
     )
     return MSeries(data.draw(st.dictionaries(keys, COEFFS, max_size=5)), order, grading)
+
+
+INTS = st.integers(-10**6, 10**6).filter(bool)
+
+
+def dense_terms(data, grading, coeffs=INTS) -> dict:
+    """Random terms of grade 3 at no fewer than ``_PACK_MIN`` (t, u) pairs."""
+    pairs = [(t, u) for t in range(4) for u in range(4) if grading == X_GRADED or t + u <= 3]
+    grade3 = data.draw(st.dictionaries(st.sampled_from(pairs), coeffs, min_size=_PACK_MIN))
+    return {(3 if grading == X_GRADED else 3 - t - u, t, u): c for (t, u), c in grade3.items()}
+
+
+def dense_series(data, grading) -> MSeries:
+    """A random int series whose grade-3 slice has at least ``_PACK_MIN`` terms."""
+    terms = dense_terms(data, grading)
+    keys = st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3))
+    terms.update(data.draw(st.dictionaries(keys, INTS, max_size=30)))
+    return MSeries(terms, data.draw(st.integers(6, 8)), grading)
+
+
+def block(order, x_exp, values):
+    """The series sum(values[t][u] x^x_exp t^t u^u) in x grading."""
+    return MSeries({(x_exp, t, u): c for t, row in enumerate(values) for u, c in enumerate(row)},
+                   order)
 
 
 def lowest_grade(s: MSeries) -> int:
@@ -427,6 +454,130 @@ class TestLazySeries:
         assert f._done == 4  # grades 0-3 computed, grade 4 never asked for
 
 
+class TestPackedProducts:
+    """Slice pairs multiplied as packed ints, against the term-by-term oracles.
+
+    Each test watches ``_pack`` (or ``_add_products``), so it shows which
+    path its products took.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_products_match_term_by_term(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        a, b = dense_series(data, grading), dense_series(data, grading)
+        with calls_to(series_mod, "_pack") as packs:
+            got, lazily = a * b, forced(lazy(a) * lazy(b))
+        assert packs
+        assert got == lazily == term_product(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_reciprocal_and_root_match_by_multiplication(self, data):
+        # 1 + x p and 1 + 4 x p for a dense slice p: grade 8 of the reciprocal
+        # and of the (integral) root pairs two dense grade-4 slices
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        p = MSeries(dense_terms(data, grading, st.integers(-50, 50).filter(bool)), 8, grading)
+        one, xp = MSeries.const(1, 8, grading), term_product(MSeries.var("x", 8, grading), p)
+        unit, radicand = term_sum(one, xp), term_sum(one, term_scale(xp, 4))
+        with calls_to(series_mod, "_pack") as packs:
+            inverse, root = unit.reciprocal(), radicand.sqrt1()
+        assert len(packs) == 4
+        assert term_product(unit, inverse) == one
+        assert term_product(root, root) == radicand
+
+    def test_digit_width_at_its_bound(self):
+        # rows of n = 2**L - 1 terms at x^0 and x^1: the coefficient of
+        # t^(n-1) sums n products (2n in grade 1), so for c = 2**k - 1 it is
+        # within a factor (1 - 2**-L)(1 - 2**-k)**2 of the digit's bound, and
+        # as k runs, that bound falls at every bit of a byte
+        for n in (15, 31):
+            for k in range(1, 70):
+                for c in (2**k - 1, 2**k):
+                    a = MSeries({(e, i, 0): c for e in (0, 1) for i in range(n)}, 2)
+                    alternating = MSeries({(e, i, 0): (-1) ** i * c
+                                           for e in (0, 1) for i in range(n)}, 2)
+                    for b in (a, -a, alternating):
+                        with calls_to(series_mod, "_pack") as packs:
+                            got = a * b
+                        assert len(packs) == 8  # two slices for each of four pairs
+                        assert got == term_product(a, b), (n, k, c)
+
+    def test_products_that_cancel_drop_their_grade(self):
+        p = [[(-1) ** (t * u) * (t + 2 * u + 1) for u in range(3)] for t in range(3)]
+        a = block(2, 0, p) + block(2, 1, p)
+        b = block(2, 0, p) - block(2, 1, p)
+        with calls_to(series_mod, "_add_packed") as packed:
+            got = a * b
+            lazily = forced(lazy(a) * b)
+        assert [len(args[1]) for args in packed] == [1, 2, 1] * 2
+        assert 1 not in got._slices and 1 not in lazily._slices  # p * -p + p * p
+        assert got == lazily == term_product(a, b)
+
+    def test_a_fraction_takes_the_dict_path(self):
+        values = [[t - u + 3 for u in range(3)] for t in range(3)]
+        a, b = block(2, 1, values), block(2, 1, values)
+        with calls_to(series_mod, "_pack") as packs:
+            assert a * b == term_product(a, b)
+        assert packs
+        a = a + MSeries({(1, 2, 2): Fraction(1, 3)}, 2)  # one Fraction in the slice
+        with calls_to(series_mod, "_pack") as packs, \
+                calls_to(series_mod, "_add_products") as products:
+            got = a * b
+        assert not packs and products
+        assert got == term_product(a, b)
+
+    def test_stat132_solve_matches_picard(self):
+        with calls_to(series_mod, "_pack") as packs:
+            got = fixed_point_solve("stat132-system", 12)
+        assert packs
+        assert got == full_order_picard("stat132-system", 12)
+
+    def test_u_limit_through_the_packed_path(self):
+        def near(u_low):
+            return MSeries({(1, t, u_low + u): (-1) ** u * (1 + t + u)
+                            for t in range(3) for u in range(3)}, 4)
+
+        below = near(2**30 - 3)
+        with calls_to(series_mod, "_pack") as packs:
+            square = below * below  # u up to 2**31 - 2
+        assert packs and square == term_product(below, below)
+        with calls_to(series_mod, "_pack") as packs:
+            with pytest.raises(SeriesError, match="u exponent"):
+                below * near(2**30 - 1)  # u up to 2**31
+        assert packs
+
+    def test_sparse_slice_takes_the_dict_path(self):
+        sparse = MSeries({(1, 0, 2**20): 8, **{(1, 0, u): u + 1 for u in range(7)}}, 3)
+        dense = block(3, 1, [[1, -2, 3]] * 3)
+        tracemalloc.start()
+        try:
+            with calls_to(series_mod, "_pack") as packs:
+                got = sparse * sparse, sparse * dense
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not packs and peak < 2**20
+        assert got == (term_product(sparse, sparse), term_product(sparse, dense))
+
+    def test_univariate_products_call_no_kernel(self):
+        a = geometric(12)
+        b = MSeries({(n, 0, 0): n - 3 for n in range(13)}, 12)
+        with calls_to(series_mod, "_add_products") as products, \
+                calls_to(series_mod, "_pack") as packs:
+            got, lazily = a * b, forced(lazy(a) * lazy(b))
+        assert not products and not packs
+        assert got == lazily == term_product(a, b)
+
+    def test_one_term_operand_shifts_the_other(self):
+        s = MSeries({(0, 0, 0): 2, (1, 1, 0): -1, (2, 0, 3): Fraction(1, 2)}, 5)
+        shifted = x(5) * s
+        assert all(shifted._slices[d + 1] is sl for d, sl in s._slices.items())
+        assert shifted == term_product(x(5), s)
+        term = MSeries({(1, 2, 1): Fraction(-3, 2)}, 5)
+        assert term * s == forced(lazy(s) * term) == term_product(term, s)
+
+
 class TestSqrt:
     def test_involution_kernel_radicand(self):
         r = 1 - 6 * x(20) + x(20) ** 2
@@ -468,6 +619,22 @@ class TestSubstitute:
         with pytest.raises(SeriesError, match="zero constant term"):
             named_series("catalan", 5).substitute({"x": 1 + x(5)})
 
+    def test_powers_compute_only_the_grades_asked_for(self, monkeypatch):
+        # x^2 t^4 at x -> x/(1-x), t -> x^2 + x^3: the power of t has valuation
+        # 8, so the order-8 result needs the square of x/(1-x) only below grade 4
+        s = MSeries({(2, 4, 0): 1}, 8)
+        bindings = {"x": x(8) * (1 - x(8)).reciprocal(), "t": x(8) ** 2 + x(8) ** 3}
+        made, real = [], series_mod._product
+
+        def product(a, b, eager=True):
+            made.append(real(a, b, eager))
+            return made[-1]
+
+        monkeypatch.setattr(series_mod, "_product", product)
+        assert s.substitute(bindings) == naive_substitute(s, bindings)
+        assert len(made) == 4  # the square of x/(1-x), and t's powers 2, 3 and 4
+        assert made[0]._done < 5
+
     def test_t_eval_at_one_allowed_in_x_grading(self):
         y = named_series("lead-4132", 10)
         at_one = y.substitute({"t": 1})
@@ -484,6 +651,13 @@ class TestDivision:
         s = 1 - t(5) ** 3
         q = s.divide_one_minus("t")
         assert q.coeffs == {(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_divide_one_minus_inverts_the_product(self, data):
+        s = random_series(data, X_GRADED)
+        for var in ("t", "u"):
+            assert (s * (1 - MSeries.var(var, s.order))).divide_one_minus(var) == s
 
     def test_inexact_division_rejected(self):
         with pytest.raises(SeriesError, match="not divisible"):
