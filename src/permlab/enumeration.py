@@ -706,6 +706,9 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
         fns = [STATISTICS[s] for s in stats]
     except KeyError as exc:
         raise ValueError(f"unknown statistic id {exc.args[0]!r}") from None
+    for i, s in enumerate(stats):
+        if s in stats[:i]:  # a table row keys its values by statistic id
+            raise ValueError(f"statistic id {s!r} is given twice")
     if filter_id not in FILTERS:
         raise ValueError(f"unknown filter id {filter_id!r}")
     keep = FILTERS[filter_id]

@@ -42,10 +42,8 @@ from functools import wraps
 from math import comb
 from typing import Callable, Mapping
 
-from permlab.enumeration import PatternBasis, class_levels, refined_count
+from permlab.enumeration import PatternBasis, class_levels, enumerate_simples, refined_count
 from permlab.perms import (
-    Perm,
-    is_simple,
     is_skew_decomposable,
     is_sum_decomposable,
     lr_minima,
@@ -803,12 +801,16 @@ def little_schroder_series(order: int) -> MSeries:
     return (1 + x - rad).shift_down("x", 1) * Fraction(1, 4)
 
 
+def _c_star(mark: MSeries) -> MSeries:
+    """C(x / (1 - mark * x)), the Catalan series at x / (1 - mark * x)."""
+    x = _x(mark.order)
+    return catalan_series(mark.order).substitute({"x": x * (1 - mark * x).reciprocal()})
+
+
 @_built_once
 def catalan_layered(order: int) -> MSeries:
     """C(x / (1 - tx)): Catalan with extra LR-maxima slots marked by t."""
-    x, t = _x(order), _t(order)
-    z = x * (1 - t * x).reciprocal()
-    return catalan_series(order).substitute({"x": z})
+    return _c_star(_t(order))
 
 
 @_built_once
@@ -977,23 +979,15 @@ def class_gf_enum(basis_name: str, order: int) -> MSeries:
     )
 
 
-def _simples_of_263514(order: int) -> list[Perm]:
-    out = []
-    for n, level in enumerate(class_levels(_BASES["263514"], order)):
-        if n >= 4:
-            out.extend(p for p in level if is_simple(p))
-    return out
-
-
 def simples_gf_enum(order: int) -> MSeries:
     """Brute-force simples series: u^(n-lrmin-1) x^(lrmin+1) over stripped simples."""
     _check_enum_order("simples-gf-enum", order)
     coeffs: dict[Key, object] = {}
-    for sigma in _simples_of_263514(order):
-        n = len(sigma)
-        m = len(lr_minima(strip_leading_maxima(sigma)))
-        key = (m + 1, 0, n - m - 1)
-        coeffs[key] = coeffs.get(key, 0) + 1
+    for n in range(order, 3, -1):  # longest first, so the first call builds every level
+        for sigma in enumerate_simples(_BASES["263514"], n):
+            m = len(lr_minima(strip_leading_maxima(sigma)))
+            key = (m + 1, 0, n - m - 1)
+            coeffs[key] = coeffs.get(key, 0) + 1
     return MSeries(coeffs, order, TOTAL_GRADED)
 
 
@@ -1085,11 +1079,8 @@ def _gf263514_step(f) -> tuple:
 
 
 def _kernel_root_step(t_cur) -> tuple:
-    order = t_cur.order
-    x = _x(order)
-    z = (1 - t_cur * x).reciprocal() * x
-    c_star = catalan_series(order).substitute({"x": z})
-    return (t_cur * t_cur * x * (1 - c_star * x).reciprocal() + 1,)
+    x = _x(t_cur.order)
+    return (t_cur * t_cur * x * (1 - _c_star(t_cur) * x).reciprocal() + 1,)
 
 
 EQUATIONS: dict[str, _Equation] = {
@@ -1276,7 +1267,26 @@ class IdentityCheck:
 class _Identity:
     build: Callable[[int, bool], tuple[MSeries, MSeries]]
     enum_backed: bool = False
-    description: str = ""
+
+
+IDENTITIES: dict[str, _Identity] = {}
+
+
+def _identity(identity_id: str, *, enum_backed: bool = False):
+    """Register the decorated builder as the identity ``identity_id``.
+
+    The builder takes ``(order, corrupt)`` and returns the sides (lhs,
+    rhs), or a list of such pairs, that must agree to ``order``; its
+    docstring states the identity.  ``enum_backed`` marks an identity that
+    enumerates a class, so it is held to ``ENUM_DEPTH_LIMIT`` and run by
+    ``verify`` at min(--order, --max-n).
+    """
+
+    def register(build):
+        IDENTITIES[identity_id] = _Identity(build, enum_backed)
+        return build
+
+    return register
 
 
 def _lead_functional_sides(a: MSeries, corrupt: bool) -> tuple[MSeries, MSeries]:
@@ -1292,7 +1302,11 @@ def _lead_functional_sides(a: MSeries, corrupt: bool) -> tuple[MSeries, MSeries]
     return a, rhs
 
 
+@_identity("lead-254613-functional", enum_backed=True)
 def _identity_lead_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Enumerated leading-maxima series over the 254613 class satisfies its
+    extraction/gap/block functional equation.
+    """
     a = lead_enum("254613", order)
     x, t = _x(order), _t(order)
     b = a.substitute({"t": 1})
@@ -1307,14 +1321,18 @@ def _identity_lead_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     return a, rhs
 
 
+@_identity("schroder-cubic")
 def _identity_schroder_cubic(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """The large Schroder series is a root of B^2 + (x-3)B + 2."""
     b = large_schroder_series(order)
     x = _x(order)
     c = 1 if corrupt else 2
     return b * b + (x - 3) * b + c, MSeries({}, order)
 
 
+@_identity("kernel-root-product")
 def _identity_kernel_product(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """x * little-schroder * large-schroder = large-schroder - 1."""
     b = large_schroder_series(order)
     t = little_schroder_series(order)
     x = _x(order)
@@ -1322,7 +1340,9 @@ def _identity_kernel_product(order: int, corrupt: bool) -> tuple[MSeries, MSerie
     return x * t * b, rhs
 
 
+@_identity("kernel-254613-vanishes")
 def _identity_kernel_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """The cubic kernel of the 254613 equation vanishes at the kernel root."""
     b = large_schroder_series(order)
     t = little_schroder_series(order)
     x = _x(order)
@@ -1340,24 +1360,38 @@ def _identity_kernel_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries
     return kernel, MSeries({}, order)
 
 
+@_identity("lead-524361-functional", enum_backed=True)
 def _identity_lead_524361(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Enumerated series over the 524361 class satisfies its functional equation."""
     return _lead_functional_sides(lead_enum("524361", order), corrupt)
 
 
+@_identity("lead-546132-functional", enum_backed=True)
 def _identity_lead_546132(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Enumerated series over the 546132 class satisfies the same functional
+    equation (no extra t on the inflation term).
+    """
     return _lead_functional_sides(lead_enum("546132", order), corrupt)
 
 
+@_identity("lead-4132-closed", enum_backed=True)
 def _identity_lead_4132_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Enumerated leading-maxima series over the 4132 class matches its closed form."""
     return lead_enum("4132", order), lead_4132_closed(order, corrupt=corrupt)
 
 
+@_identity("lead-4132-first-not-one-closed", enum_backed=True)
 def _identity_first_not_one_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Enumerated leading-maxima series over the 4132 subclass with first
+    entry != 1 matches its closed form.
+    """
     closed = lead_4132_first_not_one_closed(order, corrupt=corrupt)
     return lead_enum("4132", order, "first-entry-not-one"), closed
 
 
+@_identity("first-not-one-from-full")
 def _identity_first_not_one_from_full(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Restricted series = (1 - tx) * full series - 1."""
     x, t = _x(order), _t(order)
     y = lead_4132_closed(order)
     z = lead_4132_first_not_one_closed(order)
@@ -1365,17 +1399,20 @@ def _identity_first_not_one_from_full(order: int, corrupt: bool) -> tuple[MSerie
     return z, factor * y - 1
 
 
+@_identity("kernel-524361-vanishes")
 def _identity_kernel_524361(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """t^2 x + (t-1) x C* - (t-1) vanishes at the kernel root t."""
     troot = little_schroder_series(order)
     x = _x(order)
-    z = x * (1 - troot * x).reciprocal()
-    c_star = catalan_series(order).substitute({"x": z})
+    c_star = _c_star(troot)
     e = 3 if corrupt else 2
     lhs = troot**e * x + (troot - 1) * x * c_star - (troot - 1)
     return lhs, MSeries({}, order)
 
 
+@_identity("schroder-from-kernel-root")
 def _identity_schroder_from_kernel(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """large-schroder * (1 - x * kernel-root) = 1."""
     b = large_schroder_series(order)
     troot = little_schroder_series(order)
     x = _x(order)
@@ -1383,14 +1420,18 @@ def _identity_schroder_from_kernel(order: int, corrupt: bool) -> tuple[MSeries, 
     return b * factor, _one(order)
 
 
+@_identity("kernel-root-closed")
 def _identity_kernel_root_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """The kernel fixed point equals (1 + x - sqrt(1-6x+x^2)) / (4x)."""
     closed = little_schroder_series(order)
     if corrupt:
         closed = closed * (1 + _x(order))
     return kernel_root_series(order), closed
 
 
+@_identity("lead-4132-functional")
 def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """The closed 4132 series satisfies its own functional equation."""
     x, t = _x(order), _t(order)
     y = lead_4132_closed(order)
     cs = catalan_layered(order)
@@ -1405,21 +1446,29 @@ def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, 
     return y, rhs
 
 
+@_identity("stat132-system")
 def _identity_stat132_system(order: int, corrupt: bool) -> list[tuple[MSeries, MSeries]]:
+    """The joint bond/LR-min system over 132-avoiders is solved exactly."""
     h, g = stat132_system(order)
     h_rhs, g_rhs = _stat132_step(h, g, corrupt=corrupt)
     return [(h, h_rhs), (g, g_rhs)]
 
 
+@_identity("stat132-ending-max-enum", enum_backed=True)
 def _identity_stat132_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Ending-max table from the system matches enumeration."""
     return stat132_ending_max_enum(order), stat132_ending_max(order, corrupt=corrupt)
 
 
+@_identity("simples-gf-two-ways")
 def _identity_simples_two_ways(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Monomial summation and radical closed form of the simples series agree."""
     return simples_gf_from_stats(order), simples_gf_closed(order, corrupt=corrupt)
 
 
+@_identity("simples-gf-vs-enumeration", enum_backed=True)
 def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Simples series matches brute-force statistics over enumerated simples."""
     lhs = simples_gf_enum(order)
     rhs = simples_gf_from_stats(order)
     if corrupt:
@@ -1427,106 +1476,28 @@ def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeri
     return lhs, rhs
 
 
+@_identity("sum-decomposable-split", enum_backed=True)
 def _identity_sum_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Sum-decomposable members are counted by 2xf - x^2(f+1)."""
     f = class_gf_enum("263514", order)
     return decomposable_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
 
 
+@_identity("skew-decomposable-split", enum_backed=True)
 def _identity_skew_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """Skew-decomposable members are counted by f^2/(1+f)."""
     f = class_gf_enum("263514", order)
     return decomposable_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
 
 
+@_identity("gf-263514-schroder")
 def _identity_gf263514_schroder(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
+    """1 + the 263514 fixed point equals the large Schroder series."""
     f = gf_263514_fixed(order)
     extra = _x(order) if corrupt else 0
     return 1 + f + extra, large_schroder_series(order)
 
 
-IDENTITIES: dict[str, _Identity] = {
-    "lead-254613-functional": _Identity(
-        _identity_lead_254613, True,
-        "enumerated leading-maxima series over the 254613 class satisfies "
-        "its extraction/gap/block functional equation",
-    ),
-    "schroder-cubic": _Identity(
-        _identity_schroder_cubic, False,
-        "the large Schroder series is a root of B^2 + (x-3)B + 2",
-    ),
-    "kernel-root-product": _Identity(
-        _identity_kernel_product, False,
-        "x * little-schroder * large-schroder = large-schroder - 1",
-    ),
-    "kernel-254613-vanishes": _Identity(
-        _identity_kernel_254613, False,
-        "the cubic kernel of the 254613 equation vanishes at the kernel root",
-    ),
-    "lead-524361-functional": _Identity(
-        _identity_lead_524361, True,
-        "enumerated series over the 524361 class satisfies its functional equation",
-    ),
-    "lead-546132-functional": _Identity(
-        _identity_lead_546132, True,
-        "enumerated series over the 546132 class satisfies the same functional "
-        "equation (no extra t on the inflation term)",
-    ),
-    "lead-4132-closed": _Identity(
-        _identity_lead_4132_closed, True,
-        "enumerated leading-maxima series over the 4132 class matches its closed form",
-    ),
-    "lead-4132-first-not-one-closed": _Identity(
-        _identity_first_not_one_closed, True,
-        "same for the subclass with first entry != 1",
-    ),
-    "first-not-one-from-full": _Identity(
-        _identity_first_not_one_from_full, False,
-        "restricted series = (1 - tx) * full series - 1",
-    ),
-    "kernel-524361-vanishes": _Identity(
-        _identity_kernel_524361, False,
-        "t^2 x + (t-1) x C* - (t-1) vanishes at the kernel root",
-    ),
-    "schroder-from-kernel-root": _Identity(
-        _identity_schroder_from_kernel, False,
-        "large-schroder * (1 - x * kernel-root) = 1",
-    ),
-    "kernel-root-closed": _Identity(
-        _identity_kernel_root_closed, False,
-        "the kernel fixed point equals (1 + x - sqrt(1-6x+x^2)) / (4x)",
-    ),
-    "lead-4132-functional": _Identity(
-        _identity_lead_4132_functional, False,
-        "the closed 4132 series satisfies its own functional equation",
-    ),
-    "stat132-system": _Identity(
-        _identity_stat132_system, False,
-        "the joint bond/LR-min system over 132-avoiders is solved exactly",
-    ),
-    "stat132-ending-max-enum": _Identity(
-        _identity_stat132_enum, True,
-        "ending-max table from the system matches enumeration",
-    ),
-    "simples-gf-two-ways": _Identity(
-        _identity_simples_two_ways, False,
-        "monomial summation and radical closed form of the simples series agree",
-    ),
-    "simples-gf-vs-enumeration": _Identity(
-        _identity_simples_vs_enum, True,
-        "simples series matches brute-force statistics over enumerated simples",
-    ),
-    "sum-decomposable-split": _Identity(
-        _identity_sum_split, True,
-        "sum-decomposable members are counted by 2xf - x^2(f+1)",
-    ),
-    "skew-decomposable-split": _Identity(
-        _identity_skew_split, True,
-        "skew-decomposable members are counted by f^2/(1+f)",
-    ),
-    "gf-263514-schroder": _Identity(
-        _identity_gf263514_schroder, False,
-        "1 + the 263514 fixed point equals the large Schroder series",
-    ),
-}
 
 
 def identity_ids() -> list[str]:

@@ -9,10 +9,12 @@ exactly once: overcounting is as much a failure as undercounting.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -46,7 +48,7 @@ from permlab.perms import (
     standardize,
     strip_leading_maxima,
 )
-from permlab.series import check_identity, identity_ids, named_series
+from permlab.series import IDENTITIES, check_identity, identity_ids, named_series
 
 BASIS_2143 = PatternBasis.from_text("2143")
 BASIS_2143_3142 = PatternBasis.from_text("2143,3142")
@@ -95,9 +97,10 @@ class CaseTag:
         return f"{self.case_id}{self.payload}"
 
 
-def _report(check_id: str, max_n: int, witnesses: list[tuple[Perm, str]],
+def _report(check_id: str, max_n: int, witnesses: Iterable[tuple[Perm, str]],
             started: float) -> VerificationReport:
-    witnesses.sort(key=lambda w: (len(w[0]), w[0]))
+    """The report of a check started at ``started``, read after its witnesses."""
+    witnesses = sorted(witnesses, key=lambda w: (len(w[0]), w[0]))
     return VerificationReport(
         check_id,
         max_n,
@@ -107,16 +110,60 @@ def _report(check_id: str, max_n: int, witnesses: list[tuple[Perm, str]],
     )
 
 
+def _reported(check_id: str):
+    """Make a generator of (perm, reason) witnesses the check ``check_id``.
+
+    The check takes the generator's arguments, with the same default
+    ``max_n``, runs it to its end and returns the report at ``max_n``
+    that fails with every witness it yielded.  Its time is the time the
+    generator took.
+    """
+
+    def decorate(witnesses: Callable[..., Iterable[tuple[Perm, str]]]
+                 ) -> Callable[..., VerificationReport]:
+        default = inspect.signature(witnesses).parameters["max_n"].default
+
+        @wraps(witnesses)
+        def check(max_n: int = default, *args, **kwargs) -> VerificationReport:
+            started = time.perf_counter()
+            return _report(check_id, max_n, witnesses(max_n, *args, **kwargs), started)
+
+        return check
+
+    return decorate
+
+
+STRUCTURAL_CHECKS: dict[str, Callable[[int], VerificationReport]] = {}
+
+
+def _structural(check_id: str, *, cap: int | None = None):
+    """As ``_reported``, and register the check in ``STRUCTURAL_CHECKS``.
+
+    ``run_check`` runs a registered check at ``--max-n``, or at ``cap``
+    if that is smaller.  ``verify --all`` runs them in the order they are
+    defined here.
+    """
+
+    def decorate(witnesses: Callable[[int], Iterable[tuple[Perm, str]]]
+                 ) -> Callable[..., VerificationReport]:
+        check = _reported(check_id)(witnesses)
+        STRUCTURAL_CHECKS[check_id] = (
+            check if cap is None else lambda max_n: check(min(max_n, cap))
+        )
+        return check
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # structural scans
 
 
-def check_top_values(max_n: int = 8) -> VerificationReport:
+@_structural("top-values")
+def check_top_values(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143): the LR-maxima from the last leading maximum onward
     carry exactly the top values, and that position is a horizontal gap
     unless the permutation is the identity."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     for n, level in enumerate(class_levels(BASIS_2143, max_n)):
         if n == 0:
             continue
@@ -126,12 +173,11 @@ def check_top_values(max_n: int = 8) -> VerificationReport:
             tail = {p[i - 1] for i in lrset if i >= ell}
             expect = set(range(p[ell - 1], n + 1))
             if tail != expect:
-                witnesses.append((p, f"LR tail values {sorted(tail)} != {sorted(expect)}"))
+                yield p, f"LR tail values {sorted(tail)} != {sorted(expect)}"
             if any(p[ell - 1] <= p[i - 1] for i in range(1, n + 1) if i not in lrset):
-                witnesses.append((p, "a non-LR-maximum exceeds the last leading maximum"))
+                yield p, "a non-LR-maximum exceeds the last leading maximum"
             if p != identity(n) and ell not in horizontal_gaps(p):
-                witnesses.append((p, "last leading maximum is not a horizontal gap"))
-    return _report("top-values", max_n, witnesses, started)
+                yield p, "last leading maximum is not a horizontal gap"
 
 
 def _gap_blocks(p: Perm) -> list[Perm]:
@@ -149,11 +195,10 @@ def _gap_blocks(p: Perm) -> list[Perm]:
     return [standardize(b) for b in blocks]
 
 
-def check_gap_staircase(max_n: int = 8) -> VerificationReport:
+@_structural("gap-staircase")
+def check_gap_staircase(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143,3142): deleting all LR-maxima leaves the skew sum of
     the per-gap blocks."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     for level in class_levels(BASIS_2143_3142, max_n):
         for p in level:
             blocks = _gap_blocks(p)
@@ -162,21 +207,17 @@ def check_gap_staircase(max_n: int = 8) -> VerificationReport:
                 stacked = skew_sum(stacked, b)
             got = delete_lr_maxima(p)
             if got != stacked:
-                witnesses.append(
-                    (p, f"deleting LR-maxima gives {got}, gap blocks stack to {stacked}")
-                )
-    return _report("gap-staircase", max_n, witnesses, started)
+                yield p, f"deleting LR-maxima gives {got}, gap blocks stack to {stacked}"
 
 
-def check_strip_characterization(max_n: int = 8) -> VerificationReport:
+@_structural("strip-132")
+def check_strip_characterization(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Membership in the 4132 class == stripped permutation avoids 132,
     over every permutation of each length.
 
     Membership is a set lookup in the enumerated level of the class
     (``avoids_all`` is its oracle in the enumeration tests); the 132
     test runs on every permutation of S_n."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     levels = class_levels(BASIS_4132, max_n)
     for n in range(max_n + 1):
         members = set(levels[n])
@@ -184,10 +225,7 @@ def check_strip_characterization(max_n: int = 8) -> VerificationReport:
             member = p in members
             stripped_ok = not contains(strip_leading_maxima(p), PAT_132)
             if member != stripped_ok:
-                witnesses.append(
-                    (p, f"class membership {member} but stripped-avoids-132 {stripped_ok}")
-                )
-    return _report("strip-132", max_n, witnesses, started)
+                yield p, f"class membership {member} but stripped-avoids-132 {stripped_ok}"
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +288,26 @@ def _gen_254613(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
                     frontier.append((x2, CaseTag("multi-gap", tag.payload + (k, beta))))
 
 
-def _gen_524361(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
-    levels = class_levels(BASIS_524361, max_n)
-    levels_4132 = class_levels(BASIS_4132, max_n)
-    for level in levels_4132:
+def _gen_132_free_or_one_gap(basis: PatternBasis, max_n: int):
+    """The cases the 524361 and 546132 rebuilds share.
+
+    Every member of the 4132 class (the 132-free case, any gap count),
+    then each single-gap extraction core whose rest contains 132, with
+    its trailing runs.  Returns the (beta, i) pairs of those cores.
+    """
+    for level in class_levels(BASIS_4132, max_n):
         for p in level:
-            yield p, CaseTag("no-gap")  # the 132-free case, any gap count
-    pairs = list(_one_gap_pairs(levels, max_n, require_132_rest=True))
+            yield p, CaseTag("no-gap")
+    pairs = list(_one_gap_pairs(class_levels(basis, max_n), max_n, require_132_rest=True))
     for beta, i in pairs:
         core = extraction((1,), beta, i)
         yield from _with_trailing_runs(core, CaseTag("one-gap", (beta, i)), max_n)
+    return pairs
+
+
+def _gen_524361(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
+    levels_4132 = class_levels(BASIS_4132, max_n)
+    pairs = yield from _gen_132_free_or_one_gap(BASIS_524361, max_n)
     for a_len in range(1, max_n - 3):
         for alpha in levels_4132[a_len]:
             if alpha[0] == 1:
@@ -285,34 +333,28 @@ def _in_relocation_domain(sigma: Perm) -> bool:
 
 
 def _gen_546132(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
-    levels = class_levels(BASIS_546132, max_n)
     levels_4132 = class_levels(BASIS_4132, max_n)
-    for level in levels_4132:
-        for p in level:
-            yield p, CaseTag("no-gap")
-    pairs = list(_one_gap_pairs(levels, max_n, require_132_rest=True))
-    one_gap_by_len: dict[int, list[tuple[Perm, CaseTag]]] = {}
-    for beta, i in pairs:
-        core = extraction((1,), beta, i)
-        for p, tag in _with_trailing_runs(core, CaseTag("one-gap", (beta, i)), max_n):
-            yield p, tag
-            one_gap_by_len.setdefault(len(p), []).append((p, tag))
+    one_gap_by_len: dict[int, list[Perm]] = {}
+    for p, tag in _gen_132_free_or_one_gap(BASIS_546132, max_n):
+        yield p, tag
+        if tag.case_id == "one-gap":
+            one_gap_by_len.setdefault(len(p), []).append(p)
     for b_len in range(1, max_n):
         for beta in levels_4132[b_len]:
             if not _in_relocation_domain(beta):
                 continue
             ell = leading_maxima_count(beta)
             for a_len in range(4, max_n - b_len + 1):
-                for alpha, _ in one_gap_by_len.get(a_len, []):
+                for alpha in one_gap_by_len.get(a_len, []):
                     blocks = [(1,)] * b_len
                     blocks[ell - 1] = direct_sum(alpha, (1,))
                     yield inflate(beta, blocks), CaseTag("multi-gap", (alpha, beta))
 
 
-def _rebuild_check(check_id: str, basis: PatternBasis,
+def _rebuild_check(basis: PatternBasis,
                    gen: Callable[[int], Iterator[tuple[Perm, CaseTag]]],
-                   max_n: int) -> VerificationReport:
-    started = time.perf_counter()
+                   max_n: int) -> Iterator[tuple[Perm, str]]:
+    """Witnesses that ``gen`` does not produce each member of the class once."""
     produced: Counter[Perm] = Counter()
     tags: dict[Perm, list[CaseTag]] = {}
     for p, tag in gen(max_n):
@@ -320,38 +362,39 @@ def _rebuild_check(check_id: str, basis: PatternBasis,
             continue
         produced[p] += 1
         tags.setdefault(p, []).append(tag)
-    witnesses: list[tuple[Perm, str]] = []
     members: set[Perm] = set()
     for level in class_levels(basis, max_n):
         for p in level:
             members.add(p)
             got = produced.get(p, 0)
             if got == 0:
-                witnesses.append((p, "class element never generated"))
+                yield p, "class element never generated"
             elif got > 1:
                 via = ", ".join(str(t) for t in tags[p][:3])
-                witnesses.append((p, f"generated {got} times (via {via})"))
+                yield p, f"generated {got} times (via {via})"
     for p, count in produced.items():
         if p not in members:
-            witnesses.append((p, f"generated {count}x but not in the class"))
-    return _report(check_id, max_n, witnesses, started)
+            yield p, f"generated {count}x but not in the class"
 
 
-def check_rebuild_254613(max_n: int = 8) -> VerificationReport:
+@_structural("rebuild-254613")
+def check_rebuild_254613(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Identity / single-gap-extraction / gap-and-block-insertion cases
     rebuild the 254613 class exactly once each."""
-    return _rebuild_check("rebuild-254613", BASIS_254613, _gen_254613, max_n)
+    return _rebuild_check(BASIS_254613, _gen_254613, max_n)
 
 
-def check_rebuild_524361(max_n: int = 8) -> VerificationReport:
+@_structural("rebuild-524361")
+def check_rebuild_524361(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """132-free case plus extraction cases rebuild the 524361 class."""
-    return _rebuild_check("rebuild-524361", BASIS_524361, _gen_524361, max_n)
+    return _rebuild_check(BASIS_524361, _gen_524361, max_n)
 
 
-def check_rebuild_546132(max_n: int = 8) -> VerificationReport:
+@_structural("rebuild-546132")
+def check_rebuild_546132(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """132-free case, extraction case, and the inflate-at-last-leading-
     maximum case rebuild the 546132 class."""
-    return _rebuild_check("rebuild-546132", BASIS_546132, _gen_546132, max_n)
+    return _rebuild_check(BASIS_546132, _gen_546132, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +424,11 @@ def relocate_identity_prefix(sigma: Perm) -> Perm:
     return middle + moved + (top,) + tuple(remap(v) for v in sigma[ell:])
 
 
-def check_prefix_relocation(max_n: int = 8) -> VerificationReport:
+@_structural("prefix-relocation")
+def check_prefix_relocation(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """The relocation map is a length- and leading-maxima-preserving
     bijection from the bonded-top subset onto the first-entry != 1 subset
     of the 4132 class."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     levels = class_levels(BASIS_4132, max_n)
     for n, level in enumerate(levels):
         if n == 0:
@@ -398,69 +440,62 @@ def check_prefix_relocation(max_n: int = 8) -> VerificationReport:
         for sigma in domain:
             tau = relocate_identity_prefix(sigma)
             if len(tau) != n:
-                witnesses.append((sigma, f"image {tau} has wrong length"))
+                yield sigma, f"image {tau} has wrong length"
                 continue
             if tau not in members:
-                witnesses.append((sigma, f"image {tau} left the class"))
+                yield sigma, f"image {tau} left the class"
             if tau[0] == 1:
-                witnesses.append((sigma, f"image {tau} starts with 1"))
+                yield sigma, f"image {tau} starts with 1"
             if leading_maxima_count(tau) != leading_maxima_count(sigma):
-                witnesses.append((sigma, f"image {tau} changed leading maxima"))
+                yield sigma, f"image {tau} changed leading maxima"
             if tau in image:
-                witnesses.append((sigma, f"image {tau} already hit (not injective)"))
+                yield sigma, f"image {tau} already hit (not injective)"
             image.add(tau)
         if len(domain) != len(codomain):
-            witnesses.append(
-                ((), f"n={n}: domain size {len(domain)} != codomain size {len(codomain)}")
-            )
+            yield (), f"n={n}: domain size {len(domain)} != codomain size {len(codomain)}"
         elif image != codomain:
             missed = sorted(codomain - image)[:3]
-            witnesses.extend((p, "never hit by the relocation map") for p in missed)
-    return _report("prefix-relocation", max_n, witnesses, started)
+            yield from ((p, "never hit by the relocation map") for p in missed)
 
 
 # ---------------------------------------------------------------------------
 # simples
 
 
-def check_simples_coincide(max_n: int = 8) -> VerificationReport:
+@_structural("simples-coincide")
+def check_simples_coincide(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """The 263514 and 4132 classes have identical simple members."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     for n in range(max_n + 1):
         a = set(enumerate_simples(BASIS_263514, n))
         b = set(enumerate_simples(BASIS_4132, n))
         for p in sorted(a - b):
-            witnesses.append((p, "simple in the 263514 class only"))
+            yield p, "simple in the 263514 class only"
         for p in sorted(b - a):
-            witnesses.append((p, "simple in the 4132 class only"))
-    return _report("simples-coincide", max_n, witnesses, started)
+            yield p, "simple in the 4132 class only"
 
 
-def check_simples_construction(max_n: int = 8) -> VerificationReport:
+@_structural("simples-construction")
+def check_simples_construction(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Leading-maximum insertion into 132-avoiders yields exactly the
     simples of the 4132 class (plus 1, 12, 21 at short lengths)."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     short = {1: [(1,)], 2: [(1, 2), (2, 1)], 3: []}
     for n, expect in short.items():
         if n > max_n:
             continue
         got = enumerate_simples(BASIS_4132, n)
         if got != expect:
-            witnesses.append(((), f"n={n}: simples {got} != {expect}"))
+            yield (), f"n={n}: simples {got} != {expect}"
     for n in range(4, max_n + 1):
         built = simples_by_insertion(n)
         enumerated = enumerate_simples(BASIS_4132, n)
         built_set, enum_set = set(built), set(enumerated)
         if len(built) != len(built_set):
             dup = [p for p, c in Counter(built).items() if c > 1][:3]
-            witnesses.extend((p, "constructed more than once") for p in dup)
+            yield from ((p, "constructed more than once") for p in dup)
         for p in sorted(built_set - enum_set):
-            witnesses.append((p, "constructed but not a class simple"))
+            yield p, "constructed but not a class simple"
         for p in sorted(enum_set - built_set):
-            witnesses.append((p, "class simple the construction misses"))
-    return _report("simples-construction", max_n, witnesses, started)
+            yield p, "class simple the construction misses"
 
 
 def _is_one_of_132(p: Perm, i: int) -> bool:
@@ -480,12 +515,11 @@ def _is_three_of_213(p: Perm, i: int) -> bool:
     )
 
 
-def check_inflation_rules(max_n: int = 8) -> VerificationReport:
+@_structural("inflation-rules")
+def check_inflation_rules(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Position classification of class simples, and closure of inflation:
     constrained positions tolerate only increasing blocks, free positions
     tolerate every small class member."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     basis = BASIS_263514.patterns
     small_blocks = [
         p
@@ -504,12 +538,10 @@ def check_inflation_rules(max_n: int = 8) -> VerificationReport:
                 want_one = i < ell
                 want_three = i > ell and (i - ell) not in suffix_lrmin
                 if is_one != want_one:
-                    witnesses.append(
-                        (sigma, f"position {i}: 1-of-132 is {is_one}, classified {want_one}")
-                    )
+                    yield sigma, f"position {i}: 1-of-132 is {is_one}, classified {want_one}"
                 if is_three != want_three:
-                    witnesses.append(
-                        (sigma, f"position {i}: 3-of-213 is {is_three}, classified {want_three}")
+                    yield (
+                        sigma, f"position {i}: 3-of-213 is {is_three}, classified {want_three}"
                     )
                 if is_one or is_three:
                     constrained.add(i)
@@ -519,23 +551,20 @@ def check_inflation_rules(max_n: int = 8) -> VerificationReport:
                 blocks = list(ones)
                 blocks[i - 1] = (2, 1)
                 if avoids_all(inflate(sigma, blocks), basis):
-                    witnesses.append(
-                        (sigma, f"21 at constrained position {i} stays in the class")
-                    )
+                    yield sigma, f"21 at constrained position {i} stays in the class"
             for i in free:
                 for rho in small_blocks:
                     blocks = list(ones)
                     blocks[i - 1] = rho
                     if not avoids_all(inflate(sigma, blocks), basis):
-                        witnesses.append(
-                            (sigma, f"{perm_to_text(rho)} at free position {i} leaves the class")
+                        yield (
+                            sigma, f"{perm_to_text(rho)} at free position {i} leaves the class"
                         )
             joint = [
                 (2, 1) if i in free else (1, 2) for i in range(1, n + 1)
             ]
             if not avoids_all(inflate(sigma, joint), basis):
-                witnesses.append((sigma, "joint conforming inflation leaves the class"))
-    return _report("inflation-rules", max_n, witnesses, started)
+                yield sigma, "joint conforming inflation leaves the class"
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +622,8 @@ def _deflation_tallies(max_n: int) -> Iterator[tuple[int, bytearray, bytearray]]
         yield n, counts, agrees
 
 
-def check_deflation_uniqueness(max_n: int = 7) -> VerificationReport:
+@_structural("deflation-uniqueness", cap=7)
+def check_deflation_uniqueness(max_n: int = 7) -> Iterator[tuple[Perm, str]]:
     """deflate() returns the unique convention-respecting decomposition.
 
     Each length is checked against ``_deflation_tallies``.  A
@@ -602,20 +632,17 @@ def check_deflation_uniqueness(max_n: int = 7) -> VerificationReport:
     deflated again and reported as not inflating back, as having some
     other number of decompositions, or as disagreeing, in that order.
     """
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     for n, counts, agrees in _deflation_tallies(max_n):
         for r, p in enumerate(permutations(range(1, n + 1))):
             if counts[r] == 1 and agrees[r]:
                 continue
             d = deflate(p)
             if inflate(d.skeleton, d.blocks) != p:
-                witnesses.append((p, "deflation does not inflate back"))
+                yield p, "deflation does not inflate back"
             elif counts[r] != 1:
-                witnesses.append((p, f"{counts[r]} convention-respecting decompositions"))
+                yield p, f"{counts[r]} convention-respecting decompositions"
             else:
-                witnesses.append((p, "deflate() disagrees with the inflation tally"))
-    return _report("deflation-uniqueness", max_n, witnesses, started)
+                yield p, "deflate() disagrees with the inflation tally"
 
 
 # ---------------------------------------------------------------------------
@@ -631,41 +658,23 @@ DEFAULT_COUNT_TARGETS: list[tuple[PatternBasis, str]] = [
 ]
 
 
+@_reported("cross-count")
 def check_cross_counts(max_n: int = 10,
                        targets: Sequence[tuple[PatternBasis, str]] | None = None
-                       ) -> VerificationReport:
+                       ) -> Iterator[tuple[Perm, str]]:
     """Class counts match their closed-form series coefficient by coefficient."""
-    started = time.perf_counter()
-    witnesses: list[tuple[Perm, str]] = []
     for basis, series_name in (targets if targets is not None else DEFAULT_COUNT_TARGETS):
         counts = count_class(basis, max_n)
         coeffs = named_series(series_name, max_n).x_coefficients()
         for n, (got, want) in enumerate(zip(counts, coeffs)):
             if got != want:
-                witnesses.append(
-                    ((), f"basis {basis.key}: count {got} at n={n}, "
-                         f"{series_name} coefficient {want}")
-                )
+                yield (), (f"basis {basis.key}: count {got} at n={n}, "
+                           f"{series_name} coefficient {want}")
                 break
-    return _report("cross-count", max_n, witnesses, started)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
-
-STRUCTURAL_CHECKS: dict[str, Callable[[int], VerificationReport]] = {
-    "top-values": check_top_values,
-    "gap-staircase": check_gap_staircase,
-    "strip-132": check_strip_characterization,
-    "rebuild-254613": check_rebuild_254613,
-    "rebuild-524361": check_rebuild_524361,
-    "rebuild-546132": check_rebuild_546132,
-    "prefix-relocation": check_prefix_relocation,
-    "simples-coincide": check_simples_coincide,
-    "simples-construction": check_simples_construction,
-    "inflation-rules": check_inflation_rules,
-    "deflation-uniqueness": check_deflation_uniqueness,
-}
 
 
 def check_ids() -> list[str]:
@@ -682,28 +691,22 @@ def _identity_report(identity_id: str, order: int) -> VerificationReport:
             ((), f"coefficient of x^{key[0]} t^{key[1]} u^{key[2]}: "
                  f"lhs {lhs} != rhs {rhs}")
         )
-    return VerificationReport(
-        identity_id, order, res.status, witnesses,
-        (time.perf_counter() - started) * 1000.0,
-    )
+    return _report(identity_id, order, witnesses, started)
 
 
 def run_check(check_id: str, max_n: int = 8, order: int = 12, *,
               count_n: int = 10) -> VerificationReport:
     """Run one registered structural check or series identity by id.
 
-    Structural checks run at max_n (deflation uniqueness capped at 7),
-    cross counts at count_n, closed-form identities at ``order`` and
+    Structural checks run at max_n (or their cap, if smaller), cross
+    counts at count_n, closed-form identities at ``order`` and
     enumeration-backed ones at min(order, max_n).
     """
     if check_id in STRUCTURAL_CHECKS:
-        budget = min(max_n, 7) if check_id == "deflation-uniqueness" else max_n
-        return STRUCTURAL_CHECKS[check_id](budget)
+        return STRUCTURAL_CHECKS[check_id](max_n)
     if check_id == "cross-count":
         return check_cross_counts(count_n)
     if check_id in identity_ids():
-        from permlab.series import IDENTITIES
-
         budget = min(order, max_n) if IDENTITIES[check_id].enum_backed else order
         return _identity_report(check_id, budget)
     raise KeyError(

@@ -165,6 +165,14 @@ class TestStat:
         assert code == 2
         assert "unknown statistic" in err
 
+    def test_repeated_stat(self, capsys):
+        # the json record of a row has one key per statistic id
+        code, out, err = run(capsys, "stat", "--basis", "132", "--max-n", "3",
+                             "--stats", "bond,bond", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "'bond' is given twice" in err
+
 
 class TestSeries:
     def test_univariate_table(self, capsys):

@@ -72,3 +72,19 @@ def test_readme_series_registry_names_exist():
             assert any(n.startswith(name[:-1]) for n in names), name
         else:
             assert name in names, f"README's series registry names {name!r}, which is not registered"
+
+
+def test_readme_names_every_structural_check():
+    """The README's "What gets verified" describes every registered structural check."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## What gets verified", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([a-z0-9-]+)`", section))
+    missing = [cid for cid in permlab.verification.STRUCTURAL_CHECKS if cid not in named]
+    assert not missing, f"README's What gets verified does not name {missing}"
+
+
+def test_identity_builders_state_their_identity():
+    """Every registered identity's builder has a docstring stating the identity."""
+    undocumented = [iid for iid, spec in permlab.series.IDENTITIES.items()
+                    if not (spec.build.__doc__ or "").strip()]
+    assert not undocumented

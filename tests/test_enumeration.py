@@ -599,6 +599,8 @@ class TestRefinedCounts:
             refined_count(basis, 3, ["descents"])
         with pytest.raises(ValueError, match="unknown filter"):
             refined_count(basis, 3, ["bond"], "last-is-max")
+        with pytest.raises(ValueError, match="'bond' is given twice"):
+            refined_count(basis, 3, ["bond", "lr-min", "bond"])
 
 
 class TestExport:

@@ -349,9 +349,39 @@ class TestAggregation:
             run_check("no-such")
 
     def test_check_ids_cover_both_registries(self):
-        ids = check_ids()
-        assert "rebuild-254613" in ids
-        assert "simples-gf-two-ways" in ids
+        # the order of `verify --all`: the structural checks in the order
+        # they are defined, cross-count, then the identities sorted
+        assert check_ids() == [
+            "top-values", "gap-staircase", "strip-132", "rebuild-254613",
+            "rebuild-524361", "rebuild-546132", "prefix-relocation",
+            "simples-coincide", "simples-construction", "inflation-rules",
+            "deflation-uniqueness", "cross-count",
+            "first-not-one-from-full", "gf-263514-schroder",
+            "kernel-254613-vanishes", "kernel-524361-vanishes",
+            "kernel-root-closed", "kernel-root-product", "lead-254613-functional",
+            "lead-4132-closed", "lead-4132-first-not-one-closed",
+            "lead-4132-functional", "lead-524361-functional",
+            "lead-546132-functional", "schroder-cubic",
+            "schroder-from-kernel-root", "simples-gf-two-ways",
+            "simples-gf-vs-enumeration", "skew-decomposable-split",
+            "stat132-ending-max-enum", "stat132-system", "sum-decomposable-split",
+        ]
+
+    def test_run_check_budgets(self):
+        def budget(check_id, **kwargs):
+            report = run_check(check_id, **kwargs)
+            assert report.passed and report.check_id == check_id
+            return report.max_n
+
+        assert budget("top-values", max_n=5) == 5
+        assert budget("deflation-uniqueness", max_n=8) == 7
+        assert budget("deflation-uniqueness", max_n=5) == 5
+        assert budget("cross-count", max_n=5, count_n=6) == 6
+        # enumeration-backed identities at min(order, max_n)
+        assert budget("lead-4132-closed", max_n=5, order=9) == 5
+        assert budget("lead-4132-closed", max_n=8, order=6) == 6
+        # closed-form identities at order
+        assert budget("schroder-cubic", max_n=5, order=9) == 9
 
     def test_run_all_small(self):
         reports = run_all(max_n=5, order=6, count_n=6)
