@@ -105,9 +105,8 @@ def cmd_stat(args) -> int:
 
 def cmd_simples(args) -> int:
     basis = PatternBasis.from_text(args.basis)
-    # longest first: that call builds and caches every shorter level
-    simples = {n: enumerate_simples(basis, n) for n in range(args.max_n, -1, -1)}
-    rows = [(n, perm_to_text(p)) for n in range(args.max_n + 1) for p in simples[n]]
+    simples = enumerate_simples(basis, args.max_n)
+    rows = [(n, perm_to_text(p)) for n, level in enumerate(simples) for p in level]
     _print_rows(rows, ["n", "perm"], args.format)
     return OK
 

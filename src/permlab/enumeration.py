@@ -20,7 +20,10 @@ is ever searched for a pattern.
 ``class_levels`` grows whole levels breadth-first (``_grow``), each
 sorted lexicographically, and caches them per basis.  The cache holds
 no masks, so a call that continues a cached prefix grows the masks of
-its top level again from the root.  The last level built gets no masks.
+its top level again from the root.  Every command and check asks each
+class for one length only, its deepest (``enumerate_simples`` and
+``simples_by_insertion`` answer for every length up to it at once), so
+none of them pays that rebuild.  The last level built gets no masks.
 
 ``count_class`` reads, builds and caches no level: it walks the
 insertion tree depth-first from the root (``_walk``) and counts each
@@ -117,9 +120,6 @@ class PatternBasis:
     @property
     def key(self) -> str:
         return ";".join(perm_to_text(p) for p in self.patterns)
-
-    def __iter__(self):
-        return iter(self.patterns)
 
     def __len__(self):
         return len(self.patterns)
@@ -597,11 +597,6 @@ def class_levels(basis: PatternBasis, max_n: int, *,
     return levels[: max_n + 1]
 
 
-def enumerate_class(basis: PatternBasis, n: int) -> list[Perm]:
-    """Exactly Av_n(basis) in lexicographic order."""
-    return class_levels(basis, n)[n]
-
-
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> list[int]:
     """(|Av_0|, ..., |Av_max_n|).
 
@@ -726,30 +721,26 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
 # simple permutations
 
 
-def enumerate_simples(basis: PatternBasis, n: int) -> list[Perm]:
-    """The simple members of Av_n(basis), sorted."""
-    return [p for p in enumerate_class(basis, n) if is_simple(p)]
+def enumerate_simples(basis: PatternBasis, max_n: int) -> list[list[Perm]]:
+    """The simple members of Av_0(basis) .. Av_max_n(basis), each length sorted."""
+    return [[p for p in level if is_simple(p)] for level in class_levels(basis, max_n)]
 
 
-def simples_by_insertion(n: int) -> list[Perm]:
-    """Length-n simples built from 132-avoiders by leading-maximum insertion.
+def simples_by_insertion(max_n: int) -> list[list[Perm]]:
+    """The simples of lengths 0..max_n built from 132-avoiders by leading-maximum insertion.
 
     Base permutations are the alpha in Av_m(132) (m >= 3) with
     alpha_1 = m and alpha_m = m-1; below each row r in 2..m-1 at most one
     leading maximum is inserted, and exactly one between every bonded
-    pair of rows.  Insertion below rows 1 and m is never allowed.
+    pair of rows.  Insertion below rows 1 and m is never allowed.  The
+    construction produces nothing below length 4.
     """
-    if n < 4:
-        raise ValueError("the construction produces nothing below length 4")
     from itertools import combinations
 
-    basis132 = PatternBasis([(1, 3, 2)])
-    out: list[Perm] = []
-    for m in range(3, n + 1):
-        k = n - m
-        if k > m - 2:
-            continue
-        for rho in enumerate_class(basis132, m - 2):
+    out: list[list[Perm]] = [[] for _ in range(max_n + 1)]
+    levels_132 = class_levels(PatternBasis([(1, 3, 2)]), max(max_n - 2, 0))
+    for m in range(3, max_n + 1):
+        for rho in levels_132[m - 2]:
             alpha = (m,) + rho + (m - 1,)
             forced = {
                 max(a, b)
@@ -757,14 +748,12 @@ def simples_by_insertion(n: int) -> list[Perm]:
                 if abs(a - b) == 1
             }
             free = sorted(set(range(2, m)) - forced)
-            need = k - len(forced)
-            if need < 0 or need > len(free):
-                continue
-            for extra in combinations(free, need):
-                rows = sorted(forced.union(extra))
-                sigma = _insert_leading_maxima(alpha, rows)
-                out.append(sigma)
-    return sorted(out)
+            # k = n - m insertions, at most one below each of rows 2..m-1
+            for k in range(len(forced), min(m - 2, max_n - m) + 1):
+                for extra in combinations(free, k - len(forced)):
+                    rows = sorted(forced.union(extra))
+                    out[m + k].append(_insert_leading_maxima(alpha, rows))
+    return [sorted(level) for level in out]
 
 
 def _insert_leading_maxima(alpha: Perm, rows: list[int]) -> Perm:

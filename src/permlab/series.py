@@ -927,7 +927,8 @@ def kernel_root_series(order: int) -> MSeries:
 # ---------------------------------------------------------------------------
 # enumeration-backed series
 
-_BASES = {
+# The classes of the paper, keyed by their third basis pattern (Av(132) as "132").
+PAPER_BASES = {
     "254613": PatternBasis.from_text("2143,3142,254613"),
     "524361": PatternBasis.from_text("2143,3142,524361"),
     "546132": PatternBasis.from_text("2143,3142,546132"),
@@ -948,7 +949,7 @@ def _check_enum_order(name: str, order: int) -> None:
 def lead_enum(basis_name: str, order: int, filter_id: str = "none") -> MSeries:
     """Sum of t^(leading maxima) x^n over an enumerated class."""
     _check_enum_order(f"lead-enum-{basis_name}", order)
-    table = refined_count(_BASES[basis_name], order, ["leading-maxima"], filter_id)
+    table = refined_count(PAPER_BASES[basis_name], order, ["leading-maxima"], filter_id)
     coeffs: dict[Key, object] = {}
     for n, (ell,), count in table.rows():
         coeffs[(n, ell, 0)] = count
@@ -959,7 +960,7 @@ def stat132_ending_max_enum(order: int) -> MSeries:
     """Enumerated bond/LR-min table over Av(132) with last entry = length, n >= 2."""
     _check_enum_order("stat132-enum-ending-max", order)
     table = refined_count(
-        _BASES["132"], order, ["bond", "lr-min"], "last-entry-equals-length"
+        PAPER_BASES["132"], order, ["bond", "lr-min"], "last-entry-equals-length"
     )
     coeffs: dict[Key, object] = {}
     for n, (b, m), count in table.rows():
@@ -968,12 +969,18 @@ def stat132_ending_max_enum(order: int) -> MSeries:
     return MSeries(coeffs, order, X_GRADED)
 
 
-def class_gf_enum(basis_name: str, order: int) -> MSeries:
-    """Plain counting series of an enumerated class, from length 1 (no empty permutation)."""
-    _check_enum_order(f"gf-enum-{basis_name}", order)
-    levels = class_levels(_BASES[basis_name], order)
+def class_gf_enum(basis_name: str, order: int, kind: str | None = None) -> MSeries:
+    """Plain counting series of an enumerated class, from length 1 (no empty permutation).
+
+    With ``kind`` "sum" or "skew", only its sum- or skew-decomposable
+    members are counted.
+    """
+    _check_enum_order(f"gf-enum-{basis_name}" + (f"-{kind}" if kind else ""), order)
+    keep = {"sum": is_sum_decomposable, "skew": is_skew_decomposable}.get(kind)
+    levels = class_levels(PAPER_BASES[basis_name], order)
     return MSeries(
-        {(n, 0, 0): len(lv) for n, lv in enumerate(levels) if n},
+        {(n, 0, 0): len(lv) if keep is None else sum(map(keep, lv))
+         for n, lv in enumerate(levels) if n},
         order,
         X_GRADED,
     )
@@ -983,27 +990,13 @@ def simples_gf_enum(order: int) -> MSeries:
     """Brute-force simples series: u^(n-lrmin-1) x^(lrmin+1) over stripped simples."""
     _check_enum_order("simples-gf-enum", order)
     coeffs: dict[Key, object] = {}
-    for n in range(order, 3, -1):  # longest first, so the first call builds every level
-        for sigma in enumerate_simples(_BASES["263514"], n):
+    simples = enumerate_simples(PAPER_BASES["263514"], order)
+    for n in range(4, order + 1):
+        for sigma in simples[n]:
             m = len(lr_minima(strip_leading_maxima(sigma)))
             key = (m + 1, 0, n - m - 1)
             coeffs[key] = coeffs.get(key, 0) + 1
     return MSeries(coeffs, order, TOTAL_GRADED)
-
-
-def decomposable_gf_enum(basis_name: str, order: int, kind: str) -> MSeries:
-    """Counting series of the sum- or skew-decomposable class members."""
-    _check_enum_order(f"gf-enum-{basis_name}-{kind}", order)
-    pred = is_sum_decomposable if kind == "sum" else is_skew_decomposable
-    levels = class_levels(_BASES[basis_name], order)
-    return MSeries(
-        {
-            (n, 0, 0): sum(1 for p in lv if pred(p))
-            for n, lv in enumerate(levels)
-        },
-        order,
-        X_GRADED,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1480,14 +1473,14 @@ def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeri
 def _identity_sum_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Sum-decomposable members are counted by 2xf - x^2(f+1)."""
     f = class_gf_enum("263514", order)
-    return decomposable_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
+    return class_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
 
 
 @_identity("skew-decomposable-split", enum_backed=True)
 def _identity_skew_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Skew-decomposable members are counted by f^2/(1+f)."""
     f = class_gf_enum("263514", order)
-    return decomposable_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
+    return class_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
 
 
 @_identity("gf-263514-schroder")

@@ -48,15 +48,10 @@ from permlab.perms import (
     standardize,
     strip_leading_maxima,
 )
-from permlab.series import IDENTITIES, check_identity, identity_ids, named_series
+from permlab.series import IDENTITIES, PAPER_BASES, check_identity, identity_ids, named_series
 
 BASIS_2143 = PatternBasis.from_text("2143")
 BASIS_2143_3142 = PatternBasis.from_text("2143,3142")
-BASIS_254613 = PatternBasis.from_text("2143,3142,254613")
-BASIS_524361 = PatternBasis.from_text("2143,3142,524361")
-BASIS_546132 = PatternBasis.from_text("2143,3142,546132")
-BASIS_263514 = PatternBasis.from_text("2143,3142,263514")
-BASIS_4132 = PatternBasis.from_text("2143,3142,4132")
 PAT_132 = (1, 3, 2)
 
 
@@ -218,7 +213,7 @@ def check_strip_characterization(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     Membership is a set lookup in the enumerated level of the class
     (``avoids_all`` is its oracle in the enumeration tests); the 132
     test runs on every permutation of S_n."""
-    levels = class_levels(BASIS_4132, max_n)
+    levels = class_levels(PAPER_BASES["4132"], max_n)
     for n in range(max_n + 1):
         members = set(levels[n])
         for p in permutations(range(1, n + 1)):
@@ -257,7 +252,7 @@ def _sep_append(x: Perm, beta: Perm) -> Perm:
 
 
 def _gen_254613(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
-    levels = class_levels(BASIS_254613, max_n)
+    levels = class_levels(PAPER_BASES["254613"], max_n)
     for n in range(max_n + 1):
         yield identity(n), CaseTag("no-gap")
     for beta, i in _one_gap_pairs(levels, max_n, require_132_rest=False):
@@ -295,7 +290,7 @@ def _gen_132_free_or_one_gap(basis: PatternBasis, max_n: int):
     then each single-gap extraction core whose rest contains 132, with
     its trailing runs.  Returns the (beta, i) pairs of those cores.
     """
-    for level in class_levels(BASIS_4132, max_n):
+    for level in class_levels(PAPER_BASES["4132"], max_n):
         for p in level:
             yield p, CaseTag("no-gap")
     pairs = list(_one_gap_pairs(class_levels(basis, max_n), max_n, require_132_rest=True))
@@ -306,8 +301,8 @@ def _gen_132_free_or_one_gap(basis: PatternBasis, max_n: int):
 
 
 def _gen_524361(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
-    levels_4132 = class_levels(BASIS_4132, max_n)
-    pairs = yield from _gen_132_free_or_one_gap(BASIS_524361, max_n)
+    levels_4132 = class_levels(PAPER_BASES["4132"], max_n)
+    pairs = yield from _gen_132_free_or_one_gap(PAPER_BASES["524361"], max_n)
     for a_len in range(1, max_n - 3):
         for alpha in levels_4132[a_len]:
             if alpha[0] == 1:
@@ -333,9 +328,9 @@ def _in_relocation_domain(sigma: Perm) -> bool:
 
 
 def _gen_546132(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
-    levels_4132 = class_levels(BASIS_4132, max_n)
+    levels_4132 = class_levels(PAPER_BASES["4132"], max_n)
     one_gap_by_len: dict[int, list[Perm]] = {}
-    for p, tag in _gen_132_free_or_one_gap(BASIS_546132, max_n):
+    for p, tag in _gen_132_free_or_one_gap(PAPER_BASES["546132"], max_n):
         yield p, tag
         if tag.case_id == "one-gap":
             one_gap_by_len.setdefault(len(p), []).append(p)
@@ -381,20 +376,20 @@ def _rebuild_check(basis: PatternBasis,
 def check_rebuild_254613(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Identity / single-gap-extraction / gap-and-block-insertion cases
     rebuild the 254613 class exactly once each."""
-    return _rebuild_check(BASIS_254613, _gen_254613, max_n)
+    return _rebuild_check(PAPER_BASES["254613"], _gen_254613, max_n)
 
 
 @_structural("rebuild-524361")
 def check_rebuild_524361(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """132-free case plus extraction cases rebuild the 524361 class."""
-    return _rebuild_check(BASIS_524361, _gen_524361, max_n)
+    return _rebuild_check(PAPER_BASES["524361"], _gen_524361, max_n)
 
 
 @_structural("rebuild-546132")
 def check_rebuild_546132(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """132-free case, extraction case, and the inflate-at-last-leading-
     maximum case rebuild the 546132 class."""
-    return _rebuild_check(BASIS_546132, _gen_546132, max_n)
+    return _rebuild_check(PAPER_BASES["546132"], _gen_546132, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +424,7 @@ def check_prefix_relocation(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """The relocation map is a length- and leading-maxima-preserving
     bijection from the bonded-top subset onto the first-entry != 1 subset
     of the 4132 class."""
-    levels = class_levels(BASIS_4132, max_n)
+    levels = class_levels(PAPER_BASES["4132"], max_n)
     for n, level in enumerate(levels):
         if n == 0:
             continue
@@ -465,9 +460,9 @@ def check_prefix_relocation(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
 @_structural("simples-coincide")
 def check_simples_coincide(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """The 263514 and 4132 classes have identical simple members."""
-    for n in range(max_n + 1):
-        a = set(enumerate_simples(BASIS_263514, n))
-        b = set(enumerate_simples(BASIS_4132, n))
+    simples_263514 = enumerate_simples(PAPER_BASES["263514"], max_n)
+    simples_4132 = enumerate_simples(PAPER_BASES["4132"], max_n)
+    for a, b in zip(map(set, simples_263514), map(set, simples_4132)):
         for p in sorted(a - b):
             yield p, "simple in the 263514 class only"
         for p in sorted(b - a):
@@ -478,17 +473,15 @@ def check_simples_coincide(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
 def check_simples_construction(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Leading-maximum insertion into 132-avoiders yields exactly the
     simples of the 4132 class (plus 1, 12, 21 at short lengths)."""
+    simples = enumerate_simples(PAPER_BASES["4132"], max_n)
     short = {1: [(1,)], 2: [(1, 2), (2, 1)], 3: []}
     for n, expect in short.items():
-        if n > max_n:
-            continue
-        got = enumerate_simples(BASIS_4132, n)
-        if got != expect:
-            yield (), f"n={n}: simples {got} != {expect}"
+        if n <= max_n and simples[n] != expect:
+            yield (), f"n={n}: simples {simples[n]} != {expect}"
+    constructed = simples_by_insertion(max_n)
     for n in range(4, max_n + 1):
-        built = simples_by_insertion(n)
-        enumerated = enumerate_simples(BASIS_4132, n)
-        built_set, enum_set = set(built), set(enumerated)
+        built = constructed[n]
+        built_set, enum_set = set(built), set(simples[n])
         if len(built) != len(built_set):
             dup = [p for p, c in Counter(built).items() if c > 1][:3]
             yield from ((p, "constructed more than once") for p in dup)
@@ -520,15 +513,11 @@ def check_inflation_rules(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
     """Position classification of class simples, and closure of inflation:
     constrained positions tolerate only increasing blocks, free positions
     tolerate every small class member."""
-    basis = BASIS_263514.patterns
-    small_blocks = [
-        p
-        for n in (2, 3)
-        for p in class_levels(BASIS_263514, 3)[n]
-        if p != identity(len(p))
-    ]
+    basis = PAPER_BASES["263514"].patterns
+    levels = class_levels(PAPER_BASES["263514"], max_n)
+    small_blocks = [p for level in levels[2:4] for p in level if p != identity(len(p))]
     for n in range(4, max_n + 1):
-        for sigma in enumerate_simples(BASIS_263514, n):
+        for sigma in filter(is_simple, levels[n]):
             ell = leading_maxima_count(sigma)
             suffix_lrmin = set(lr_minima(standardize(sigma[ell:])))
             constrained = set()
@@ -650,11 +639,11 @@ def check_deflation_uniqueness(max_n: int = 7) -> Iterator[tuple[Perm, str]]:
 
 
 DEFAULT_COUNT_TARGETS: list[tuple[PatternBasis, str]] = [
-    (BASIS_254613, "large-schroder"),
-    (BASIS_524361, "large-schroder"),
-    (BASIS_546132, "large-schroder"),
-    (BASIS_263514, "large-schroder"),
-    (BASIS_4132, "a033321"),
+    (PAPER_BASES["254613"], "large-schroder"),
+    (PAPER_BASES["524361"], "large-schroder"),
+    (PAPER_BASES["546132"], "large-schroder"),
+    (PAPER_BASES["263514"], "large-schroder"),
+    (PAPER_BASES["4132"], "a033321"),
 ]
 
 

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_class, brute_free_slots, count_pools
+from helpers import brute_class, brute_free_slots, count_pools, intervals
 from permlab import enumeration
 from permlab.enumeration import (
     CapacityError,
     PatternBasis,
     class_levels,
     count_class,
-    enumerate_class,
     enumerate_simples,
     refined_count,
     simples_by_insertion,
@@ -102,15 +101,15 @@ class TestBasis:
 
 class TestEnumerate:
     def test_no_restriction_at_small_length(self):
-        got = enumerate_class(PatternBasis.from_text("2143,3142"), 3)
+        got = class_levels(PatternBasis.from_text("2143,3142"), 3)[3]
         assert len(got) == 6
 
     def test_single_short_pattern(self):
-        assert enumerate_class(PatternBasis.from_text("12"), 4) == [P("4321")]
+        assert class_levels(PatternBasis.from_text("12"), 4)[4] == [P("4321")]
         assert count_class(PatternBasis.from_text("12"), 4) == [1, 1, 1, 1, 1]
 
     def test_length_one(self):
-        assert enumerate_class(PatternBasis.from_text("2143"), 1) == [(1,)]
+        assert class_levels(PatternBasis.from_text("2143"), 1)[1] == [(1,)]
 
     def test_matches_brute_force(self):
         bases = [
@@ -120,7 +119,7 @@ class TestEnumerate:
         for text in bases:
             basis = PatternBasis.from_text(text)
             for n in range(7):
-                assert enumerate_class(basis, n) == brute_class(basis.patterns, n)
+                assert class_levels(basis, n)[n] == brute_class(basis.patterns, n)
 
     def test_full_complement_check(self):
         # every non-member of S_n fails avoids_all; the 4132 class to n = 8
@@ -130,7 +129,7 @@ class TestEnumerate:
         for text, top in [("2143,3142,254613", 7), ("2143,3142,4132", 8)]:
             basis = PatternBasis.from_text(text)
             for n in range(top + 1):
-                members = set(enumerate_class(basis, n))
+                members = set(class_levels(basis, n)[n])
                 for p in all_perms(n):
                     assert (p in members) == avoids_all(p, basis.patterns)
 
@@ -147,7 +146,7 @@ class TestEnumerate:
         basis = PatternBasis.from_text("2143,3142,546132")
         counts = count_class(basis, 7)
         for n in range(8):
-            assert counts[n] == len(enumerate_class(basis, n))
+            assert counts[n] == len(class_levels(basis, n)[n])
 
     def test_generic_and_fast_checkers_agree(self):
         bases = ["2143,3142,4132", "132", "2143,3142,615243",
@@ -656,34 +655,61 @@ class TestExport:
 class TestSimples:
     def test_simples_of_4132_class(self):
         basis = PatternBasis.from_text("2143,3142,4132")
-        assert enumerate_simples(basis, 4) == [P("2413")]
-        assert enumerate_simples(basis, 3) == []
+        assert enumerate_simples(basis, 4)[4] == [P("2413")]
+        assert enumerate_simples(basis, 3)[3] == []
 
     def test_no_simples_of_length_three_any_basis(self):
-        assert enumerate_simples(PatternBasis.from_text("2143,3142"), 3) == []
+        assert enumerate_simples(PatternBasis.from_text("2143,3142"), 3)[3] == []
 
     def test_insertion_construction_base_case(self):
-        assert simples_by_insertion(4) == [P("2413")]
+        assert simples_by_insertion(4)[4] == [P("2413")]
 
-    def test_insertion_construction_below_four_rejected(self):
-        with pytest.raises(ValueError):
-            simples_by_insertion(3)
+    def test_insertion_construction_empty_below_four(self):
+        for max_n in range(8):
+            built = simples_by_insertion(max_n)
+            assert len(built) == max_n + 1
+            assert built[:4] == [[]] * min(max_n + 1, 4)
 
     def test_insertion_matches_enumeration(self):
         basis = PatternBasis.from_text("2143,3142,4132")
+        built = simples_by_insertion(9)
+        enumerated = enumerate_simples(basis, 9)
         for n in range(4, 10):
-            assert simples_by_insertion(n) == enumerate_simples(basis, n)
+            assert built[n] == enumerated[n]
 
     def test_construction_output_is_simple_and_in_class(self):
         basis = PatternBasis.from_text("2143,3142,4132")
-        for n in range(4, 8):
-            for sigma in simples_by_insertion(n):
+        for level in simples_by_insertion(7)[4:]:
+            for sigma in level:
                 assert is_simple(sigma)
                 assert avoids_all(sigma, basis.patterns)
 
     def test_worked_example_with_four_insertions(self):
         # 132-avoider 84536127 with insertions below rows 2, 3, 5, 6
         sigma = (2, 4, 7, 9, 12, 6, 8, 5, 10, 1, 3, 11)
-        assert sigma in simples_by_insertion(12)
+        assert sigma in simples_by_insertion(12)[12]
         assert is_simple(sigma)
         assert avoids_all(sigma, PatternBasis.from_text("2143,3142,4132").patterns)
+
+
+@settings(max_examples=30, deadline=None)
+@given(BASES, st.integers(0, 7))
+@example(PatternBasis.from_text("2143,3142,4132"), 7)
+@example(PatternBasis([(1,)]), 3)
+def test_simples_of_every_length(basis, max_n):
+    # one answer per length, each the simple members of that level, and a
+    # shorter request is a prefix of a longer one, cold or cached
+    cache = enumeration._LEVELS_CACHE
+    cache.pop(basis.patterns, None)
+    try:
+        simples = enumerate_simples(basis, max_n)
+        assert len(simples) == max_n + 1
+        for n, level in enumerate(simples):
+            assert level == [p for p in brute_class(basis.patterns, n) if not intervals(p)]
+        shorter = max(max_n - 2, 0)
+        assert enumerate_simples(basis, shorter) == simples[: shorter + 1]
+        cache.pop(basis.patterns)
+        assert enumerate_simples(basis, shorter) == simples[: shorter + 1]
+        assert enumerate_simples(basis, max_n) == simples
+    finally:
+        cache.pop(basis.patterns, None)

@@ -5,6 +5,7 @@ stays fast; the acceptance suite reruns everything at full depth.
 """
 
 import json
+from collections import Counter
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_decompositions, skew_components, sum_components
-from permlab import verification
+from helpers import brute_decompositions, calls_to, skew_components, sum_components
+from permlab import enumeration, verification
 from permlab.enumeration import PatternBasis, class_levels
+from permlab.series import IDENTITIES, PAPER_BASES
 from permlab.perms import (
     Deflation,
     avoids_all,
@@ -28,7 +30,6 @@ from permlab.perms import (
     standardize,
 )
 from permlab.verification import (
-    BASIS_254613,
     CaseTag,
     check_cross_counts,
     check_deflation_uniqueness,
@@ -321,7 +322,7 @@ class TestExtractionClosure:
     def test_cross_class_closure_counterexample(self):
         beta = P("254613")
         assert avoids_all(beta, PatternBasis.from_text("2143,3142,524361").patterns)
-        assert not avoids_all(extraction((1,), beta, 0), BASIS_254613.patterns)
+        assert not avoids_all(extraction((1,), beta, 0), PAPER_BASES["254613"].patterns)
 
 
 class TestCrossCounts:
@@ -382,6 +383,19 @@ class TestAggregation:
         assert budget("lead-4132-closed", max_n=8, order=6) == 6
         # closed-form identities at order
         assert budget("schroder-cubic", max_n=5, order=9) == 9
+
+    def test_each_check_builds_each_class_once(self, monkeypatch):
+        # from an empty level cache, each level build (one
+        # _insertion_rules call) is the only one of its basis in the check:
+        # a request past the cached levels would grow them again from the root
+        enum_backed = [i for i, spec in IDENTITIES.items() if spec.enum_backed]
+        for check_id in [*verification.STRUCTURAL_CHECKS, "cross-count", *enum_backed]:
+            monkeypatch.setattr(enumeration, "_LEVELS_CACHE", {})
+            with calls_to(enumeration, "_insertion_rules") as calls:
+                assert run_check(check_id, 7, 7, count_n=7).passed
+            builds = Counter(patterns for patterns, in calls)
+            assert builds or check_id == "deflation-uniqueness", check_id
+            assert max(builds.values(), default=0) <= 1, (check_id, builds)
 
     def test_run_all_small(self):
         reports = run_all(max_n=5, order=6, count_n=6)
