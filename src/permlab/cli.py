@@ -1,5 +1,7 @@
 """Command-line front end: counting, enumeration, statistics, series, verification.
 
+The library returns plain data; this module renders every output.
+
 Exit codes: 0 success, 1 verification or capacity failure, 2 usage error.
 All output is deterministic for fixed flags, worker processes included:
 only ``count`` starts them, at most ``os.cpu_count()`` in all.
@@ -22,12 +24,7 @@ from permlab.enumeration import (
 )
 from permlab.perms import ParseError, perm_to_text
 from permlab.series import SeriesError, named_series
-from permlab.verification import (
-    check_ids,
-    reports_to_json,
-    run_all,
-    run_check,
-)
+from permlab.verification import check_ids, run_all, run_check
 
 OK, FAILURE, USAGE = 0, 1, 2
 
@@ -55,6 +52,10 @@ def _parallelism(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc).removeprefix("parallelism ")) from None
 
 
+def _print_json(data) -> None:
+    print(json.dumps(data, indent=2))
+
+
 def _print_rows(rows, header, fmt):
     if fmt == "table":
         for row in rows:
@@ -64,17 +65,14 @@ def _print_rows(rows, header, fmt):
         for row in rows:
             print(",".join(str(v) for v in row))
     else:
-        print(json.dumps([dict(zip(header, row)) for row in rows], indent=2))
+        _print_json([dict(zip(header, row)) for row in rows])
 
 
 def cmd_count(args) -> int:
     basis = PatternBasis.from_text(args.basis)
     counts = count_class(basis, args.max_n, parallelism=args.parallelism)
     if args.format == "json":
-        print(json.dumps(
-            {"basis": [perm_to_text(p) for p in basis.patterns], "counts": counts},
-            indent=2,
-        ))
+        _print_json({"basis": [perm_to_text(p) for p in basis.patterns], "counts": counts})
     else:
         _print_rows(list(enumerate(counts)), ["n", "count"], args.format)
     return OK
@@ -91,15 +89,17 @@ def cmd_enumerate(args) -> int:
 def cmd_stat(args) -> int:
     basis = PatternBasis.from_text(args.basis)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-    table = refined_count(basis, args.max_n, stats, args.filter)
+    counts = refined_count(basis, args.max_n, stats, args.filter)
+    header = ["n", *stats, "count"]
+    rows = [(n, *values, count) for (n, values), count in sorted(counts.items())]
     if args.format == "json":
-        print(table.to_json())
+        _print_json({"basis": [perm_to_text(p) for p in basis.patterns],
+                     "maxLength": args.max_n, "stats": stats, "filter": args.filter,
+                     "counts": [dict(zip(header, row)) for row in rows]})
     else:
-        header = ["n", *table.stat_names, "count"]
         if args.format == "table":
             print("\t".join(header))
-        _print_rows([(n, *vals, count) for n, vals, count in table.rows()],
-                    header, args.format)
+        _print_rows(rows, header, args.format)
     return OK
 
 
@@ -113,28 +113,22 @@ def cmd_simples(args) -> int:
 
 def cmd_series(args) -> int:
     s = named_series(args.name, args.order)
+    terms = s.terms()
     if args.format == "table":
-        if not any(k[1] or k[2] for k in s.coeffs):
+        if not any(t or u for (_, t, u), _ in terms):
             print(" ".join(str(c) for c in s.x_coefficients()))
         else:
-            print(s.pretty())
+            for key, c in terms:
+                mono = " ".join(f"{v}^{e}" for v, e in zip("xtu", key) if e)
+                print(f"{c} * {mono or 1}")
     elif args.format == "csv":
         print("x,t,u,coeff")
-        for (ex, et, eu), c in s.terms():
+        for (ex, et, eu), c in terms:
             print(f"{ex},{et},{eu},{c}")
     else:
-        print(json.dumps(
-            {
-                "name": args.name,
-                "order": s.order,
-                "grading": s.grading,
-                "terms": [
-                    {"x": k[0], "t": k[1], "u": k[2], "coeff": str(c)}
-                    for k, c in s.terms()
-                ],
-            },
-            indent=2,
-        ))
+        _print_json({"name": args.name, "order": s.order, "grading": s.grading,
+                     "terms": [{"x": x, "t": t, "u": u, "coeff": str(c)}
+                               for (x, t, u), c in terms]})
     return OK
 
 
@@ -148,7 +142,10 @@ def cmd_verify(args) -> int:
     else:
         reports = run_all(args.max_n, args.order, count_n=args.count_n)
     if args.format == "json":
-        print(reports_to_json(reports))
+        _print_json([{"checkId": r.check_id, "maxN": r.max_n, "status": r.status,
+                      "witnesses": [{"perm": perm_to_text(p), "reason": reason}
+                                    for p, reason in r.witnesses],
+                      "elapsedMillis": round(r.elapsed_ms, 3)} for r in reports])
     else:
         for r in reports:
             line = f"{r.check_id:32s} {r.status:4s} [{r.elapsed_ms:9.1f} ms]"

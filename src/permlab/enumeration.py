@@ -34,14 +34,14 @@ Level builds run in one process.  With p processes, ``count_class``
 grows levels here until one is large enough, then forks p - 1 workers
 once per call (``_in_workers``).  Each of the p processes, the caller
 included, counts the subtrees of every p-th (member, mask) pair of that
-level, and the per-level totals are summed.
+level, and the per-level totals are summed.  Every function returns
+plain data, which ``permlab.cli`` renders.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Callable, Iterable, Sequence
 
@@ -657,45 +657,15 @@ FILTERS: dict[str, Callable[[Perm], bool]] = {
 }
 
 
-@dataclass
-class RefinedCountTable:
-    """Counts of a class by length and a tuple of statistics."""
-
-    basis: PatternBasis
-    max_length: int
-    stat_names: tuple[str, ...]
-    filter_name: str = "none"
-    counts: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
-
-    def rows(self):
-        for (n, stats), count in sorted(self.counts.items()):
-            yield n, stats, count
-
-    def to_json(self) -> str:
-        records = [
-            {"n": n, **dict(zip(self.stat_names, stats)), "count": count}
-            for n, stats, count in self.rows()
-        ]
-        return json.dumps(
-            {
-                "basis": [perm_to_text(p) for p in self.basis.patterns],
-                "maxLength": self.max_length,
-                "stats": list(self.stat_names),
-                "filter": self.filter_name,
-                "counts": records,
-            },
-            indent=2,
-        )
-
-
 def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
-                  filter_id: str = "none") -> RefinedCountTable:
-    """Count class members by length and the named statistics.
+                  filter_id: str = "none") -> dict[tuple[int, tuple[int, ...]], int]:
+    """Count class members by length and the named statistics: {(n, values): count}.
 
-    Statistics come from the closed registry {leading-maxima, bond,
-    lr-min}; the optional element filter from {none,
-    last-entry-equals-length, last-entry-not-length, first-entry-not-max,
-    first-entry-not-one}.
+    ``values`` holds the statistics in the order of ``stats``; only pairs
+    that occur are keys.  Statistics come from the closed registry
+    {leading-maxima, bond, lr-min}; the optional element filter from
+    {none, last-entry-equals-length, last-entry-not-length,
+    first-entry-not-max, first-entry-not-one}.
     """
     try:
         fns = [STATISTICS[s] for s in stats]
@@ -707,14 +677,13 @@ def refined_count(basis: PatternBasis, max_n: int, stats: Sequence[str],
     if filter_id not in FILTERS:
         raise ValueError(f"unknown filter id {filter_id!r}")
     keep = FILTERS[filter_id]
-    table = RefinedCountTable(basis, max_n, tuple(stats), filter_id)
-    counts = table.counts
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for n, level in enumerate(class_levels(basis, max_n)):
         for p in level:
             if keep(p):
                 key = (n, tuple(fn(p) for fn in fns))
                 counts[key] = counts.get(key, 0) + 1
-    return table
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +707,7 @@ def simples_by_insertion(max_n: int) -> list[list[Perm]]:
     from itertools import combinations
 
     out: list[list[Perm]] = [[] for _ in range(max_n + 1)]
-    levels_132 = class_levels(PatternBasis([(1, 3, 2)]), max(max_n - 2, 0))
+    levels_132 = class_levels(PatternBasis([(1, 3, 2)]), max_n)
     for m in range(3, max_n + 1):
         for rho in levels_132[m - 2]:
             alpha = (m,) + rho + (m - 1,)

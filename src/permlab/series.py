@@ -288,8 +288,8 @@ class MSeries:
     time it is asked for, through :meth:`slice`, after the grades below.
 
     Inspection (``coeffs``, ``terms``, ``coefficient``, ``x_coefficients``,
-    ``is_zero``, ``==``, ``pretty``, ``repr``) reads the grades stored so
-    far and computes none.
+    ``is_zero``, ``==``, ``repr``) reads the grades stored so far and
+    computes none.
     """
 
     __slots__ = ("_slices", "order", "grading", "_done", "_fill")
@@ -385,16 +385,6 @@ class MSeries:
         """The (key, coefficient) pairs sorted by grade, then by (x, t, u)."""
         grade = sum if self.grading == TOTAL_GRADED else (lambda k: k[0])
         return sorted(self.coeffs.items(), key=lambda kv: (grade(kv[0]), kv[0]))
-
-    def pretty(self) -> str:
-        if not self._slices:
-            return "0"
-        lines = []
-        for key, c in self.terms():
-            parts = [f"{v}^{e}" for v, e in zip(("x", "t", "u"), key) if e]
-            mono = " ".join(parts) if parts else "1"
-            lines.append(f"{c} * {mono}")
-        return "\n".join(lines)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MSeries):
@@ -949,24 +939,19 @@ def _check_enum_order(name: str, order: int) -> None:
 def lead_enum(basis_name: str, order: int, filter_id: str = "none") -> MSeries:
     """Sum of t^(leading maxima) x^n over an enumerated class."""
     _check_enum_order(f"lead-enum-{basis_name}", order)
-    table = refined_count(PAPER_BASES[basis_name], order, ["leading-maxima"], filter_id)
-    coeffs: dict[Key, object] = {}
-    for n, (ell,), count in table.rows():
-        coeffs[(n, ell, 0)] = count
-    return MSeries(coeffs, order, X_GRADED)
+    counts = refined_count(PAPER_BASES[basis_name], order, ["leading-maxima"], filter_id)
+    return MSeries({(n, ell, 0): count for (n, (ell,)), count in counts.items()},
+                   order, X_GRADED)
 
 
 def stat132_ending_max_enum(order: int) -> MSeries:
     """Enumerated bond/LR-min table over Av(132) with last entry = length, n >= 2."""
     _check_enum_order("stat132-enum-ending-max", order)
-    table = refined_count(
+    counts = refined_count(
         PAPER_BASES["132"], order, ["bond", "lr-min"], "last-entry-equals-length"
     )
-    coeffs: dict[Key, object] = {}
-    for n, (b, m), count in table.rows():
-        if n >= 2:
-            coeffs[(n, b, m)] = count
-    return MSeries(coeffs, order, X_GRADED)
+    return MSeries({(n, b, m): count for (n, (b, m)), count in counts.items() if n >= 2},
+                   order, X_GRADED)
 
 
 def class_gf_enum(basis_name: str, order: int, kind: str | None = None) -> MSeries:
@@ -1183,10 +1168,9 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
     ),
     "large-schroder": large_schroder_series,
     "little-schroder": little_schroder_series,
-    "schroder-cubic-root": lambda order: (
-        (3 - _x(order) - ((3 - _x(order)) * (3 - _x(order)) - 8).sqrt1())
-        * Fraction(1, 2)
-    ),
+    # the root (3 - x - sqrt((3 - x)^2 - 8))/2 of B^2 + (x - 3)B + 2, whose
+    # radicand is 1 - 6x + x^2: the large Schroder series
+    "schroder-cubic-root": large_schroder_series,
     "kernel-root": kernel_root_series,
     "catalan-layered": catalan_layered,
     "a033321": a033321_series,

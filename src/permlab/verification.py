@@ -4,13 +4,13 @@ Every check here either scans an exhaustively enumerated class for a
 claimed property or rebuilds a class from a case decomposition and
 compares multisets, so failures always come with a concrete witness
 permutation.  Reconstruction checks demand every element be produced
-exactly once: overcounting is as much a failure as undercounting.
+exactly once: overcounting is as much a failure as undercounting.  A
+check returns a ``VerificationReport`` of plain data, which
+``permlab.cli`` renders.
 """
 
 from __future__ import annotations
 
-import inspect
-import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -67,17 +67,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "checkId": self.check_id,
-            "maxN": self.max_n,
-            "status": self.status,
-            "witnesses": [
-                {"perm": perm_to_text(p), "reason": r} for p, r in self.witnesses
-            ],
-            "elapsedMillis": round(self.elapsed_ms, 3),
-        }
-
 
 @dataclass(frozen=True)
 class CaseTag:
@@ -108,18 +97,15 @@ def _report(check_id: str, max_n: int, witnesses: Iterable[tuple[Perm, str]],
 def _reported(check_id: str):
     """Make a generator of (perm, reason) witnesses the check ``check_id``.
 
-    The check takes the generator's arguments, with the same default
-    ``max_n``, runs it to its end and returns the report at ``max_n``
-    that fails with every witness it yielded.  Its time is the time the
-    generator took.
+    The check takes the generator's arguments, runs it to its end and
+    returns the report at ``max_n`` that fails with every witness it
+    yielded.  Its time is the time the generator took.
     """
 
     def decorate(witnesses: Callable[..., Iterable[tuple[Perm, str]]]
                  ) -> Callable[..., VerificationReport]:
-        default = inspect.signature(witnesses).parameters["max_n"].default
-
         @wraps(witnesses)
-        def check(max_n: int = default, *args, **kwargs) -> VerificationReport:
+        def check(max_n: int, *args, **kwargs) -> VerificationReport:
             started = time.perf_counter()
             return _report(check_id, max_n, witnesses(max_n, *args, **kwargs), started)
 
@@ -155,7 +141,7 @@ def _structural(check_id: str, *, cap: int | None = None):
 
 
 @_structural("top-values")
-def check_top_values(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_top_values(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143): the LR-maxima from the last leading maximum onward
     carry exactly the top values, and that position is a horizontal gap
     unless the permutation is the identity."""
@@ -191,7 +177,7 @@ def _gap_blocks(p: Perm) -> list[Perm]:
 
 
 @_structural("gap-staircase")
-def check_gap_staircase(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_gap_staircase(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143,3142): deleting all LR-maxima leaves the skew sum of
     the per-gap blocks."""
     for level in class_levels(BASIS_2143_3142, max_n):
@@ -206,7 +192,7 @@ def check_gap_staircase(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
 
 
 @_structural("strip-132")
-def check_strip_characterization(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_strip_characterization(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Membership in the 4132 class == stripped permutation avoids 132,
     over every permutation of each length.
 
@@ -373,20 +359,20 @@ def _rebuild_check(basis: PatternBasis,
 
 
 @_structural("rebuild-254613")
-def check_rebuild_254613(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_rebuild_254613(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Identity / single-gap-extraction / gap-and-block-insertion cases
     rebuild the 254613 class exactly once each."""
     return _rebuild_check(PAPER_BASES["254613"], _gen_254613, max_n)
 
 
 @_structural("rebuild-524361")
-def check_rebuild_524361(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_rebuild_524361(max_n: int) -> Iterator[tuple[Perm, str]]:
     """132-free case plus extraction cases rebuild the 524361 class."""
     return _rebuild_check(PAPER_BASES["524361"], _gen_524361, max_n)
 
 
 @_structural("rebuild-546132")
-def check_rebuild_546132(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_rebuild_546132(max_n: int) -> Iterator[tuple[Perm, str]]:
     """132-free case, extraction case, and the inflate-at-last-leading-
     maximum case rebuild the 546132 class."""
     return _rebuild_check(PAPER_BASES["546132"], _gen_546132, max_n)
@@ -420,7 +406,7 @@ def relocate_identity_prefix(sigma: Perm) -> Perm:
 
 
 @_structural("prefix-relocation")
-def check_prefix_relocation(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_prefix_relocation(max_n: int) -> Iterator[tuple[Perm, str]]:
     """The relocation map is a length- and leading-maxima-preserving
     bijection from the bonded-top subset onto the first-entry != 1 subset
     of the 4132 class."""
@@ -458,7 +444,7 @@ def check_prefix_relocation(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
 
 
 @_structural("simples-coincide")
-def check_simples_coincide(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_simples_coincide(max_n: int) -> Iterator[tuple[Perm, str]]:
     """The 263514 and 4132 classes have identical simple members."""
     simples_263514 = enumerate_simples(PAPER_BASES["263514"], max_n)
     simples_4132 = enumerate_simples(PAPER_BASES["4132"], max_n)
@@ -470,7 +456,7 @@ def check_simples_coincide(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
 
 
 @_structural("simples-construction")
-def check_simples_construction(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_simples_construction(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Leading-maximum insertion into 132-avoiders yields exactly the
     simples of the 4132 class (plus 1, 12, 21 at short lengths)."""
     simples = enumerate_simples(PAPER_BASES["4132"], max_n)
@@ -509,7 +495,7 @@ def _is_three_of_213(p: Perm, i: int) -> bool:
 
 
 @_structural("inflation-rules")
-def check_inflation_rules(max_n: int = 8) -> Iterator[tuple[Perm, str]]:
+def check_inflation_rules(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Position classification of class simples, and closure of inflation:
     constrained positions tolerate only increasing blocks, free positions
     tolerate every small class member."""
@@ -612,7 +598,7 @@ def _deflation_tallies(max_n: int) -> Iterator[tuple[int, bytearray, bytearray]]
 
 
 @_structural("deflation-uniqueness", cap=7)
-def check_deflation_uniqueness(max_n: int = 7) -> Iterator[tuple[Perm, str]]:
+def check_deflation_uniqueness(max_n: int) -> Iterator[tuple[Perm, str]]:
     """deflate() returns the unique convention-respecting decomposition.
 
     Each length is checked against ``_deflation_tallies``.  A
@@ -648,7 +634,7 @@ DEFAULT_COUNT_TARGETS: list[tuple[PatternBasis, str]] = [
 
 
 @_reported("cross-count")
-def check_cross_counts(max_n: int = 10,
+def check_cross_counts(max_n: int,
                        targets: Sequence[tuple[PatternBasis, str]] | None = None
                        ) -> Iterator[tuple[Perm, str]]:
     """Class counts match their closed-form series coefficient by coefficient."""
@@ -707,6 +693,3 @@ def run_all(max_n: int = 8, order: int = 12, *, count_n: int = 10) -> list[Verif
     """Every registered check, in ``check_ids()`` order, at ``run_check``'s budgets."""
     return [run_check(cid, max_n, order, count_n=count_n) for cid in check_ids()]
 
-
-def reports_to_json(reports: Iterable[VerificationReport]) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)

@@ -287,6 +287,28 @@ class TestVerify:
         assert code == 1
         assert "fail" in out
 
+    def test_failing_check_json_witness(self, capsys, monkeypatch):
+        # the corrupted series of test_failing_check_exit_code, reported in json
+        import permlab.series as series_mod
+        from permlab.series import MSeries
+
+        original = series_mod.large_schroder_series
+        monkeypatch.setattr(
+            series_mod, "large_schroder_series",
+            lambda order: original(order) + MSeries.var("x", order),
+        )
+        code, out, _ = run(capsys, "verify", "--id", "schroder-cubic",
+                           "--order", "8", "--format", "json")
+        assert code == 1
+        [report] = json.loads(out)
+        assert (report["checkId"], report["maxN"], report["status"]) == (
+            "schroder-cubic", 8, "fail"
+        )
+        # (B + x)^2 + (x - 3)(B + x) + 2 = 2xB + 2x^2 - 3x: -1 at x^1
+        assert report["witnesses"] == [
+            {"perm": "", "reason": "coefficient of x^1 t^0 u^0: lhs -1 != rhs 0"}
+        ]
+
 
 @pytest.mark.parametrize("argv", [
     ["count", "--basis", "132", "--max-n", "3"],

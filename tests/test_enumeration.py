@@ -568,26 +568,26 @@ class TestKnownCounts:
 class TestRefinedCounts:
     def test_bond_lrmin_over_132_ending_max(self):
         basis = PatternBasis.from_text("132")
-        table = refined_count(basis, 4, ["bond", "lr-min"],
-                              "last-entry-equals-length")
-        assert table.counts[(2, (1, 1))] == 1  # only 12
+        counts = refined_count(basis, 4, ["bond", "lr-min"],
+                               "last-entry-equals-length")
+        assert counts[(2, (1, 1))] == 1  # only 12
 
     def test_leading_maxima_identity_row(self):
         basis = PatternBasis.from_text("2143,3142,4132")
-        table = refined_count(basis, 4, ["leading-maxima"])
-        assert table.counts[(3, (3,))] == 1  # only 123 has all leading maxima
+        counts = refined_count(basis, 4, ["leading-maxima"])
+        assert counts[(3, (3,))] == 1  # only 123 has all leading maxima
 
     def test_totals_match_plain_counts(self):
         basis = PatternBasis.from_text("2143,3142,254613")
-        table = refined_count(basis, 6, ["leading-maxima", "bond"])
+        refined = refined_count(basis, 6, ["leading-maxima", "bond"])
         counts = count_class(basis, 6)
         for n in range(7):
-            assert sum(c for (m, _), c in table.counts.items() if m == n) == counts[n]
+            assert sum(c for (m, _), c in refined.items() if m == n) == counts[n]
 
     def test_stat_values_attainable(self):
         basis = PatternBasis.from_text("2143,3142")
-        table = refined_count(basis, 6, ["leading-maxima", "bond", "lr-min"])
-        for n, (ell, bond, lrmin), _ in table.rows():
+        refined = refined_count(basis, 6, ["leading-maxima", "bond", "lr-min"])
+        for n, (ell, bond, lrmin) in refined:
             assert 0 <= ell <= n
             assert 0 <= bond <= max(0, n - 1)
             assert 0 <= lrmin <= n
@@ -622,10 +622,13 @@ class TestExport:
         assert code == 0
         assert capsys.readouterr().out == "n,bond,count\n"
 
-    def test_json_round_trip(self):
-        basis = PatternBasis.from_text("132")
-        table = refined_count(basis, 5, ["bond", "lr-min"], "first-entry-not-one")
-        data = json.loads(table.to_json())
+    def test_json_round_trip(self, capsys):
+        from permlab.cli import main
+
+        code = main(["stat", "--basis", "132", "--max-n", "5", "--stats", "bond,lr-min",
+                     "--filter", "first-entry-not-one", "--format", "json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["basis"] == ["132"]
         assert data["maxLength"] == 5
         assert data["stats"] == ["bond", "lr-min"]
@@ -633,7 +636,8 @@ class TestExport:
         assert all(set(rec) == {"n", "bond", "lr-min", "count"} for rec in data["counts"])
         counts = {(rec["n"], (rec["bond"], rec["lr-min"])): rec["count"]
                   for rec in data["counts"]}
-        assert counts == table.counts
+        basis = PatternBasis.from_text("132")
+        assert counts == refined_count(basis, 5, ["bond", "lr-min"], "first-entry-not-one")
 
     def test_unknown_format(self, capsys):
         from permlab.cli import main
@@ -644,12 +648,16 @@ class TestExport:
         assert exc.value.code == 2
         assert "invalid choice: 'xml'" in capsys.readouterr().err
 
-    def test_json_is_deterministic(self):
-        basis = PatternBasis.from_text("132")
-        a = refined_count(basis, 5, ["bond"]).to_json()
-        b = refined_count(basis, 5, ["bond"]).to_json()
-        assert a == b
-        json.loads(a)
+    def test_json_is_deterministic(self, capsys):
+        from permlab.cli import main
+
+        argv = ["stat", "--basis", "132", "--max-n", "5", "--stats", "bond", "--format", "json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        json.loads(outputs[0])
 
 
 class TestSimples:

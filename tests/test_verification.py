@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_decompositions, calls_to, skew_components, sum_components
-from permlab import enumeration, verification
+from permlab import enumeration, series, verification
 from permlab.enumeration import PatternBasis, class_levels
 from permlab.series import IDENTITIES, PAPER_BASES
 from permlab.perms import (
@@ -45,7 +45,6 @@ from permlab.verification import (
     check_strip_characterization,
     check_top_values,
     relocate_identity_prefix,
-    reports_to_json,
     run_all,
     run_check,
     _deflation_tallies,
@@ -397,14 +396,34 @@ class TestAggregation:
             assert builds or check_id == "deflation-uniqueness", check_id
             assert max(builds.values(), default=0) <= 1, (check_id, builds)
 
+    def test_run_all_continues_no_cached_prefix(self, monkeypatch):
+        # a request past a class's cached levels grows their masks again
+        # from the root, so each class must be asked its deepest length first
+        real = enumeration.class_levels
+        continued = []
+
+        def spy(basis, max_n, **kwargs):
+            cached = len(enumeration._LEVELS_CACHE.get(basis.patterns, [[()]]))
+            if 1 < cached <= max_n:
+                continued.append((basis.key, cached - 1, max_n))
+            return real(basis, max_n, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_LEVELS_CACHE", {})
+        for module in (enumeration, series, verification):
+            monkeypatch.setattr(module, "class_levels", spy)
+        assert all(r.passed for r in run_all(6, 8, count_n=6))
+        assert continued == []
+
     def test_run_all_small(self):
         reports = run_all(max_n=5, order=6, count_n=6)
         assert all(r.passed for r in reports)
         assert len(reports) == len(check_ids())
 
-    def test_report_json_schema(self):
-        reports = [check_top_values(4)]
-        data = json.loads(reports_to_json(reports))
+    def test_report_json_schema(self, capsys):
+        from permlab.cli import main
+
+        assert main(["verify", "--id", "top-values", "--max-n", "4", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data[0]["checkId"] == "top-values"
         assert data[0]["status"] == "pass"
         assert data[0]["witnesses"] == []
