@@ -9,14 +9,16 @@ grade, and ``coeffs`` is a view keyed by exponent triples (x, t, u).  No
 floating point anywhere: coefficients are ints unless one is truly
 fractional, then :class:`fractions.Fraction`.
 
-A series computes one grade at a time (van der Hoeven, "Relax, but
-don't be too lazy", JSC 2002).  Grade d of a sum, product, rational
-multiple, reciprocal, square root or substitution is built from the
-grades of its operands up to d, and kept.  A series whose operands are
-complete is computed to its order at once, so every series the public
-functions return is complete; one built on an unknown of a fixed-point
-solve computes each grade when the solve asks for it.  One dispatcher
-multiplies the slice pairs of a grade, and every product, reciprocal,
+A series computes one grade at a time (van der Hoeven, "Relax, but don't
+be too lazy", JSC 2002).  Grade d of a sum, product, rational multiple,
+quotient, square root or substitution is built from the grades of its
+operands up to d, and kept.  A quotient a / b is one node, which pairs
+only the nonzero grades of a complete b, so dividing by 1 - tx costs one
+slice product per grade.  A series whose operands are complete is
+computed to its order at once, so every series the public functions
+return is complete; one built on an unknown of a fixed-point solve
+computes each grade when the solve asks for it.  One dispatcher
+multiplies the slice pairs of a grade, and every product, quotient,
 square root, substitution and solve is made of it: two large all-int
 slices as two packed ints, through CPython's bigint multiply, and any
 other pair one term pair at a time.
@@ -474,32 +476,48 @@ class MSeries:
             e >>= 1
         return result
 
-    def reciprocal(self) -> "MSeries":
-        """Multiplicative inverse; requires a nonzero rational constant term.
+    def __truediv__(self, other) -> "MSeries":
+        return self._coerce(other).reciprocal(self)
 
-        Solves a * inv = 1 one grade at a time:
-        inv_d = -inv_0 * sum(a_i * inv_(d-i) for i in 1..d).
+    def __rtruediv__(self, other) -> "MSeries":
+        return self.reciprocal(other)
+
+    def reciprocal(self, numerator=1) -> "MSeries":
+        """numerator / self; requires a nonzero rational constant term.
+
+        ``a / b`` is ``b.reciprocal(a)``.  Solves b * q = a one grade at a
+        time: q_d = (a_d - sum(b_i * q_(d-i) for i in 1..d)) / b_0.  A
+        complete divisor pairs only its nonzero grades with q's, so
+        dividing by 1 - tx costs one slice product per grade.
 
         >>> x = MSeries.var("x", 5)
         >>> (1 - x - x * x).reciprocal().x_coefficients() == [1, 1, 2, 3, 5, 8]
         True
-        >>> (2 - x).reciprocal().coefficient(x=3)
-        Fraction(1, 16)
+        >>> (x / (2 - x)).coefficient(x=3)
+        Fraction(1, 8)
         """
-        a = self
+        a, b = self._coerce(numerator), self
+        grades = None if b._done <= b.order else [
+            (i, sl) for i, sl in sorted(b._slices.items()) if i]
+        scale = None  # -1 / b_0, set at grade 0
 
         def fill(slices, d):
+            nonlocal scale
             if d == 0:
-                c0 = _plain_constant(a.slice(0))
+                c0 = _plain_constant(b.slice(0))
                 if not c0:
                     raise SeriesError("not invertible: zero constant term")
-                slices[0] = {0: c0 if c0 in (1, -1) else _norm_coeff(1 / Fraction(c0))}
-                return
+                scale = -c0 if c0 in (1, -1) else _norm_coeff(-1 / Fraction(c0))
             acc: dict[int, object] = {}
-            _convolve(acc, a.slice, slices.get, d, 1)
-            _store_slice(slices, d, acc, -slices[0][0])
+            if grades is None:
+                _convolve(acc, b.slice, slices.get, d, 1)
+            else:
+                _add_pairs(acc, [(sl, slices[d - i]) for i, sl in grades if d - i in slices])
+            for k, c in (a.slice(d) or {}).items():
+                acc[k] = acc.get(k, 0) - c
+            _store_slice(slices, d, acc, scale)
 
-        return _node(fill, self.order, self.grading, a)
+        return _node(fill, min(a.order, b.order), b.grading, a, b)
 
     def sqrt1(self) -> "MSeries":
         """Square root with constant term 1.
@@ -765,10 +783,6 @@ def _u(order: int, grading: str = X_GRADED) -> MSeries:
     return MSeries.var("u", order, grading)
 
 
-def _one(order: int, grading: str = X_GRADED) -> MSeries:
-    return MSeries.const(1, order, grading)
-
-
 @_built_once
 def catalan_series(order: int) -> MSeries:
     """Catalan generating function via its quadratic fixed point."""
@@ -794,7 +808,7 @@ def little_schroder_series(order: int) -> MSeries:
 def _c_star(mark: MSeries) -> MSeries:
     """C(x / (1 - mark * x)), the Catalan series at x / (1 - mark * x)."""
     x = _x(mark.order)
-    return catalan_series(mark.order).substitute({"x": x * (1 - mark * x).reciprocal()})
+    return catalan_series(mark.order).substitute({"x": x / (1 - mark * x)})
 
 
 @_built_once
@@ -813,7 +827,7 @@ def lead_4132_closed(order: int, *, corrupt: bool = False) -> MSeries:
     x, t = _x(order), _t(order)
     cs = catalan_layered(order)
     numer = 1 - t * x + (t * x + x if corrupt else t * x - x) * cs
-    return numer * ((1 - x * cs).reciprocal()) * ((1 - t * x).reciprocal())
+    return numer / (1 - x * cs) / (1 - t * x)
 
 
 @_built_once
@@ -825,7 +839,7 @@ def lead_4132_first_not_one_closed(order: int, *, corrupt: bool = False) -> MSer
     """
     x, t = _x(order), _t(order)
     cs = catalan_layered(order)
-    return t * x * (cs if corrupt else cs - 1) * (1 - x * cs).reciprocal()
+    return t * x * (cs if corrupt else cs - 1) / (1 - x * cs)
 
 
 @_built_once
@@ -833,7 +847,7 @@ def a033321_series(order: int) -> MSeries:
     """2 / (1 + x + sqrt((1 - x)(1 - 5x))); every coefficient of 1 + x + sqrt is even."""
     x = _x(order)
     rad = ((1 - x) * (1 - 5 * x)).sqrt1()
-    return ((1 + x + rad) * _HALF).reciprocal()
+    return 2 / (1 + x + rad)
 
 
 @_built_once
@@ -852,7 +866,7 @@ def simples_gf_closed(order: int, *, corrupt: bool = False) -> MSeries:
     q = x * x + 3 * x + 1
     rad = (1 + u * u * p * p - 2 * u * q).sqrt1()
     numer = -x * (u - 1 + (2 if corrupt else 3) * u * x + u * x * x + rad)
-    return numer * ((u + 1) * (x + 1)).reciprocal() * _HALF
+    return numer / (2 * (u + 1) * (x + 1))
 
 
 @_built_once
@@ -869,8 +883,7 @@ def stat132_ending_max(order: int, *, corrupt: bool = False) -> MSeries:
     """
     h, _ = stat132_system(order)
     x, t, u = _x(order), _t(order), _u(order)
-    inv = (1 - x * t).reciprocal()
-    return x * (h - 1) * inv + u * (1 if corrupt else t) * x * x * inv
+    return (x * (h - 1) + u * (1 if corrupt else t) * x * x) / (1 - x * t)
 
 
 @_built_once
@@ -1016,12 +1029,13 @@ def _stat132_step(h, g, *, corrupt: bool = False) -> tuple:
     """
     order = h.order
     x, t, u = _x(order), _t(order), _u(order)
-    tx = t * x * (1 - t * x).reciprocal()
-    ux = u * x * (1 - t * u * x).reciprocal()
-    # p = (h - 1) tx + h + u tx - 1, q = g ux + g - 1, r = g t ux + g - 1
-    p = h * (tx + 1) + ((u - 1) * tx - 1)
-    q = g * (ux + 1) - 1
-    r = g * (t * ux + 1) - 1
+    # with tx = t x/(1 - t x) and ux = u x/(1 - t u x): p = (h - 1) tx + h + u tx - 1,
+    # q = g ux + g - 1 and r = g t ux + g - 1, where tx + 1 = 1/(1 - t x),
+    # t ux + 1 = 1/(1 - t u x) and ux + 1 = (1 + (1 - t) u x)/(1 - t u x)
+    p = (h + (u - 1) * t * x) / (1 - t * x) - 1
+    r1 = g / (1 - t * u * x)
+    q = r1 * (1 + (1 - t) * u * x) - 1
+    r = r1 - 1
     px = p * x  # before the big product, which then needs q only below the order
     pxq = px * q
     h_new = pxq + r * ((u * u if corrupt else u) * x) + 1
@@ -1045,29 +1059,28 @@ def _skew_part(f, *, corrupt: bool = False):
     ``corrupt`` puts 1 - f in place of 1 + f, for the identity's
     mutation test.
     """
-    return f * f * (1 - f if corrupt else f + 1).reciprocal()
+    return f * f / (1 - f if corrupt else f + 1)
 
 
 def _gf263514_step(f) -> tuple:
     order = f.order
     x = _x(order)
-    u_bind = x * (1 - x).reciprocal()
-    s_at = simples_gf_closed(order).substitute({"u": u_bind, "x": f})
+    s_at = simples_gf_closed(order).substitute({"u": x / (1 - x), "x": f})
     return (_skew_part(f) + _sum_part(f) + s_at + x,)
 
 
 def _kernel_root_step(t_cur) -> tuple:
     x = _x(t_cur.order)
-    return (t_cur * t_cur * x * (1 - _c_star(t_cur) * x).reciprocal() + 1,)
+    return (t_cur * t_cur * x / (1 - _c_star(t_cur) * x) + 1,)
 
 
 EQUATIONS: dict[str, _Equation] = {
     "catalan-fixed": _Equation(
-        ("catalan",), lambda order: (_one(order),), _catalan_step
+        ("catalan",), lambda order: (MSeries.const(1, order),), _catalan_step
     ),
     "stat132-system": _Equation(
         ("stat132-last-not-max", "stat132-first-not-max"),
-        lambda order: (_one(order), _one(order)),
+        lambda order: (MSeries.const(1, order), MSeries.const(1, order)),
         _stat132_step,
     ),
     "gf-263514-fixed": _Equation(
@@ -1077,7 +1090,7 @@ EQUATIONS: dict[str, _Equation] = {
     ),
     "kernel-root": _Equation(
         ("kernel-root",),
-        lambda order: (_one(order),),
+        lambda order: (MSeries.const(1, order),),
         _kernel_root_step,
     ),
 }
@@ -1176,8 +1189,8 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
     "a033321": a033321_series,
     "lead-4132": lead_4132_closed,
     "lead-4132-first-not-one": lead_4132_first_not_one_closed,
-    "extract-524361": lambda order: _extraction_series("524361", order),
-    "extract-546132": lambda order: _extraction_series("546132", order),
+    "extract-524361": lambda order: _extraction_from(lead_enum("524361", order)),
+    "extract-546132": lambda order: _extraction_from(lead_enum("546132", order)),
     "stat132-last-not-max": lambda order: stat132_system(order)[0],
     "stat132-first-not-max": lambda order: stat132_system(order)[1],
     "stat132-ending-max": stat132_ending_max,
@@ -1198,18 +1211,13 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
 }
 
 
-def _extraction_series(basis_name: str, order: int) -> MSeries:
-    a_enum = lead_enum(basis_name, order)
-    return _extraction_from(a_enum)
-
-
 def _extraction_from(a: MSeries) -> MSeries:
     """(A(1,x) - t*A(t,x)) / (1-t) - catalan-layered / (1-tx)."""
     order = a.order
     x, t = _x(order), _t(order)
     b = a.substitute({"t": 1})
     first = (b - t * a).divide_one_minus("t")
-    return first - catalan_layered(order) * (1 - t * x).reciprocal()
+    return first - catalan_layered(order) / (1 - t * x)
 
 
 def series_names() -> list[str]:
@@ -1273,10 +1281,8 @@ def _lead_functional_sides(a: MSeries, corrupt: bool) -> tuple[MSeries, MSeries]
     y = lead_4132_closed(order)
     z = lead_4132_first_not_one_closed(order)
     d = _extraction_from(a)
-    x_inv = (1 - x).reciprocal()
-    third = (t if corrupt else 1) * x * x_inv * d * z
-    rhs = y + t * x * x_inv * d + third
-    return a, rhs
+    xd = x * d / (1 - x)
+    return a, y + t * xd + (t if corrupt else 1) * xd * z
 
 
 @_identity("lead-254613-functional", enum_backed=True)
@@ -1287,14 +1293,13 @@ def _identity_lead_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     a = lead_enum("254613", order)
     x, t = _x(order), _t(order)
     b = a.substitute({"t": 1})
-    e = (b - t * a).divide_one_minus("t") - (1 - t * x).reciprocal()
+    tx_inv = 1 / (1 - t * x)
+    e = (b - t * a).divide_one_minus("t") - tx_inv
     if corrupt:
-        e = e + (1 - t * x).reciprocal() - 1
-    x_inv = (1 - x).reciprocal()
-    tx_inv = (1 - t * x).reciprocal()
-    gap_factor = x * (b - 1) * x_inv * tx_inv
-    block_factor = (1 - t * x * (b - 1) * tx_inv).reciprocal()
-    rhs = tx_inv + t * x * e * x_inv + (a - tx_inv) * gap_factor * block_factor
+        e = e + tx_inv - 1
+    gap_factor = x * (b - 1) / (1 - x) / (1 - t * x)
+    block = 1 - t * x * (b - 1) / (1 - t * x)
+    rhs = tx_inv + t * x * e / (1 - x) + (a - tx_inv) * gap_factor / block
     return a, rhs
 
 
@@ -1394,7 +1399,7 @@ def _identity_schroder_from_kernel(order: int, corrupt: bool) -> tuple[MSeries, 
     troot = little_schroder_series(order)
     x = _x(order)
     factor = (1 - troot * x * x) if corrupt else (1 - troot * x)
-    return b * factor, _one(order)
+    return b * factor, MSeries.const(1, order)
 
 
 @_identity("kernel-root-closed")
@@ -1412,15 +1417,9 @@ def _identity_lead_4132_functional(order: int, corrupt: bool) -> tuple[MSeries, 
     x, t = _x(order), _t(order)
     y = lead_4132_closed(order)
     cs = catalan_layered(order)
-    tx_inv = (1 - t * x).reciprocal()
-    x_inv = (1 - x).reciprocal()
+    tx_inv = 1 / (1 - t * x)
     mid_num = cs if corrupt else (cs - 1)
-    rhs = (
-        tx_inv
-        + t * x * mid_num * tx_inv * x_inv
-        + x * x_inv * (y - tx_inv) * (cs - 1)
-    )
-    return y, rhs
+    return y, tx_inv + (t * x * mid_num / (1 - t * x) + x * (y - tx_inv) * (cs - 1)) / (1 - x)
 
 
 @_identity("stat132-system")

@@ -27,7 +27,7 @@ import re
 
 from permlab.cli import main
 from permlab.enumeration import FILTERS, STATISTICS
-from permlab.series import series_names
+from permlab.series import IDENTITIES, series_names
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "manifest.json")
 VERBATIM_LIMIT = 1000
@@ -80,11 +80,18 @@ def argvs() -> list[list[str]]:
         for name in series_names()
         for fmt in FORMATS
     ]
-    # descending, since each closed form keeps its highest build and cuts lower orders from it
+    # descending, since each closed form keeps its highest build and cuts lower orders from it;
+    # the closed-form identities at order 40 come right after the order-40 builds they share
+    closed = [name for name in series_names() if name not in ENUM_BACKED]
+    out += [["series", "--name", name, "--order", "40", "--format", "json"] for name in closed]
+    out += [
+        ["verify", "--id", check_id, "--order", "40", "--format", "json"]
+        for check_id in sorted(IDENTITIES) if not IDENTITIES[check_id].enum_backed
+    ]
     out += [
         ["series", "--name", name, "--order", order, "--format", "json"]
-        for order in ("40", "20", "12", "5", "0")
-        for name in series_names() if name not in ENUM_BACKED
+        for order in ("20", "12", "5", "0")
+        for name in closed
     ]
     out += [
         ["count", "--basis", basis, "--max-n", "9", "--format", fmt,

@@ -325,6 +325,96 @@ class TestReciprocal:
         assert s.reciprocal() == geometric_reciprocal(s)
 
 
+def divisor(data, grading, kind, coeffs, c0=None) -> MSeries:
+    """A random series with constant term c0 (drawn if None) and no other grade-0 term.
+
+    ``kind`` "sparse" gives one or two monomials of positive grade besides,
+    "dense" up to 8 terms, and "packed" a grade-3 slice of at least
+    ``_PACK_MIN`` terms and up to 8 more terms.
+    """
+    order = data.draw(st.integers(3, 6) if kind != "packed" else st.integers(6, 7))
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
+    size = {"sparse": (1, 2), "dense": (3, 8), "packed": (0, 8)}[kind]
+    terms = data.draw(st.dictionaries(keys, coeffs.filter(bool), min_size=size[0],
+                                      max_size=size[1]))
+    if kind == "packed":
+        terms.update(dense_terms(data, grading, coeffs))
+    grade = sum if grading == TOTAL_GRADED else (lambda k: k[0])
+    terms = {k: c for k, c in terms.items() if grade(k) > 0}
+    c0 = data.draw(coeffs.filter(bool)) if c0 is None else c0
+    return MSeries({**terms, (0, 0, 0): c0}, order, grading)
+
+
+class TestQuotient:
+    """``a / b`` against ``a * geometric_reciprocal(b)``, term by term.
+
+    A complete divisor pairs its nonzero grades with the quotient's stored
+    ones; a lazy one, as inside a solve, is convolved grade by grade.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_product_with_geometric_reciprocal(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        coeffs = data.draw(st.sampled_from([st.integers(-3, 3), COEFFS]))
+        b = divisor(data, grading, data.draw(st.sampled_from(["sparse", "dense"])), coeffs)
+        a = random_series(data, grading)
+        want = term_product(a, geometric_reciprocal(b))
+        assert a / b == want
+        assert forced(lazy(a) / b) == forced(a / lazy(b)) == forced(lazy(a) / lazy(b)) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_dense_int_divisor_is_packed(self, data):
+        grading = data.draw(st.sampled_from([X_GRADED, TOTAL_GRADED]))
+        # b_0 = 1 keeps the quotient integral, and q_3 = a_3 meets b_3 at grade 6
+        b = divisor(data, grading, "packed", INTS, c0=1)
+        a = MSeries(dense_terms(data, grading), b.order, grading)
+        with calls_to(series_mod, "_add_packed") as packed:
+            got = a / b
+        assert packed
+        assert got == term_product(a, geometric_reciprocal(b))
+
+    def test_rational_operands(self):
+        assert x(5) / 2 == x(5) * Fraction(1, 2)
+        assert 3 / (1 - x(5)) == 3 * geometric(5)
+        assert (1 - x(5)) / (1 - x(5)) == 1 / MSeries.const(1, 5) == MSeries.const(1, 5)
+        assert (x(4) / (2 - x(4))).x_coefficients() == [0, Fraction(1, 2), Fraction(1, 4),
+                                                        Fraction(1, 8), Fraction(1, 16)]
+
+    def test_non_invertible_divisors_raise_at_the_call(self):
+        with pytest.raises(SeriesError, match="^not invertible: zero constant term$"):
+            x(5) / x(5)
+        with pytest.raises(SeriesError, match="^grade-0 part is not a plain rational constant$"):
+            1 / (1 - t(5))
+        with pytest.raises(SeriesError, match="^not invertible: zero constant term$"):
+            1 / (t(5, TOTAL_GRADED) + x(5, TOTAL_GRADED))
+        with pytest.raises(SeriesError, match="^not invertible: zero constant term$"):
+            x(5) / 0
+
+    def test_lazy_divisor_in_a_solve(self):
+        # y = 1 + xy / (1 - xy), so y (1 - xy) = 1: the Catalan series.  The
+        # divisor is built on the unknown, so the quotient convolves.
+        def oracle(y):
+            xy = term_product(x(y.order), y)
+            one = MSeries.const(1, y.order)
+            return (term_sum(term_product(xy, geometric_reciprocal(term_sum(one, xy, -1))), one),)
+
+        initial = lambda order: (MSeries.const(1, order),)  # noqa: E731
+        EQUATIONS["quotient"] = _Equation(
+            ("y",), initial, lambda y: (x(y.order) * y / (1 - x(y.order) * y) + 1,))
+        EQUATIONS["quotient-oracle"] = _Equation(("y",), initial, oracle)
+        try:
+            for order in range(10):
+                with calls_to(series_mod, "_convolve") as convolved:
+                    got = fixed_point_solve("quotient", order)
+                assert convolved or order == 0
+                assert got == full_order_picard("quotient-oracle", order)
+                assert got == named_series("catalan", order)
+        finally:
+            del EQUATIONS["quotient"], EQUATIONS["quotient-oracle"]
+
+
 class TestLazySeries:
     """Each operation, lazy and complete, against term-by-term oracles.
 
@@ -498,9 +588,11 @@ class TestPackedProducts:
                     alternating = MSeries({(e, i, 0): (-1) ** i * c
                                            for e in (0, 1) for i in range(n)}, 2)
                     for b in (a, -a, alternating):
-                        with calls_to(series_mod, "_pack") as packs:
+                        with calls_to(series_mod, "_pack") as packs, \
+                                calls_to(series_mod, "_add_products") as fallbacks:
                             got = a * b
                         assert len(packs) == 8  # two slices for each of four pairs
+                        assert not fallbacks
                         assert got == term_product(a, b), (n, k, c)
 
     def test_products_that_cancel_drop_their_grade(self):
@@ -513,6 +605,18 @@ class TestPackedProducts:
         assert [len(args[1]) for args in packed] == [1, 2, 1] * 2
         assert 1 not in got._slices and 1 not in lazily._slices  # p * -p + p * p
         assert got == lazily == term_product(a, b)
+
+    def test_pairs_with_different_least_exponents(self):
+        # grade 1 pairs a slice from u^0 with one from u^2, and one from t u^3
+        # with one from u^0: the packed sum must place each product right
+        p = [[t + 2 * u + 1 for u in range(3)] for t in range(3)]
+        a = block(2, 0, p) + term_product(MSeries.monomial(1, 2, t=1, u=3), block(2, 1, p))
+        b = block(2, 0, p) + term_product(MSeries.monomial(1, 2, u=2), block(2, 1, p))
+        with calls_to(series_mod, "_pack") as packs, \
+                calls_to(series_mod, "_add_products") as fallbacks:
+            got = a * b
+        assert len(packs) == 8 and not fallbacks  # two slices for each of four pairs
+        assert got == term_product(a, b)
 
     def test_a_fraction_takes_the_dict_path(self):
         values = [[t - u + 3 for u in range(3)] for t in range(3)]
