@@ -14,14 +14,13 @@ be too lazy", JSC 2002).  Grade d of a sum, product, rational multiple,
 quotient, square root or substitution is built from the grades of its
 operands up to d, and kept.  A quotient a / b is one node, which pairs
 only the nonzero grades of a complete b, so dividing by 1 - tx costs one
-slice product per grade.  A series whose operands are complete is
-computed to its order at once, so every series the public functions
-return is complete; one built on an unknown of a fixed-point solve
-computes each grade when the solve asks for it.  One dispatcher
-multiplies the slice pairs of a grade, and every product, quotient,
-square root, substitution and solve is made of it: two large all-int
-slices as two packed ints, through CPython's bigint multiply, and any
-other pair one term pair at a time.
+slice product per grade; a substitution sums b^e * Q_e over the powers of
+one bound series b, one product per exponent and grade.  A series whose
+operands are complete is computed to its order at once, so every series
+the public functions return is complete; one built on an unknown of a
+fixed-point solve computes each grade when the solve asks for it.  All
+of them hand a grade's slice pairs to one dispatcher: two large all-int
+slices as packed ints (a bigint multiply), any other pair term by term.
 
 On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
@@ -38,6 +37,7 @@ build.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -397,9 +397,6 @@ class MSeries:
             and self._slices == other._slices
         )
 
-    def __hash__(self):
-        raise TypeError("MSeries is not hashable")
-
     def __repr__(self):
         terms = self.terms()
         head = ", ".join(f"{k}: {c}" for k, c in terms[:4])
@@ -579,16 +576,17 @@ class MSeries:
         A bound variable that carries positive grade weight in this
         series' grading must be replaced by a series of positive
         valuation, so every truncated-away monomial stays beyond the
-        result's order.  This series needs every term, but a bound
-        series may be one still being solved; its valuation is then
-        checked when grade 0 of the result is computed.
+        result's order; for the same reason a total-graded series with a
+        free t or u takes no x-graded series.  This series needs every
+        term, but a bound series may be one still being solved; its
+        valuation is then checked when grade 0 of the result is computed.
 
-        Grade d of the result is the sum, over the terms of this series,
-        of the term's coefficient times grade d of the product of its
-        bound variables' powers.  The powers are products built once per
-        variable and exponent, and compute only the grades asked for;
-        rational bindings and free variables only scale a term and shift
-        its exponents.
+        The result sums b^e * Q_e over the exponents e of one variable bound
+        to b, the series still being solved if there is one, else the first;
+        Q_e, its terms of exponent e with the other bindings put in, is built
+        the same way, once.  So a grade costs one product per exponent, and a
+        complete Q_e pairs only its nonzero grades with b^e's.  A rational is
+        bound as a constant series.  The powers compute only the grades read.
         """
         self._require_complete("substitute")
         unknown = set(bindings) - set(_VAR_INDEX)
@@ -603,81 +601,21 @@ class MSeries:
             order = min([self.order] + [b.order for b in series.values()])
         else:
             grading, order = self.grading, self.order
+        if self.grading == TOTAL_GRADED and grading == X_GRADED and any(
+                k >> 32 and "t" not in bindings or k & _U_MASK and "u" not in bindings
+                for sl in self._slices.values() for k in sl):
+            raise SeriesError("a total-graded series with a free t or u takes no x-graded one")
         # variables with positive grade weight in this series' grading
         weighted = [v for v in bindings if self.grading == TOTAL_GRADED or v == "x"]
         for v in weighted:
             if v not in series and Fraction(bindings[v]) != 0:
                 raise SeriesError(f"binding for {v!r} must have zero constant term")
-        powers = {v: [None, b] for v, b in series.items()}
-
-        def power(v: str, e: int) -> MSeries:
-            cache = powers[v]
-            while len(cache) <= e:
-                cache.append(_product(cache[-1], series[v], eager=False))
-            return cache[e]
-
-        # terms grouped by the exponents of their series-bound variables:
-        # {exponents: [(grade offset, exponent shift, coefficient)]}.  Lower
-        # exponents come first, so a grade of a power is usually asked for
-        # after the same grade of the power below it, which keeps the
-        # recursion down a chain of powers shallow.
-        groups: dict[tuple, list] = {}
-        for key, c in sorted(self.coeffs.items()):
-            shift = [0, 0, 0]  # free x only moves the grade: x follows from it
-            offset = 0
-            bound = []
-            for i, v in enumerate(("x", "t", "u")):
-                e = key[i]
-                if not e:
-                    continue
-                if v in series:
-                    bound.append((v, e))
-                elif v in bindings:
-                    b = bindings[v]
-                    c = _norm_coeff(c * (b if type(b) is int else Fraction(b)) ** e)
-                else:
-                    shift[i] = e
-                    offset += e if grading == TOTAL_GRADED or v == "x" else 0
-            if c:
-                groups.setdefault(tuple(bound), []).append((offset, _key(*shift[1:]), c))
-        # a group's product of powers is head * last, where last is the power
-        # of its last variable (None if it has one variable or none); that
-        # product is convolved into the result, not kept as a series, since
-        # each of its grades is wanted once per entry
-        one = MSeries.const(1, order, grading)
-        terms = []
-        for bound, entries in groups.items():
-            chain = [power(v, e) for v, e in bound] or [one]
-            head, last = chain[0], (chain[-1] if len(chain) > 1 else None)
-            for f in chain[1:-1]:
-                head = _product(head, f, eager=False)
-            terms.append((head, last, entries))
-        checked = [v for v in weighted if v in series]
-
-        def fill(slices, d):
-            if d == 0:
-                for v in checked:
-                    if series[v].slice(0):
-                        raise SeriesError(f"binding for {v!r} must have zero constant term")
-            acc: dict[int, object] = {}
-            for head, last, entries in terms:
-                for offset, shift, c in entries:
-                    if offset > d:
-                        continue
-                    if last is None:
-                        sl = head.slice(d - offset)
-                    else:
-                        sl = {}
-                        _convolve(sl, head.slice, last.slice, d - offset)
-                        if any(k & _U_CARRY for k in sl):  # a shift could carry it
-                            raise SeriesError("a u exponent reached 2**31")
-                    if sl:
-                        for k, v in sl.items():
-                            k += shift
-                            acc[k] = acc.get(k, 0) + c * v
-            _store_slice(slices, d, acc)
-
-        return _node(fill, order, grading, *series.values())
+        series.update((v, MSeries.const(r, order, grading))
+                      for v, r in bindings.items() if v not in series)
+        # each binding, the least grade it can have, and its powers [_, b, b^2, ...]
+        bound = {v: (b, min(b._slices, default=order + 1) if b._done > b.order
+                     else int(v in weighted), [None, b]) for v, b in series.items()}
+        return _compose(self.coeffs, bound, order, grading, weighted)
 
 
 def _node(fill: Callable[[dict, int], None], order: int, grading: str,
@@ -699,8 +637,9 @@ def _product(a: MSeries, b: MSeries, eager: bool = True) -> MSeries:
 
     A complete operand with one term c t^k u^m, at grade g, shifts the other:
     grade d is c t^k u^m times the other's grade d - g, the other's own slice
-    when the term is 1.  Two complete operands pair the nonzero grades of the
-    one with fewer with the other's stored grades.
+    when the term is 1.  Otherwise a complete operand (the one with fewer nonzero
+    grades, of two) walks the other's grades, and two lazy ones are convolved from
+    the least grade each can have.
     """
     for one, other in ((a, b), (b, a)):
         if one._done > one.order and len(one._slices) == 1:
@@ -716,20 +655,81 @@ def _product(a: MSeries, b: MSeries, eager: bool = True) -> MSeries:
                         slices[d] = sl  # shared: slices never change
 
                 return _node(fill, min(a.order, b.order), a.grading, a, b, eager=eager)
-    walk = a._done > a.order and b._done > b.order
-    if walk:
-        few, many = sorted((a, b), key=lambda s: len(s._slices))
-        grades, stored = list(few._slices.items()), many._slices
+    done = sorted((s for s in (a, b) if s._done > s.order), key=lambda s: len(s._slices))
+    if done:
+        few = done[0]
+        grades, other = sorted(few._slices.items()), b if few is a else a
 
     def fill(slices, d):
         acc: dict[int, object] = {}
-        if walk:
-            _add_pairs(acc, [(sl, stored[d - i]) for i, sl in grades if d - i in stored])
+        if done:
+            _add_pairs(acc, _walk(grades, other, d))
         else:
-            _convolve(acc, a.slice, b.slice, d)
+            start = next(iter(a._slices), a._done)  # lazy: stored in ascending order
+            if d >= start + next(iter(b._slices), b._done):
+                _convolve(acc, a.slice, b.slice, d, start)
         _store_slice(slices, d, acc)
 
     return _node(fill, min(a.order, b.order), a.grading, a, b, eager=eager)
+
+
+def _walk(grades: list, other: MSeries, d: int) -> list:
+    """The nonzero pairs of the ``grades`` (i, slice), i ascending, of a complete series
+    with grade d - i of ``other``.  Only the top grade is asked for; the rest are
+    read where stored (an unknown's top grade may be its guess)."""
+    if not grades or d < grades[0][0]:
+        return []
+    stored, top = other._slices, other.slice(d - grades[0][0])
+    pairs = [(sl, stored[d - i]) for i, sl in grades[1:bisect_left(grades, (d + 1,))]
+             if d - i in stored]
+    return pairs + [(grades[0][1], top)] if top else pairs
+
+
+def _compose(terms, bound: dict, cut: int, grading: str, checked=()) -> MSeries:
+    """The sum of ``terms`` to grade ``cut`` with the ``bound`` variables put in
+    (see :meth:`MSeries.substitute`); grade 0 checks that the bindings of the
+    ``checked`` variables have no constant term."""
+    if not bound:
+        return MSeries(terms, cut, grading)
+    # the binding still being solved if there is one, else the first
+    v = min(bound, key=lambda v: bound[v][0]._done > bound[v][0].order)
+    i, (b, val, pows) = _VAR_INDEX[v], bound[v]
+    parts: dict[int, dict[Key, object]] = {}
+    for key, c in terms.items():
+        if key[i] * val <= cut:
+            parts.setdefault(key[i], {})[key[:i] + (0,) + key[i + 1:]] = c
+    rest = {w: bound[w] for w in bound if w != v}
+    q = {e: _compose(part, rest, cut - e * val, grading) for e, part in parts.items()}
+    top = max(q, default=0)
+    while len(pows) <= top:
+        pows.append(_product(pows[-1], b, eager=False))
+    # b^e goes to the top grade any Q_e', e' >= e, reads, lowest first: no deep recursion
+    reach, low = [0] * (top + 1), cut + 1
+    for e in range(top, 0, -1):
+        if e in q:
+            low = min(low, min(q[e]._slices, default=low) if q[e]._done > q[e].order else 0)
+        reach[e] = max(low, int(b._done <= b.order))  # being solved: below d
+        low += val
+    walks = {e: sorted(p._slices.items()) for e, p in q.items() if p._done > p.order}
+
+    def fill(slices, d):
+        if d == 0:
+            for w in checked:
+                if bound[w][0].slice(0):
+                    raise SeriesError(f"binding for {w!r} must have zero constant term")
+        acc = dict(q[0].slice(d) or {}) if 0 in q else {}
+        pairs = []
+        for e in range(1, (min(top, d // val) if val else top) + 1):
+            if d - reach[e] >= e * val:
+                pows[e].slice(d - reach[e])
+            if e in walks:
+                pairs += _walk(walks[e], pows[e], d)
+            elif e in q:
+                _convolve(acc, pows[e].slice, q[e].slice, d, e * val)
+        _add_pairs(acc, pairs)
+        _store_slice(slices, d, acc)
+
+    return _node(fill, cut, grading, *(s for s, _, _ in bound.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,10 @@ def argvs() -> list[list[str]]:
     # descending, since each closed form keeps its highest build and cuts lower orders from it;
     # the closed-form identities at order 40 come right after the order-40 builds they share
     closed = [name for name in series_names() if name not in ENUM_BACKED]
+    # substitutions at a high order: S(f, x/(1-x)), C(x/(1 - tx)), C* at the kernel root, and
+    # the 4132 closed form built on C(x/(1 - tx))
+    out += [["series", "--name", name, "--order", "60", "--format", "json"]
+            for name in ("gf-263514", "catalan-layered", "kernel-root", "lead-4132")]
     out += [["series", "--name", name, "--order", "40", "--format", "json"] for name in closed]
     out += [
         ["verify", "--id", check_id, "--order", "40", "--format", "json"]

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from permlab.perms import Perm, is_simple, occurs_with_new_max, standardize
-from permlab.series import MSeries, _Unknown
+from permlab.series import TOTAL_GRADED, X_GRADED, MSeries, SeriesError, _Unknown
 
 
 def brute_contains(host: Perm, pattern: Perm) -> bool:
@@ -263,11 +263,18 @@ def geometric_reciprocal(s: MSeries) -> MSeries:
 def naive_substitute(s: MSeries, bindings) -> MSeries:
     """The sum over the terms of s of c * x'^a * t'^b * u'^c, term by term.
 
-    ``substitute`` builds one series over shared powers instead and must
-    give the same series.
+    ``substitute`` sums over the powers of one binding instead and must
+    give the same series.  A total-graded s with a term in a free t or u
+    and x-graded series bindings raises ``SeriesError``, as ``substitute``
+    must: s holds x t^b u^c only up to total degree s.order, but each of
+    them has x-degree 1.
     """
     series = [b for b in bindings.values() if isinstance(b, MSeries)]
     grading = series[0].grading if series else s.grading
+    if s.grading == TOTAL_GRADED and grading == X_GRADED and any(
+            et and "t" not in bindings or eu and "u" not in bindings
+            for _, et, eu in s.coeffs):
+        raise SeriesError("a free t or u has no x-graded truncation")
     order = min([s.order] + [b.order for b in series])
 
     def factor(v):

@@ -518,8 +518,14 @@ class TestLazySeries:
                 bindings[v] = random_series(data, b_grading, min_grade=int(weighted))
         if not any(isinstance(b, MSeries) for b in bindings.values()):
             bindings["x"] = random_series(data, b_grading, min_grade=1)
-        want = naive_substitute(s, bindings)
         pending = {v: lazy(b) if isinstance(b, MSeries) else b for v, b in bindings.items()}
+        try:
+            want = naive_substitute(s, bindings)
+        except SeriesError:  # a free t or u of a total-graded s, x-graded bindings
+            for given in (pending, bindings):
+                with pytest.raises(SeriesError, match="free t or u"):
+                    s.substitute(given)
+            return
         got = s.substitute(pending)
         assert got._done == 0
         assert forced(got) == want
@@ -723,11 +729,14 @@ class TestSubstitute:
         with pytest.raises(SeriesError, match="zero constant term"):
             named_series("catalan", 5).substitute({"x": 1 + x(5)})
 
-    def test_powers_compute_only_the_grades_asked_for(self, monkeypatch):
-        # x^2 t^4 at x -> x/(1-x), t -> x^2 + x^3: the power of t has valuation
-        # 8, so the order-8 result needs the square of x/(1-x) only below grade 4
-        s = MSeries({(2, 4, 0): 1}, 8)
-        bindings = {"x": x(8) * (1 - x(8)).reciprocal(), "t": x(8) ** 2 + x(8) ** 3}
+    @pytest.mark.parametrize("solved", [False, True])
+    def test_powers_compute_only_the_grades_asked_for(self, monkeypatch, solved):
+        # x^2 t^4 at x -> x/(1-x), complete or still being computed, and
+        # t -> x^2 + x^3: t^4 has valuation 8, so the order-12 result reads the
+        # square of x/(1-x) only to grade 4, and x/(1-x) itself only to grade 3
+        s = MSeries({(2, 4, 0): 1}, 12)
+        bindings = {"x": x(12) / (1 - x(12)), "t": x(12) ** 2 + x(12) ** 3}
+        pending = {"x": lazy(bindings["x"]) if solved else bindings["x"], "t": bindings["t"]}
         made, real = [], series_mod._product
 
         def product(a, b, eager=True):
@@ -735,9 +744,69 @@ class TestSubstitute:
             return made[-1]
 
         monkeypatch.setattr(series_mod, "_product", product)
-        assert s.substitute(bindings) == naive_substitute(s, bindings)
-        assert len(made) == 4  # the square of x/(1-x), and t's powers 2, 3 and 4
-        assert made[0]._done < 5
+        assert forced(s.substitute(pending)) == naive_substitute(s, bindings)
+        # t^2, t^3 and t^4 to the grades that t^4 * x^2 reads, then the square of x/(1-x)
+        assert [p._done for p in made] == [7, 9, 11, 5]
+        assert pending["x"]._done == (4 if solved else 13)
+
+    def test_powers_of_a_complete_binding_stop_at_the_result_order(self, monkeypatch):
+        # the powers of a complete binding are computed to grade 10 here, not to
+        # the binding's own order 200
+        b = x(200) / (1 - t(200) * x(200))
+        c, want = named_series("catalan", 10), named_series("catalan-layered", 10)
+        made, real = [], series_mod._product
+        monkeypatch.setattr(series_mod, "_product",
+                            lambda a, b, eager=True: made.append(real(a, b, eager)) or made[-1])
+        assert c.substitute({"x": b}) == want
+        assert len(made) == 9 and max(p._done for p in made) == 11  # b^2 ... b^10
+
+    def test_total_graded_free_u_takes_no_x_graded_series(self):
+        # x u^4 has x-degree 1 but total degree 5, so the order-4 series lacks it
+        s = MSeries({(1, 0, b): 1 for b in range(10)}, 4, TOTAL_GRADED)
+        with pytest.raises(SeriesError, match="free t or u takes no x-graded one"):
+            s.substitute({"x": x(4)})
+        assert s.substitute({"x": x(4, TOTAL_GRADED)}) == s
+        assert s.substitute({"x": x(4), "u": 0}) == x(4)
+
+    def test_263514_substitution_convolves_once_per_exponent_and_grade(self):
+        # S(f, x/(1-x)): a convolution per x-exponent of S and grade for the
+        # powers of f, and room for the rest of the solve (f * f, 1/(1 + f))
+        order = 40
+        exponents = {k[0] for k in named_series("simples-gf-closed", order).coeffs}
+        named_series("large-schroder", order)
+        with calls_to(series_mod, "_convolve") as calls:
+            fixed_point_solve("gf-263514-fixed", order)
+        assert len(calls) <= (len(exponents) + 1) * (order + 1)
+
+    def test_sparse_high_power_needs_no_deep_recursion(self):
+        # x^60 at x -> x + x^2, still being computed: grade d reads b^60 at d,
+        # and the powers below it are brought up first, lowest first
+        s = MSeries({(60, 0, 0): 1, (1, 0, 0): 1}, 62)
+        b = x(62) + x(62) * x(62)
+        composed = s.substitute({"x": lazy(b)})
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)  # b^60 down to b^2 would take 180 frames
+        try:
+            forced(composed)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert composed == s.substitute({"x": b})
+
+    def test_lazy_part_is_read_only_to_its_own_order(self):
+        # x^2 t at x -> x and t -> x, both still being computed: the part of t
+        # is cut at grade 0, since x^2 takes the order-2 result's other grades
+        s = MSeries({(2, 1, 0): 1}, 2)
+        assert forced(s.substitute({"x": lazy(x(2)), "t": lazy(x(2))})) == MSeries({}, 2)
+
+    def test_high_orders_need_no_deep_recursion(self):
+        # each power is brought up to the grades read, lowest first, so that
+        # none asks the one below it for a grade not yet computed
+        fixed_point_solve("kernel-root", 100)
+        series_mod.catalan_layered.__wrapped__(100)
+        fixed_point_solve("gf-263514-fixed", 80)
 
     def test_t_eval_at_one_allowed_in_x_grading(self):
         y = named_series("lead-4132", 10)
@@ -903,6 +972,63 @@ class TestRampedSolver:
         finally:
             del EQUATIONS["oscillating"]
         assert "stalled at agreement degree 3" in str(info.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_two_bindings_one_of_them_solved_match_picard(self, data):
+        # y = 1 + x s(x, t, u), the unknown bound to one variable (x as x y) and
+        # a complete series to another: the substitution sums powers of y
+        order = data.draw(st.integers(0, 5))
+        s = MSeries(random_series(data, X_GRADED).coeffs, order)
+        solved, other = data.draw(st.permutations(["x", "t", "u"]))[:2]
+        fixed = MSeries(random_series(data, X_GRADED, min_grade=int(other == "x")).coeffs,
+                        order)
+
+        def bindings(y, product):
+            return {solved: product(x(order), y) if solved == "x" else y, other: fixed}
+
+        EQUATIONS["two-bindings"] = _Equation(
+            ("y",), lambda n: (MSeries.const(1, n),),
+            lambda y: (x(order) * s.substitute(bindings(y, MSeries.__mul__)) + 1,),
+        )
+        want = one = MSeries.const(1, order)
+        for _ in range(order + 1):
+            want = term_sum(one, term_product(
+                x(order), naive_substitute(s, bindings(want, term_product))))
+        try:
+            assert fixed_point_solve("two-bindings", order) == want
+        finally:
+            del EQUATIONS["two-bindings"]
+
+    def test_two_bindings_to_the_unknown_read_no_grade_unused(self):
+        # y = 1 + x t u at t -> y, u -> y is Catalan's equation; grade d of the
+        # substitution never reads grade d of y, whose guess 0 is wrong there
+        s = MSeries({(1, 1, 1): 1}, 8)
+        EQUATIONS["catalan-substituted"] = _Equation(
+            ("y",), lambda order: (MSeries({}, order),),
+            lambda y: (s.substitute({"t": y, "u": y}) + 1,),
+        )
+        try:
+            assert fixed_point_solve("catalan-substituted", 8) == named_series("catalan", 8)
+        finally:
+            del EQUATIONS["catalan-substituted"]
+
+    def test_substituted_unknown_read_at_its_own_grade(self):
+        # 3 + 2u + 2u^2 + ut - 2t at t -> y, u -> x is the oscillating step, so
+        # grade d of the substitution reads grade d of y through -2t
+        s = MSeries({(0, 0, 0): 3, (0, 0, 1): 2, (0, 0, 2): 2, (0, 1, 1): 1,
+                     (0, 1, 0): -2}, 6)
+        EQUATIONS["oscillating-substituted"] = _Equation(
+            ("y",), lambda order: (_oscillating_guess(order),),
+            lambda y: (s.substitute({"t": y, "u": x(y.order)}),),
+        )
+        try:
+            for solve in (fixed_point_solve, full_order_picard):
+                with pytest.raises(NonContractionError) as info:
+                    solve("oscillating-substituted", 6)
+                assert info.value.agreement == 3
+        finally:
+            del EQUATIONS["oscillating-substituted"]
 
     def test_relaxed_binding_must_have_zero_constant_term(self):
         # y is 1 at grade 0, so it cannot be substituted for x
