@@ -155,7 +155,12 @@ def cmd_verify(args) -> int:
     return OK if all(r.passed for r in reports) else FAILURE
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only ``command``'s arguments when it names a subcommand.
+
+    Any other ``command`` (None, an option, a typo) gets every
+    subcommand's arguments, so top-level help and errors are complete.
+    """
     parser = argparse.ArgumentParser(
         prog="permlab",
         description="pattern-avoidance enumeration and exact series verification",
@@ -168,53 +173,53 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=_non_negative, default=8)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
-    p_count = sub.add_parser("count", help="count a class by length")
-    common(p_count)
-    p_count.add_argument("--parallelism", type=_parallelism, default=1,
-                         help="worker processes, 1..CPU count (default 1)")
-    p_count.set_defaults(fn=cmd_count)
+    def count(p):
+        common(p)
+        p.add_argument("--parallelism", type=_parallelism, default=1,
+                       help="worker processes, 1..CPU count (default 1)")
 
-    p_enum = sub.add_parser("enumerate", help="list class members by length")
-    common(p_enum)
-    p_enum.set_defaults(fn=cmd_enumerate)
+    def stat(p):
+        common(p)
+        p.add_argument("--stats", required=True,
+                       help="comma-separated ids from: leading-maxima, bond, lr-min")
+        p.add_argument("--filter", default="none",
+                       help="element filter id (see docs; default none)")
 
-    p_stat = sub.add_parser("stat", help="refined counts by statistics")
-    common(p_stat)
-    p_stat.add_argument("--stats", required=True,
-                        help="comma-separated ids from: leading-maxima, bond, lr-min")
-    p_stat.add_argument("--filter", default="none",
-                        help="element filter id (see docs; default none)")
-    p_stat.set_defaults(fn=cmd_stat)
+    def series(p):
+        p.add_argument("--name", required=True, help="registered series name (see README)")
+        p.add_argument("--order", type=_non_negative, default=12)
+        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
-    p_simp = sub.add_parser("simples", help="list simple class members")
-    common(p_simp)
-    p_simp.set_defaults(fn=cmd_simples)
+    def verify(p):
+        only = p.add_mutually_exclusive_group()
+        only.add_argument("--all", action="store_true",
+                          help="run the whole registry (default when no --id)")
+        only.add_argument("--id", default=None, help="run a single check by id")
+        only.add_argument("--list-ids", action="store_true")
+        p.add_argument("--max-n", type=_non_negative, default=8)
+        p.add_argument("--order", type=_non_negative, default=12)
+        p.add_argument("--count-n", type=_non_negative, default=10)
+        p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p_ser = sub.add_parser("series", help="print a registered series")
-    p_ser.add_argument("--name", required=True,
-                       help="registered series name (see README)")
-    p_ser.add_argument("--order", type=_non_negative, default=12)
-    p_ser.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_ser.set_defaults(fn=cmd_series)
-
-    p_ver = sub.add_parser("verify", help="run structural checks and identities")
-    only = p_ver.add_mutually_exclusive_group()
-    only.add_argument("--all", action="store_true",
-                      help="run the whole registry (default when no --id)")
-    only.add_argument("--id", default=None, help="run a single check by id")
-    only.add_argument("--list-ids", action="store_true")
-    p_ver.add_argument("--max-n", type=_non_negative, default=8)
-    p_ver.add_argument("--order", type=_non_negative, default=12)
-    p_ver.add_argument("--count-n", type=_non_negative, default=10)
-    p_ver.add_argument("--format", choices=["table", "json"], default="table")
-    p_ver.set_defaults(fn=cmd_verify)
-
+    commands = {
+        "count": ("count a class by length", cmd_count, count),
+        "enumerate": ("list class members by length", cmd_enumerate, common),
+        "stat": ("refined counts by statistics", cmd_stat, stat),
+        "simples": ("list simple class members", cmd_simples, common),
+        "series": ("print a registered series", cmd_series, series),
+        "verify": ("run structural checks and identities", cmd_verify, verify),
+    }
+    for name, (text, fn, arguments) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if command not in commands or command == name:
+            arguments(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except CapacityError as exc:

@@ -4,18 +4,23 @@ Every member of Av_{n+1}(basis) arises exactly once by inserting the new
 maximum n+1 into one of the n+1 slots of a member of Av_n(basis).  Each
 member carries a blocked-slot mask, bit s set when the new maximum at
 slot s completes a pattern; the one slot of the root () is blocked only
-by the pattern 1.  A child gets its mask from its parent's
-(``_child_masks``): the parent's, with the slot of n+1 counted on both
-sides of it, since an occurrence that misses n+1 is one in the parent
-already, ORed with the slots where n+2 completes an occurrence as the
-pattern's largest entry k with n+1 as its k-1.  The pattern's other
-entries then occur in the parent, so each parent keeps one list, one
-int per slot, into which every pattern ORs the new blocks of that
-slot's child: 3142 and 4132 by a closed rule, every other pattern by a
-search for those other entries, generated as Python source for that
-pattern and compiled once per call.  2143 adds, per child, the slots
-between the parent's increasing prefix and the child's n+1.  No member
-is ever searched for a pattern.
+by the pattern 1.  A child gets its mask from its parent's: the
+parent's, with the slot of n+1 counted on both sides of it, since an
+occurrence that misses n+1 is one in the parent already, ORed with the
+slots where n+2 completes an occurrence as the pattern's largest entry
+k with n+1 as its k-1.  The pattern's other entries then occur in the
+parent, so each parent keeps one list, one int per slot, into which
+every pattern ORs the new blocks of that slot's child: 3142 and 4132 by
+a closed rule, every other pattern by a search for those other entries.
+2143 adds, per child, the slots between the parent's increasing prefix
+and the child's n+1; each member also carries that prefix's length.  No
+member is ever searched for a pattern.
+
+All of it is one function per basis, the insertion step
+(``_insertion_rules``): Python source with every pattern's rule written
+inline, compiled once per call.  It takes a node (member, mask, run)
+and either counts the node's subtree depth-first or lists its children
+as nodes.
 
 ``class_levels`` grows whole levels breadth-first (``_grow``), each
 sorted lexicographically, and caches them per basis.  The cache holds
@@ -25,24 +30,26 @@ class for one length only, its deepest (``enumerate_simples`` and
 ``simples_by_insertion`` answer for every length up to it at once), so
 none of them pays that rebuild.  The last level built gets no masks.
 
-``count_class`` reads, builds and caches no level: it walks the
-insertion tree depth-first from the root (``_walk``) and counts each
-node's children as the popcount of its free slots, so the last two
-levels are never built.
+``count_class`` reads, builds and caches no level: the step walks the
+insertion tree depth-first from the root, and a node two levels above
+the last adds its children's free slots, popcounts of their masks, in
+its slot loop, so the last two levels are never built.
 
 Level builds run in one process.  With p processes, ``count_class``
 grows levels here until one is large enough, then forks p - 1 workers
 once per call (``_in_workers``).  Each of the p processes, the caller
-included, counts the subtrees of every p-th (member, mask) pair of that
-level, and the per-level totals are summed.  Every function returns
-plain data, which ``permlab.cli`` renders.
+included, counts the subtrees of every p-th node of that level, and the
+per-level totals are summed.  Every function returns plain data, which
+``permlab.cli`` renders.
 """
 
 from __future__ import annotations
 
 import os
+import textwrap
 from dataclasses import dataclass
 from math import inf
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from permlab.perms import (
@@ -126,7 +133,7 @@ class PatternBasis:
 
 
 # ---------------------------------------------------------------------------
-# blocked-slot masks inherited down the insertion tree
+# the insertion step: blocked-slot masks inherited down the tree
 #
 # A child inserts n+1 at slot s of a parent of length n.  Inserting n+2
 # at child slot t makes an occurrence either without n+1, which is one
@@ -134,102 +141,82 @@ class PatternBasis:
 # pattern's largest entry k and n+1 as its k-1.  The other entries of
 # such an occurrence form tau'' (the pattern without k and k-1) in the
 # parent, and their positions fix both the slots s and the slots t.  So
-# each pattern ORs, per parent, the child slots this second kind adds
-# into one list ``added`` of n+1 ints, one per slot s: 3142 and 4132
-# from a closed rule each, every other pattern from a search for its
-# tau'' generated for that pattern.  2143 writes no entry: the child at
-# slot s gains the slots run+1..s, run being the length of the parent's
-# increasing prefix.  A table function takes the parent, its free slots
-# and ``added``, and is exact at every free slot.  The pattern 1 writes
-# no entry either: it blocks the root's one slot, so the class is empty
-# from length 1 on.
+# each pattern has a block of source that ORs, per parent, the child
+# slots this second kind adds into one list ``added`` of n+1 ints, one
+# per slot s: 3142 and 4132 by a closed rule each, every other pattern
+# by a search for its tau'' generated for that pattern.  A block reads
+# the locals ``parent``, ``n`` and ``free`` and is exact at every free
+# slot.  2143 has no block: the child at slot s gains the slots
+# run+1..s, run being the length of the parent's increasing prefix,
+# which each node carries (the child's is s + 1 if s <= run, else run).
+# The pattern 1 has none either: it blocks the root's one slot, so the
+# class is empty from length 1 on.
 
-
-def _increasing_run(parent: Perm) -> int:
-    """The length of the longest increasing prefix of ``parent``."""
-    for i in range(1, len(parent)):
-        if parent[i] < parent[i - 1]:
-            return i
-    return len(parent)
-
-
-def _new_3142_slots(parent: Perm, free: int, added: list[int]) -> None:
-    """ORs into ``added[s]`` the child slots 3142 adds through n+2 and n+1.
-
-    With n+1 at slot s as the 3, n+2 at child slot c+1 is the 4 of an
-    occurrence exactly when some parent[i] with s <= i < c, the 1, lies
-    below max(parent[c:]), which holds the 2.  For one i these cuts are
-    i+1..j, where j is the last position of a value above parent[i];
-    slot s gets them ORed over all i >= s.  Exact at every slot, so
-    ``free`` is not read.
-    """
-    n = len(parent)
-    acc = 0
-    records = 0  # the values of the right-to-left maxima right of i
-    where = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        v = parent[i]
-        above = records >> (v + 1)
-        if above:
-            # the first value above v from the right is the least record above it
-            j = where[(above & -above).bit_length() + v]
-            acc |= (4 << j) - (4 << i)  # child slots i+2 .. j+1
-        else:
-            records |= 1 << v
-            where[v] = i
-        added[i] |= acc
-
-
-def _new_4132_slots(parent: Perm, free: int, added: list[int]) -> None:
-    """ORs into ``added[s]`` the child slots 4132 adds through n+2 and n+1.
-
-    n+2 is the 4 left of the 1 and n+1 is the 3, so the 1 lies before
-    slot s and the 2 after it: the child gains the slots 0..t0, t0 being
-    the last i < s with parent[i] < max(parent[s:]).  Each free slot
-    scans left from s - 1 for it, so a parent with a long decreasing
-    suffix costs O(n) per free slot.
-    """
-    top = 0  # max(parent[s:])
-    for s in range(len(parent) - 1, 0, -1):
-        if parent[s] > top:
-            top = parent[s]
-        if free >> s & 1:
-            i = s - 1
-            while i >= 0 and parent[i] > top:
-                i -= 1
-            if i >= 0:
-                added[s] |= (2 << i) - 1
-
-
-_NEW_SLOT_RULES: dict[Perm, Callable[[Perm, int, list[int]], None]] = {
-    (3, 1, 4, 2): _new_3142_slots,
-    (4, 1, 3, 2): _new_4132_slots,
+_NEW_SLOT_RULES: dict[Perm, str] = {
+    # With n+1 at slot s as the 3, n+2 at child slot c+1 is the 4 of an
+    # occurrence exactly when some parent[i] with s <= i < c, the 1, lies
+    # below max(parent[c:]), which holds the 2.  For one i these cuts are
+    # i+1..j, where j is the last position of a value above parent[i];
+    # slot s gets them ORed over all i >= s.
+    (3, 1, 4, 2): """\
+acc = 0
+records = 0  # the values of the right-to-left maxima right of i
+where = [0] * (n + 1)
+for i in range(n - 1, -1, -1):
+    v = parent[i]
+    above = records >> (v + 1)
+    if above:
+        # the first value above v from the right is the least record above it
+        j = where[(above & -above).bit_length() + v]
+        acc |= (4 << j) - (4 << i)  # child slots i+2 .. j+1
+    else:
+        records |= 1 << v
+        where[v] = i
+    added[i] |= acc
+""",
+    # n+2 is the 4 left of the 1 and n+1 is the 3, so the 1 lies before
+    # slot s and the 2 after it: the child gains the slots 0..t0, t0 being
+    # the last i < s with parent[i] < max(parent[s:]).  Each free slot
+    # scans left from s - 1 for it, so a parent with a long decreasing
+    # suffix costs O(n) per free slot.
+    (4, 1, 3, 2): """\
+top = 0  # max(parent[s:])
+for s in range(n - 1, 0, -1):
+    if parent[s] > top:
+        top = parent[s]
+    if free >> s & 1:
+        i = s - 1
+        while i >= 0 and parent[i] > top:
+            i -= 1
+        if i >= 0:
+            added[s] |= (2 << i) - 1
+""",
 }
 
 
-def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
-    """Generate and compile the search for ``pattern``'s (length >= 2) new slots.
+def _new_slot_search(pattern: Perm) -> tuple[str, str]:
+    """Generate the search for ``pattern``'s (length >= 2) new slots.
 
-    Returns ``search(parent, free, added)``, which ORs into ``added[s]``,
-    for each slot s in ``free``, the child slots where n+2 completes an
-    occurrence with n+1.  Seen from the parent, n+1 and n+2 take two
-    slots x <= y, in the pattern's order, x after X of the m = k - 2
-    entries of tau'' and y after Y of them.  An occurrence of tau'' at
-    positions i_0 < ... < i_(m-1) then allows exactly the pairs with
-    i_(X-1) < x <= i_X and i_(Y-1) < y <= i_Y (i_(-1) = -1 and
+    Returns Python source ``(block, helpers)``.  The block ORs into
+    ``added[s]``, for each slot s in ``free``, the child slots where n+2
+    completes an occurrence with n+1.  Seen from the parent, n+1 and
+    n+2 take two slots x <= y, in the pattern's order, x after X of the
+    m = k - 2 entries of tau'' and y after Y of them.  An occurrence of
+    tau'' at positions i_0 < ... < i_(m-1) then allows exactly the pairs
+    with i_(X-1) < x <= i_X and i_(Y-1) < y <= i_Y (i_(-1) = -1 and
     i_m = n).  For each occurrence of the first Y entries, the search
     takes the last i_Y that completes it, whose pairs hold those of
     every other completion.
 
-    The search is Python source written for this pattern and compiled
-    per count.  Entries 0..Y-1 are nested ``for`` loops over positions,
-    each value window a comparison of two local variables.  Entry Y is
-    a scan down from the right, and the entries after it a nested
-    existence check that breaks out at the first completion.  CPython
-    rejects more than 20 statically nested blocks, so once a generated
-    function holds 16 loops (the scan for entry Y may make 17), the rest
-    of the nest goes into a further generated function that takes the
-    chosen positions and values as arguments.
+    Entries 0..Y-1 are nested ``for`` loops over positions, each value
+    window a comparison of two local variables.  Entry Y is a scan down
+    from the right, and the entries after it a nested existence check
+    that breaks out at the first completion.  CPython rejects more than
+    20 statically nested blocks, so once 16 loops are open (the scan for
+    entry Y may make 17, and the step and the recording loop 2 more),
+    the rest of the nest goes into a helper function, defined in
+    ``helpers`` and named after the pattern, that takes the chosen
+    positions and values as arguments.
     """
     k = len(pattern)
     m = k - 2
@@ -238,12 +225,14 @@ def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
     X, Y = (at_k1, at_k - 1) if s_is_x else (at_k, at_k1 - 1)
     # window bound m (lower) or m + 1 (upper) means no earlier entry bounds it
     lo_of, hi_of = window_sources(standardize([v for v in pattern if v < k - 1]))
-    max_loops = 16  # per generated function, below CPython's 20 nested blocks
-    functions: list[list[str]] = []
+    max_loops = 16  # open at once, below CPython's 20 nested blocks
+    tag = "_".join(map(str, pattern))
+    helpers: list[str] = []
 
     def define(name: str, params: list[str], body: list[str]) -> str:
-        functions.append([f"def {name}({', '.join(params)}):", *body])
-        return f"{name}({', '.join(params)})"
+        call = f"{name}_{tag}({', '.join(params)})"
+        helpers.extend([f"def {call}:", *body])
+        return call
 
     def loop(j: int, pos: str, positions: str, ind: str) -> tuple[list[str], str]:
         # the lines that choose entry j at ``pos``, and their body's indent
@@ -271,31 +260,25 @@ def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
         lines, inner = loop(j, f"p{j}", after(j, f"p{j - 1}" if j else "-1"), ind)
         return lines + first(j + 1, inner, loops + 1)
 
-    def exists(j: int, prev: str, ind: str, loops: int, fail: str, found: str) -> list[str]:
+    def exists(j: int, prev: str, ind: str, loops: int, fail: str,
+               found: list[str]) -> list[str]:
         # run ``found`` if entries j..m-1 occur after position ``prev``,
         # else ``fail``
         if loops >= max_loops:
             params = ["parent", "n", prev, *(f"v{i}" for i in range(j))]
             call = define(f"rest_{j}", params,
-                          exists(j, prev, "    ", 0, "return False", "return True"))
-            return [f"{ind}if {call}:", f"{ind}    {found}", f"{ind}{fail}"]
+                          exists(j, prev, "    ", 0, "return False", ["return True"]))
+            return [f"{ind}if {call}:", *(f"{ind}    {line}" for line in found),
+                    f"{ind}{fail}"]
         lines, inner = loop(j, f"q{j}", after(j, prev), ind)
         lines += ([f"{inner}break"] if j == m - 1
-                  else exists(j + 1, f"q{j}", inner, loops + 1, "continue", "break"))
-        return lines + [f"{ind}else:", f"{ind}    {fail}", f"{ind}{found}"]
+                  else exists(j + 1, f"q{j}", inner, loops + 1, "continue", ["break"]))
+        return lines + [f"{ind}else:", f"{ind}    {fail}", *(ind + line for line in found)]
 
     def close(ind: str, loops: int) -> list[str]:
-        # the first Y entries end at a: find the last i_Y, then record pairs
+        # the first Y entries end at a: record the pairs of the last i_Y
         a = f"p{Y - 1}" if Y else "-1"
-        lines = []
-        if Y == m:
-            top = "n"
-        else:
-            top = "top"
-            lines, inner = loop(Y, "top", f"range(n - {m - Y}, {a}, -1)", ind)
-            lines += ([f"{inner}break"] if Y == m - 1
-                      else exists(Y + 1, "top", inner, loops + 1, "continue", "break"))
-            lines += [f"{ind}else:", f"{ind}    {'continue' if loops else 'return'}"]
+        top = "n" if Y == m else "top"
         # 1 << x_lo and 1 << y_lo, x_lo = i_(X-1) + 1 and y_lo = i_(Y-1) + 1
         x_low = f"2 << p{X - 1}" if X else "1"
         y_low = f"2 << {a}" if Y else "1"
@@ -313,153 +296,165 @@ def _new_slot_search(pattern: Perm) -> Callable[[Perm, int, list[int]], None]:
             # [x_lo, min(s, x_hi)]
             todo = f"free & ((2 << {top}) - ({y_low}))"
             gain = f"(2 << p{X}) - ({x_low})" if X < Y else f"(low << 1) - ({x_low})"
-        return lines + [
-            f"{ind}todo = {todo}",
-            f"{ind}while todo:",
-            f"{ind}    low = todo & -todo",
-            f"{ind}    todo ^= low",
-            f"{ind}    added[low.bit_length() - 1] |= {gain}",
+        record = [
+            f"todo = {todo}",
+            "while todo:",
+            "    low = todo & -todo",
+            "    todo ^= low",
+            f"    added[low.bit_length() - 1] |= {gain}",
         ]
+        if Y == m:
+            return [ind + line for line in record]
+        # the last i_Y: scan down, record at the first that completes, stop
+        lines, inner = loop(Y, "top", f"range(n - {m - Y}, {a}, -1)", ind)
+        if Y == m - 1:
+            return lines + [inner + line for line in (*record, "break")]
+        return lines + exists(Y + 1, "top", inner, loops + 1, "continue", [*record, "break"])
 
-    define("search", ["parent", "free", "added"], ["    n = len(parent)", *first(0, "    ", 0)])
-    source = "\n".join(line for function in functions for line in function) + "\n"
-    namespace: dict = {}
-    exec(compile(source, f"<new slots of {perm_to_text(pattern)}>", "exec"), namespace)
-    return namespace["search"]
+    block = first(0, "", 0)
+    return "\n".join(block) + "\n", "".join(line + "\n" for line in helpers)
 
 
-_Rules = tuple[tuple[Callable[[Perm, int, list[int]], None], ...], Callable[[Perm], int]]
+_Node = tuple[Perm, int, int]  # (member, blocked-slot mask, increasing run)
+_Step = Callable[[Perm, int, int, int, list], None]
 
 
-def _insertion_rules(patterns: Sequence[Perm]) -> _Rules:
-    """The ``added`` tables and the 2143 run function of ``patterns``.
+def _compile_step(blocks: Sequence[tuple[str, str]], with_2143: bool) -> _Step:
+    """Compile one node's step from ``blocks`` and, if ``with_2143``, 2143's rule.
 
-    Each pattern but 1 and 2143 gets its closed rule or its generated
-    search, compiled here: once per call, before any worker is forked.
-    The run function is ``len`` when 2143 is not in the basis.
+    ``step(parent, blocked, run, left, out)`` takes a node: a member, its
+    blocked-slot mask and the length of its increasing prefix.  With
+    ``left`` >= 0 it counts the node's subtree, whose children lie
+    ``left`` levels above the last: ``out[left]`` gains the node's
+    children, and at ``left`` 1 ``out[0]`` gains their free slots,
+    summed from their masks in the slot loop with no child built.  With
+    ``left`` < 0 it appends the node's children to ``out`` as nodes, in
+    slot order.  In its source, {rules} is each pattern's block and
+    {mask} the child mask at slot s: the parent's mask with bit s
+    doubled, ORed with added[s] and, with 2143, with its slots run+1..s.
     """
-    tables = tuple(
-        _NEW_SLOT_RULES.get(pattern) or _new_slot_search(pattern)
-        for pattern in patterns if len(pattern) > 1 and pattern != (2, 1, 4, 3)
-    )
-    return tables, _increasing_run if (2, 1, 4, 3) in patterns else len
-
-
-def _root(patterns: Sequence[Perm]) -> tuple[list[Perm], list[int]]:
-    """Level 0 and its masks: the one slot of () is blocked only by the pattern 1."""
-    return [()], [int((1,) in patterns)]
-
-
-def _child_masks(parent: Perm, blocked: int, free: int, rules: _Rules) -> list[int]:
-    """The blocked-slot masks of ``parent``'s children, one per slot in ``free``.
-
-    ``blocked`` is the parent's exact mask and ``free`` its complement.
-    The child at slot s gets the parent's mask with bit s doubled, ORed
-    with ``added[s]`` from the tables and, when s > run, with 2143's
-    slots run+1..s, run being the run function of the parent.  The
-    masks come in increasing slot order.
-    """
-    tables, run_2143 = rules
-    added = [0] * (len(parent) + 1)
-    for table in tables:
-        table(parent, free, added)
-    run = run_2143(parent)
-    past_run = 2 << run  # the bit of slot run + 1
-    masks = []
-    while free:
-        low = free & -free
-        free ^= low
-        s = low.bit_length() - 1
-        mask = (blocked & (low - 1)) | ((blocked >> s) << (s + 1)) | added[s]
-        if s > run:
-            mask |= (2 << s) - past_run
-        masks.append(mask)
-    return masks
-
-
-def _walk(parent: Perm, blocked: int, d: int, last: int, totals: list[int],
-          rules: _Rules) -> None:
-    """Count the subtree of ``parent``, whose blocked-slot mask is ``blocked``.
-
-    ``totals[d]`` gains the node's children, and ``totals[last]`` is the
-    level counted by popcounts: a node two levels above the last adds
-    its children's free slots from their masks and builds no child.
-    """
+    rules = "".join(block for block, _ in blocks)
+    mask = "blocked + (blocked & -low)"
+    if rules:
+        rules = "added = [0] * (n + 1)\n" + rules
+        mask += " | added[s]"
+    if with_2143:
+        rules = "past = 2 << run  # the bit of slot run + 1\n" + rules
+        mask += " | ((2 << s) - past if s > run else 0)"
+    step = """\
+def step(parent, blocked, run, left, out):
     n = len(parent)
     free = ~blocked & ((2 << n) - 1)
-    totals[d] += free.bit_count()
-    if d == last or not free:
+    if left >= 0:
+        k = free.bit_count()
+        out[left] += k
+        if not left:
+            return
+    if not free:
         return
-    masks = _child_masks(parent, blocked, free, rules)
-    if d + 1 == last:
-        totals[last] += (n + 2) * len(masks) - sum(map(int.bit_count, masks))
+{rules}
+    todo = free
+    if left == 1:
+        leaves = (n + 2) * k
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            s = low.bit_length() - 1
+            leaves -= ({mask}).bit_count()
+        out[0] += leaves
         return
     new_val = n + 1
-    for mask in masks:
-        low = free & -free
-        free ^= low
+    left -= 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
         s = low.bit_length() - 1
-        _walk(parent[:s] + (new_val,) + parent[s:], mask, d + 1, last, totals, rules)
+        child = parent[:s] + (new_val,) + parent[s:]
+        mask = {mask}
+        if left < 0:
+            out.append((child, mask, s + 1 if s <= run else run))
+        else:
+            step(child, mask, s + 1 if s <= run else run, left, out)
+"""
+    source = "".join(helpers for _, helpers in blocks) + step.format(
+        rules=textwrap.indent(rules, " " * 4), mask=mask)
+    namespace: dict = {}
+    exec(compile(source, "<insertion step>", "exec"), namespace)
+    return namespace["step"]
 
 
-def _count_subtrees(members: Sequence[Perm], masks: Sequence[int], depth: int,
-                    rules: _Rules) -> list[int]:
-    """How many class members lie 1, ..., ``depth`` levels below ``members``.
+def _insertion_rules(patterns: Sequence[Perm]) -> _Step:
+    """The insertion step of ``patterns``, compiled once per call, before any fork.
 
-    ``masks[i]`` is the blocked-slot mask of ``members[i]``.  A
-    depth-first walk (``_walk``) that holds one root-to-leaf path, so
+    Each pattern but 1 and 2143 brings its closed rule's block or its
+    generated search.
+    """
+    blocks = [
+        (rule, "") if (rule := _NEW_SLOT_RULES.get(pattern)) else _new_slot_search(pattern)
+        for pattern in patterns if len(pattern) > 1 and pattern != (2, 1, 4, 3)
+    ]
+    return _compile_step(blocks, (2, 1, 4, 3) in patterns)
+
+
+def _root(patterns: Sequence[Perm]) -> list[_Node]:
+    """Level 0 as nodes: the one slot of () is blocked only by the pattern 1."""
+    return [((), int((1,) in patterns), 0)]
+
+
+def _count_subtrees(nodes: Sequence[_Node], depth: int, step: _Step) -> list[int]:
+    """How many class members lie 1, ..., ``depth`` levels below ``nodes``.
+
+    A depth-first walk by ``step`` that holds one root-to-leaf path, so
     neither the last level nor the one above it is built.  Also one
     process's share of a parallel count.
     """
     totals = [0] * depth
     if depth > 0:
-        for parent, blocked in zip(members, masks):
-            _walk(parent, blocked, 0, depth - 1, totals, rules)
-    return totals
+        for parent, blocked, run in nodes:
+            step(parent, blocked, run, depth - 1, totals)
+    return totals[::-1]
 
 
-def _grow(members: Sequence[Perm], masks: Sequence[int], depth: int, rules: _Rules,
-          cap: float = DEFAULT_CAP, last_masks: bool = False
-          ) -> tuple[list[list[Perm]], tuple[list[Perm], list[int]]]:
-    """The next ``depth`` levels below ``members``, each sorted, and the last with its masks.
+def _grow(nodes: Sequence[_Node], depth: int, step: _Step, cap: float = DEFAULT_CAP,
+          last_masks: bool = False) -> tuple[list[list[Perm]], list[_Node]]:
+    """The next ``depth`` levels below ``nodes``, each sorted, and the last as nodes.
 
-    ``masks[i]`` is the blocked-slot mask of ``members[i]``.  Each level
-    that is a parent in this call, and the last one if ``last_masks``,
-    gets its members' masks from ``_child_masks``; the masks returned
-    are empty otherwise.  The build stops after the first parent that
-    takes a level past ``cap``, and leaves that level unsorted: the
-    caller raises on it, so it is never used.
+    Each level that is a parent in this call, and the last one if
+    ``last_masks``, comes from ``step`` as nodes; the nodes returned are
+    empty otherwise.  The build stops after the first parent that takes
+    a level past ``cap``, and leaves that level unsorted: the caller
+    raises on it, so it is never used.
     """
     levels = []
     for d in range(depth):
         with_masks = last_masks or d + 1 < depth
-        children: list[Perm] = []
-        child_masks: list[int] = []
+        children: list = []
         append = children.append
-        for parent, blocked in zip(members, masks):
-            n = len(parent)
-            free = ~blocked & ((2 << n) - 1)
-            if with_masks and free:
-                child_masks += _child_masks(parent, blocked, free, rules)
-            new_val = n + 1
-            while free:
-                low = free & -free
-                free ^= low
-                s = low.bit_length() - 1
-                append(parent[:s] + (new_val,) + parent[s:])
+        for parent, blocked, run in nodes:
+            if with_masks:
+                step(parent, blocked, run, -1, children)
+            else:
+                n = len(parent)
+                free = ~blocked & ((2 << n) - 1)
+                new_val = n + 1
+                while free:
+                    low = free & -free
+                    free ^= low
+                    s = low.bit_length() - 1
+                    append(parent[:s] + (new_val,) + parent[s:])
             if len(children) > cap:
                 break
-        levels.append(children)
         if len(children) > cap:
+            levels.append(children)
             break
         if with_masks:
-            order = sorted(range(len(children)), key=children.__getitem__)
-            children[:] = [children[i] for i in order]
-            child_masks = [child_masks[i] for i in order]
+            children.sort(key=itemgetter(0))
+            levels.append([node[0] for node in children])
         else:
             children.sort()
-        members, masks = children, child_masks
-    return levels, (members, masks)
+            levels.append(children)
+        nodes = children if with_masks else []
+    return levels, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +583,9 @@ def class_levels(basis: PatternBasis, max_n: int, *,
     levels = _LEVELS_CACHE.setdefault(patterns, [[()]])
     if len(levels) > max_n:
         return levels[: max_n + 1]
-    rules = _insertion_rules(patterns)
-    members, masks = _grow(*_root(patterns), len(levels) - 1, rules, inf, True)[1]
-    for level in _grow(members, masks, max_n + 1 - len(levels), rules, cap)[0]:
+    step = _insertion_rules(patterns)
+    nodes = _grow(_root(patterns), len(levels) - 1, step, inf, True)[1]
+    for level in _grow(nodes, max_n + 1 - len(levels), step, cap)[0]:
         if len(level) > cap:
             raise CapacityError(len(levels), len(level), cap)
         levels.append(level)
@@ -600,36 +595,36 @@ def class_levels(basis: PatternBasis, max_n: int, *,
 def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> list[int]:
     """(|Av_0|, ..., |Av_max_n|).
 
-    The class is counted depth-first from the root by
-    ``_count_subtrees``, whatever the level cache holds: no level is
-    read, built or cached.  With ``parallelism`` p > 1, levels are first
-    grown here by ``_grow``, with their masks, until one has at least
-    32p members.  This process and p - 1 forked workers
-    (``_in_workers``) then each count the subtrees of one of p strided
-    shares of them, and the per-level totals are summed.
+    The class is counted depth-first from the root by the basis's
+    insertion step (``_count_subtrees``), whatever the level cache
+    holds: no level is read, built or cached.  With ``parallelism``
+    p > 1, levels are first grown here by ``_grow``, as nodes with their
+    masks, until one has at least 32p members.  This process and p - 1
+    forked workers (``_in_workers``) then each count the subtrees of one
+    of p strided shares of them with the same step, and the per-level
+    totals are summed.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
     """
     check_parallelism(parallelism)
     patterns = _checked_patterns(basis, max_n)
-    rules = _insertion_rules(patterns)
-    members, masks = _root(patterns)
+    step = _insertion_rules(patterns)
+    nodes = _root(patterns)
     counts = [1]
     if parallelism > 1:
-        while len(counts) <= max_n and len(members) < 32 * parallelism:
-            members, masks = _grow(members, masks, 1, rules, last_masks=True)[1]
-            counts.append(len(members))
+        while len(counts) <= max_n and len(nodes) < 32 * parallelism:
+            nodes = _grow(nodes, 1, step, last_masks=True)[1]
+            counts.append(len(nodes))
     depth = max_n + 1 - len(counts)
     if depth > 0:
         if parallelism == 1:
-            shards = [_count_subtrees(members, masks, depth, rules)]
+            shards = [_count_subtrees(nodes, depth, step)]
         else:
-            # share i holds every p-th pair from the i-th: strided, not
+            # share i holds every p-th node from the i-th: strided, not
             # contiguous, since the costly parents come first in lexicographic order
-            shards = _in_workers(lambda share: _count_subtrees(*share, depth, rules),
-                                 [(members[i::parallelism], masks[i::parallelism])
-                                  for i in range(parallelism)])
+            shards = _in_workers(lambda share: _count_subtrees(share, depth, step),
+                                 [nodes[i::parallelism] for i in range(parallelism)])
         counts.extend(sum(totals) for totals in zip(*shards))
     return counts
 

@@ -108,6 +108,13 @@ def argvs() -> list[list[str]]:
         ["count", "--basis", "2143,3142", "--max-n", "7", "--format", fmt]
         for fmt in FORMATS
     ]
+    # the insertion step's other paths: the pattern 1, no 2143, a generated
+    # search alone, the 4132 rule without 3142, and 3142 without 2143
+    out += [
+        ["count", "--basis", basis, "--max-n", "9", "--parallelism", parallelism]
+        for basis in ("1", "123", "1324", "4132", "2413,3142")
+        for parallelism in ("1", "2")
+    ]
     out += [
         ["enumerate", "--basis", basis, "--max-n", "8", "--format", fmt]
         for basis in STAT_BASES

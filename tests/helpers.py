@@ -55,6 +55,14 @@ def brute_free_slots(parent: Perm, patterns) -> int:
     )
 
 
+def increasing_run(p: Perm) -> int:
+    """The length of the longest increasing prefix of ``p``, by a scan."""
+    for i in range(1, len(p)):
+        if p[i] < p[i - 1]:
+            return i
+    return len(p)
+
+
 def brute_length3_patterns(host) -> set[Perm]:
     """Every pattern of length 3 in ``host``, read off each triple's comparisons."""
     shapes = {(a < b, a < c, b < c): (a, b, c) for a, b, c in permutations((1, 2, 3))}

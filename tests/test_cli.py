@@ -323,6 +323,44 @@ def test_json_output_ends_in_one_newline(capsys, argv):
     json.loads(out)
 
 
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which is to exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-h"],
+    ["count", "--basis", "132", "--max-n", "-1"],
+    ["count", "--max-n", "3"],
+    ["enumerate", "-h"],
+    ["enumerate", "--basis", "132", "--format", "xml"],
+    ["enumerate", "--basis", "132", "--parallelism", "2"],
+    ["stat", "-h"],
+    ["stat", "--basis", "132"],
+    ["stat", "--basis", "132", "--stats", "bond", "--max-n", "x"],
+    ["simples", "-h"],
+    ["simples"],
+    ["simples", "--basis", "132", "--order", "3"],
+    ["series", "-h"],
+    ["series", "--order", "3"],
+    ["series", "--name", "catalan", "--format", "csvx"],
+    ["verify", "-h"],
+    ["verify", "--all", "--id", "top-values"],
+    ["verify", "--count-n", "-2"],
+], ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_does(capsys, monkeypatch, argv):
+    # main builds only argv[0]'s arguments; help and usage errors must not show it
+    from permlab.cli import _build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(capsys, _build_parser().parse_args, argv)
+    assert full[0] in (0, 2)
+    assert _parse_outcome(capsys, main, argv) == full
+
+
 def test_start_up_loads_no_executor_and_serial_count_no_pickle():
     # a fresh interpreter: this one has loaded whatever earlier tests needed
     import subprocess

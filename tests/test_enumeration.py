@@ -8,14 +8,15 @@ small lengths are checked against the brute-force S_n filter.
 import json
 import os
 import signal
+import textwrap
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_class, brute_free_slots, count_pools, intervals
+from helpers import brute_class, brute_free_slots, count_pools, increasing_run, intervals
 from permlab import enumeration
 from permlab.enumeration import (
     CapacityError,
@@ -26,10 +27,9 @@ from permlab.enumeration import (
     refined_count,
     simples_by_insertion,
     _NEW_SLOT_RULES,
-    _child_masks,
+    _compile_step,
     _count_subtrees,
     _grow,
-    _increasing_run,
     _insertion_rules,
     _new_slot_search,
     _root,
@@ -316,19 +316,31 @@ def test_children_inherit_exact_masks(basis, parent_list):
     # exact for any parent, so the parent need not avoid the basis
     parent = tuple(parent_list)
     n = len(parent)
-    rules = _insertion_rules(basis.patterns)
+    step = _insertion_rules(basis.patterns)
     free = brute_free_slots(parent, basis.patterns)
-    blocked = ~free & ((2 << n) - 1)
+    node = (parent, ~free & ((2 << n) - 1), increasing_run(parent))
     children = [parent[:s] + (n + 1,) + parent[s:] for s in range(n + 1) if free >> s & 1]
-    masks = _child_masks(parent, blocked, free, rules)
-    assert len(masks) == len(children)
+    nodes = []
+    step(*node, -1, nodes)
+    assert [child for child, _, _ in nodes] == children
     child_free = [brute_free_slots(child, basis.patterns) for child in children]
-    for child, mask, slots in zip(children, masks, child_free):
+    for (child, mask, run), slots in zip(nodes, child_free):
         assert mask == ~slots & ((4 << n) - 1), (basis, child)
+        assert run == increasing_run(child), child
     # the node above the last level adds its children's free slots from
     # the same masks
-    assert _count_subtrees([parent], [blocked], 2, rules) == [
+    assert _count_subtrees([node], 2, step) == [
         len(children), sum(slots.bit_count() for slots in child_free)]
+
+
+def test_carried_run_is_the_childs_increasing_run():
+    # every parent of length <= 7, every slot: the run each child carries
+    for n in range(8):
+        for parent in permutations(range(1, n + 1)):
+            run = increasing_run(parent)
+            for s in range(n + 1):
+                child = parent[:s] + (n + 1,) + parent[s:]
+                assert increasing_run(child) == (s + 1 if s <= run else run), (parent, s)
 
 
 def _new_slots_by_brute_force(pattern, parent, free):
@@ -349,11 +361,13 @@ def _new_slots_by_brute_force(pattern, parent, free):
     return table
 
 
-def _new_slots(table, parent, free):
-    """The ``added`` list that ``table`` writes for ``parent`` from zeros."""
-    added = [0] * (len(parent) + 1)
-    table(parent, free, added)
-    return added
+def _new_slots(block, parent, free):
+    """The ``added`` list that a rule's ``(block, helpers)`` source writes for ``parent`` from zeros."""
+    body, helpers = block
+    namespace: dict = {}
+    exec(helpers + "def table(parent, free):\n    n = len(parent)\n    added = [0] * (n + 1)\n"
+         + textwrap.indent(body, "    ") + "    return added\n", namespace)
+    return namespace["table"](parent, free)
 
 
 @settings(max_examples=300, deadline=None)
@@ -424,10 +438,10 @@ def test_levels_match_generic_levels(basis, max_n, warm_n):
         cache.pop(patterns)
         class_levels(basis, warm_n)
         assert class_levels(basis, max_n) == want
-        members, masks = _grow(*_root(patterns), max_n, _insertion_rules(patterns),
-                               last_masks=True)[1]
-        assert members == want[max_n]
-        assert masks == [~brute_free_slots(p, patterns) & ((2 << max_n) - 1) for p in members]
+        nodes = _grow(_root(patterns), max_n, _insertion_rules(patterns), last_masks=True)[1]
+        assert [p for p, _, _ in nodes] == want[max_n]
+        assert nodes == [(p, ~brute_free_slots(p, patterns) & ((2 << max_n) - 1),
+                          increasing_run(p)) for p in want[max_n]]
     finally:
         cache.pop(patterns, None)
 
@@ -453,19 +467,30 @@ def test_empty_basis_rejected_before_any_work(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([*sorted(_NEW_SLOT_RULES), (2, 1, 4, 3)]), _with_free_slots(PARENTS))
 def test_new_slot_rules_match_generic_search(pattern, parent_and_free):
-    # each closed rule, and the walk's per-child shift for 2143, has the
+    # each closed rule, and the step's per-child slots for 2143, has the
     # generated tau'' search as its oracle, on any parent and any free
     # slots; the rules are exact at every slot
     parent, free = parent_and_free
+    n = len(parent)
+    generic = _new_slot_search(pattern)
     if pattern == (2, 1, 4, 3):
-        run = _increasing_run(parent)
-        rule = [(2 << s) - (2 << run) if s > run else 0 for s in range(len(parent) + 1)]
+        run = increasing_run(parent)
+        rule = [(2 << s) - (2 << run) if s > run else 0 for s in range(n + 1)]
     else:
-        rule = _new_slots(_NEW_SLOT_RULES[pattern], parent, free)
-    generic = _new_slots(_new_slot_search(pattern), parent, free)
-    for s in range(len(parent) + 1):
+        rule = _new_slots((_NEW_SLOT_RULES[pattern], ""), parent, free)
+    want = _new_slots(generic, parent, free)
+    for s in range(n + 1):
         if free >> s & 1:
-            assert rule[s] == generic[s], (pattern, parent, s)
+            assert rule[s] == want[s], (pattern, parent, s)
+    # the same through the compiled step, which adds the doubled parent
+    # mask; with every slot free that adds nothing
+    rule_step = _insertion_rules([pattern])
+    generic_step = _compile_step([generic], False)
+    for blocked in (~free & ((2 << n) - 1), 0):
+        by_rule, by_search = [], []
+        rule_step(parent, blocked, increasing_run(parent), -1, by_rule)
+        generic_step(parent, blocked, increasing_run(parent), -1, by_search)
+        assert by_rule == by_search, (pattern, parent, blocked)
 
 
 def _level_sizes(basis, max_n):
