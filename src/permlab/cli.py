@@ -142,14 +142,15 @@ def cmd_verify(args) -> int:
     else:
         reports = run_all(args.max_n, args.order, count_n=args.count_n)
     if args.format == "json":
-        _print_json([{"checkId": r.check_id, "maxN": r.max_n, "status": r.status,
+        _print_json([{"checkId": r.check_id, "maxN": r.max_n,
+                      "status": "pass" if r.passed else "fail",
                       "witnesses": [{"perm": perm_to_text(p), "reason": reason}
                                     for p, reason in r.witnesses],
                       "elapsedMillis": round(r.elapsed_ms, 3)} for r in reports])
     else:
         for r in reports:
-            line = f"{r.check_id:32s} {r.status:4s} [{r.elapsed_ms:9.1f} ms]"
-            print(line)
+            status = "pass" if r.passed else "fail"
+            print(f"{r.check_id:32s} {status:4s} [{r.elapsed_ms:9.1f} ms]")
             for p, reason in r.witnesses[:5]:
                 print(f"    witness {perm_to_text(p) or '-'}: {reason}")
     return OK if all(r.passed for r in reports) else FAILURE

@@ -305,6 +305,8 @@ class MSeries:
         slices: dict[int, dict[int, object]] = {}
         total = grading == TOTAL_GRADED
         for (ex, et, eu), c in coeffs.items():
+            if ex < 0 or et < 0:
+                raise SeriesError(f"exponents {(ex, et, eu)} have a negative x or t")
             d = ex + et + eu if total else ex
             if d > order:
                 continue
@@ -374,14 +376,11 @@ class MSeries:
     def coefficient(self, *, x: int = 0, t: int = 0, u: int = 0) -> Fraction:
         return Fraction(self.coeffs.get((x, t, u), 0))
 
-    def x_coefficients(self, upto: int | None = None) -> list[Fraction]:
+    def x_coefficients(self) -> list[Fraction]:
         """Coefficient list of a univariate series in x."""
-        hi = self.order if upto is None else upto
-        if hi > self.order:
-            raise SeriesError("coefficients beyond the truncation order are unknown")
         if any(any(sl) for sl in self._slices.values()):
             raise SeriesError("series is not univariate in x")
-        return [Fraction(self._slices.get(n, {}).get(0, 0)) for n in range(hi + 1)]
+        return [Fraction(self._slices.get(n, {}).get(0, 0)) for n in range(self.order + 1)]
 
     def terms(self) -> list[tuple[Key, object]]:
         """The (key, coefficient) pairs sorted by grade, then by (x, t, u)."""
@@ -557,18 +556,6 @@ class MSeries:
             if acc + poly[deg] != 0:
                 raise SeriesError(f"series is not divisible by (1 - {var})")
         return MSeries(out, self.order, self.grading)
-
-    def shift_down(self, var: str = "x", k: int = 1) -> "MSeries":
-        """Exact division by var**k; raises if any term has a smaller exponent."""
-        self._require_complete("shift_down")
-        idx = _VAR_INDEX[var]
-        out = {}
-        for key, c in self.coeffs.items():
-            if key[idx] < k:
-                raise SeriesError(f"series is not divisible by {var}^{k}")
-            out[key[:idx] + (key[idx] - k,) + key[idx + 1:]] = c
-        # dividing by var^k sharpens what we know by k grades in x/total
-        return MSeries(out, self.order - k, self.grading)
 
     def substitute(self, bindings: Mapping[str, "MSeries | Fraction | int"]) -> "MSeries":
         """Compose: replace each bound variable by a series or rational.
@@ -799,10 +786,10 @@ def large_schroder_series(order: int) -> MSeries:
 
 @_built_once
 def little_schroder_series(order: int) -> MSeries:
-    """(1 + x - sqrt(1 - 6x + x^2)) / (4x); starts 1, 1, 3, 11, 45, ..."""
-    x = _x(order + 1)
+    """2 / (1 + x + sqrt(1 - 6x + x^2)); starts 1, 1, 3, 11, 45, ..."""
+    x = _x(order)
     rad = (1 - 6 * x + x * x).sqrt1()
-    return (1 + x - rad).shift_down("x", 1) * Fraction(1, 4)
+    return 2 / (1 + x + rad)
 
 
 def _c_star(mark: MSeries) -> MSeries:
@@ -1176,9 +1163,7 @@ def fixed_point_solve(equation_id: str, order: int):
 
 _NAMED: dict[str, Callable[[int], MSeries]] = {
     "catalan": catalan_series,
-    "catalan-closed": lambda order: (
-        (1 - (1 - 4 * _x(order + 1)).sqrt1()).shift_down("x", 1) * Fraction(1, 2)
-    ),
+    "catalan-closed": lambda order: 2 / (1 + (1 - 4 * _x(order)).sqrt1()),
     "large-schroder": large_schroder_series,
     "little-schroder": little_schroder_series,
     # the root (3 - x - sqrt((3 - x)^2 - 8))/2 of B^2 + (x - 3)B + 2, whose
@@ -1234,18 +1219,6 @@ def named_series(name: str, order: int) -> MSeries:
 
 # ---------------------------------------------------------------------------
 # identity registry
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    id: str
-    order: int
-    status: str  # "pass" | "fail"
-    first_mismatch: tuple[Key, Fraction, Fraction] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 @dataclass(frozen=True)
@@ -1481,8 +1454,12 @@ def identity_ids() -> list[str]:
 
 
 def check_identity(identity_id: str, order: int, *,
-                   corrupt: bool = False) -> IdentityCheck:
-    """Evaluate LHS - RHS of a registered identity to the given order."""
+                   corrupt: bool = False) -> tuple[Key, Fraction, Fraction] | None:
+    """The first (key, lhs, rhs) at which the sides of an identity differ, or None.
+
+    Each pair of sides is compared to the given order, in turn; the key
+    is the first term of their difference.
+    """
     if identity_id not in IDENTITIES:
         raise SeriesError(
             f"unknown identity {identity_id!r}; known: {', '.join(identity_ids())}"
@@ -1501,10 +1478,5 @@ def check_identity(identity_id: str, order: int, *,
             continue
         key = residual.terms()[0][0]
         ex, et, eu = key
-        return IdentityCheck(
-            identity_id,
-            order,
-            "fail",
-            (key, lhs.coefficient(x=ex, t=et, u=eu), rhs.coefficient(x=ex, t=et, u=eu)),
-        )
-    return IdentityCheck(identity_id, order, "pass")
+        return key, lhs.coefficient(x=ex, t=et, u=eu), rhs.coefficient(x=ex, t=et, u=eu)
+    return None

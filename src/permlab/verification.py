@@ -1,19 +1,20 @@
 """Element-wise verification of the structural facts behind the counts.
 
-Every check here either scans an exhaustively enumerated class for a
-claimed property or rebuilds a class from a case decomposition and
-compares multisets, so failures always come with a concrete witness
-permutation.  Reconstruction checks demand every element be produced
-exactly once: overcounting is as much a failure as undercounting.  A
-check returns a ``VerificationReport`` of plain data, which
-``permlab.cli`` renders.
+Every structural check here either scans an exhaustively enumerated
+class for a claimed property or rebuilds a class from a case
+decomposition and compares multisets, so its failures come with a
+concrete witness permutation.  Reconstruction checks demand every
+element be produced exactly once: overcounting is as much a failure as
+undercounting.  Cross counts and series identities yield witnesses with
+no permutation.  A check returns a ``VerificationReport`` of plain data,
+which ``permlab.cli`` renders; it passes when it has no witness.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, permutations, product
 from math import factorial
@@ -59,13 +60,13 @@ PAT_132 = (1, 3, 2)
 class VerificationReport:
     check_id: str
     max_n: int
-    status: str  # "pass" | "fail"
-    witnesses: list[tuple[Perm, str]] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    witnesses: list[tuple[Perm, str]]
+    elapsed_ms: float
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        """A check passes when it found no witness."""
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -81,25 +82,12 @@ class CaseTag:
         return f"{self.case_id}{self.payload}"
 
 
-def _report(check_id: str, max_n: int, witnesses: Iterable[tuple[Perm, str]],
-            started: float) -> VerificationReport:
-    """The report of a check started at ``started``, read after its witnesses."""
-    witnesses = sorted(witnesses, key=lambda w: (len(w[0]), w[0]))
-    return VerificationReport(
-        check_id,
-        max_n,
-        "fail" if witnesses else "pass",
-        witnesses,
-        (time.perf_counter() - started) * 1000.0,
-    )
-
-
 def _reported(check_id: str):
     """Make a generator of (perm, reason) witnesses the check ``check_id``.
 
     The check takes the generator's arguments, runs it to its end and
-    returns the report at ``max_n`` that fails with every witness it
-    yielded.  Its time is the time the generator took.
+    returns the report at ``max_n`` with every witness it yielded,
+    shortest and least first.  Its time is the time the generator took.
     """
 
     def decorate(witnesses: Callable[..., Iterable[tuple[Perm, str]]]
@@ -107,7 +95,9 @@ def _reported(check_id: str):
         @wraps(witnesses)
         def check(max_n: int, *args, **kwargs) -> VerificationReport:
             started = time.perf_counter()
-            return _report(check_id, max_n, witnesses(max_n, *args, **kwargs), started)
+            found = sorted(witnesses(max_n, *args, **kwargs), key=lambda w: (len(w[0]), w[0]))
+            return VerificationReport(check_id, max_n, found,
+                                      (time.perf_counter() - started) * 1000.0)
 
         return check
 
@@ -656,21 +646,15 @@ def check_ids() -> list[str]:
     return [*STRUCTURAL_CHECKS, "cross-count", *identity_ids()]
 
 
-def _identity_report(identity_id: str, order: int) -> VerificationReport:
-    started = time.perf_counter()
-    res = check_identity(identity_id, order)
-    witnesses: list[tuple[Perm, str]] = []
-    if res.status == "fail":
-        key, lhs, rhs = res.first_mismatch
-        witnesses.append(
-            ((), f"coefficient of x^{key[0]} t^{key[1]} u^{key[2]}: "
-                 f"lhs {lhs} != rhs {rhs}")
-        )
-    return _report(identity_id, order, witnesses, started)
+def _identity_witnesses(order: int, identity_id: str) -> Iterator[tuple[Perm, str]]:
+    """The first coefficient at which the sides of the identity differ, if any."""
+    mismatch = check_identity(identity_id, order)
+    if mismatch is not None:
+        (ex, et, eu), lhs, rhs = mismatch
+        yield (), f"coefficient of x^{ex} t^{et} u^{eu}: lhs {lhs} != rhs {rhs}"
 
 
-def run_check(check_id: str, max_n: int = 8, order: int = 12, *,
-              count_n: int = 10) -> VerificationReport:
+def run_check(check_id: str, max_n: int, order: int, *, count_n: int) -> VerificationReport:
     """Run one registered structural check or series identity by id.
 
     Structural checks run at max_n (or their cap, if smaller), cross
@@ -683,13 +667,13 @@ def run_check(check_id: str, max_n: int = 8, order: int = 12, *,
         return check_cross_counts(count_n)
     if check_id in identity_ids():
         budget = min(order, max_n) if IDENTITIES[check_id].enum_backed else order
-        return _identity_report(check_id, budget)
+        return _reported(check_id)(_identity_witnesses)(budget, check_id)
     raise KeyError(
         f"unknown check id {check_id!r}; known: {', '.join(check_ids())}"
     )
 
 
-def run_all(max_n: int = 8, order: int = 12, *, count_n: int = 10) -> list[VerificationReport]:
+def run_all(max_n: int, order: int, *, count_n: int) -> list[VerificationReport]:
     """Every registered check, in ``check_ids()`` order, at ``run_check``'s budgets."""
     return [run_check(cid, max_n, order, count_n=count_n) for cid in check_ids()]
 

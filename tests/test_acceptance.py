@@ -80,9 +80,9 @@ def test_criterion_4_identity_suite(capsys):
     failures = []
     for iid in identity_ids():
         order = 10 if IDENTITIES[iid].enum_backed else 20
-        res = check_identity(iid, order)
-        if not res.passed:
-            failures.append((iid, res.first_mismatch))
+        mismatch = check_identity(iid, order)
+        if mismatch is not None:
+            failures.append((iid, mismatch))
     with capsys.disabled():
         announce(
             4, "identity-suite", not failures,
@@ -137,8 +137,7 @@ def test_criterion_8_negative_controls(capsys):
     surviving = []
     for iid in identity_ids():
         order = 8 if IDENTITIES[iid].enum_backed else 12
-        res = check_identity(iid, order, corrupt=True)
-        if res.passed or res.first_mismatch is None:
+        if check_identity(iid, order, corrupt=True) is None:
             surviving.append(iid)
     bad_basis = PatternBasis.from_text("2143,3142,254631")
     count_report = check_cross_counts(7, targets=[(bad_basis, "large-schroder")])

@@ -251,6 +251,14 @@ class TestArithmetic:
         with pytest.raises(SeriesError, match="u exponent"):
             s.substitute(bindings)
 
+    @pytest.mark.parametrize("grading", [X_GRADED, TOTAL_GRADED])
+    @pytest.mark.parametrize("key", [(-1, 0, 0), (2, -1, 0)])
+    def test_negative_x_or_t_rejected(self, key, grading):
+        # no product reads a negative grade or a negative t key: such a
+        # term would be dropped from every product, so (1 + x^-1) * x gave x
+        with pytest.raises(SeriesError, match="negative x or t"):
+            MSeries({key: 1, (0, 0, 0): 1}, 3, grading)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
            st.lists(st.integers(-5, 5), min_size=1, max_size=5),
@@ -836,12 +844,6 @@ class TestDivision:
         with pytest.raises(SeriesError, match="not divisible"):
             (1 + t(5)).divide_one_minus("t")
 
-    def test_shift_down(self):
-        s = x(6) ** 2 + x(6) ** 3
-        assert s.shift_down("x", 2).coeffs == {(0, 0, 0): 1, (1, 0, 0): 1}
-        with pytest.raises(SeriesError, match="not divisible"):
-            (1 + x(5)).shift_down("x", 1)
-
 
 class TestFixedPoints:
     def test_catalan(self):
@@ -1069,7 +1071,6 @@ class TestRampedSolver:
     @pytest.mark.parametrize("operation, call", [
         ("substitute", lambda y: y.substitute({"t": 1})),
         ("divide_one_minus", lambda y: y.divide_one_minus("t")),
-        ("shift_down", lambda y: (y * x(y.order)).shift_down("x", 1)),
     ])
     def test_operations_on_every_term_refuse_a_series_being_solved(self, operation, call):
         EQUATIONS["needs-every-term"] = _Equation(
@@ -1202,7 +1203,7 @@ def counted(eq_id, step):
     return run
 for eq_id, eq in list(EQUATIONS.items()):
     EQUATIONS[eq_id] = dataclasses.replace(eq, step=counted(eq_id, eq.step))
-passed = [check_identity(i, 10).passed for i in identity_ids() if not IDENTITIES[i].enum_backed]
+passed = [check_identity(i, 10) is None for i in identity_ids() if not IDENTITIES[i].enum_backed]
 print(json.dumps({"passed": passed, "steps": steps}))
 """
         done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
@@ -1239,17 +1240,17 @@ class TestIdentities:
         # full default-order runs live in the acceptance suite
         for iid in identity_ids():
             order = 6 if IDENTITIES[iid].enum_backed else 8
-            res = check_identity(iid, order)
-            assert res.passed, (iid, res.first_mismatch)
+            mismatch = check_identity(iid, order)
+            assert mismatch is None, (iid, mismatch)
 
     def test_unknown_identity(self):
         with pytest.raises(SeriesError, match="unknown identity"):
             check_identity("no-such", 8)
 
     def test_failure_reports_first_mismatch(self):
-        res = check_identity("schroder-cubic", 8, corrupt=True)
-        assert res.status == "fail"
-        key, lhs, rhs = res.first_mismatch
+        mismatch = check_identity("schroder-cubic", 8, corrupt=True)
+        assert mismatch is not None
+        key, lhs, rhs = mismatch
         assert key == (0, 0, 0)
         assert lhs - rhs == -1  # constant 2 corrupted to 1
 
@@ -1271,6 +1272,6 @@ class TestIdentities:
             s = original(*args, **kwargs)
             return s + MSeries.var("x", s.order, s.grading)
 
-        assert check_identity(identity_id, 6).passed
+        assert check_identity(identity_id, 6) is None
         monkeypatch.setattr(series_mod, builder, one_term_off)
-        assert not check_identity(identity_id, 6).passed
+        assert check_identity(identity_id, 6) is not None

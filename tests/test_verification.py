@@ -343,10 +343,10 @@ class TestCrossCounts:
 
 class TestAggregation:
     def test_run_check_dispatch(self):
-        assert run_check("top-values", max_n=5).passed
-        assert run_check("schroder-cubic", order=10).passed
+        assert run_check("top-values", 5, 12, count_n=10).passed
+        assert run_check("schroder-cubic", 8, 10, count_n=10).passed
         with pytest.raises(KeyError):
-            run_check("no-such")
+            run_check("no-such", 8, 12, count_n=10)
 
     def test_check_ids_cover_both_registries(self):
         # the order of `verify --all`: the structural checks in the order
@@ -373,15 +373,29 @@ class TestAggregation:
             assert report.passed and report.check_id == check_id
             return report.max_n
 
-        assert budget("top-values", max_n=5) == 5
-        assert budget("deflation-uniqueness", max_n=8) == 7
-        assert budget("deflation-uniqueness", max_n=5) == 5
-        assert budget("cross-count", max_n=5, count_n=6) == 6
+        assert budget("top-values", max_n=5, order=12, count_n=10) == 5
+        assert budget("deflation-uniqueness", max_n=8, order=12, count_n=10) == 7
+        assert budget("deflation-uniqueness", max_n=5, order=12, count_n=10) == 5
+        assert budget("cross-count", max_n=5, order=12, count_n=6) == 6
         # enumeration-backed identities at min(order, max_n)
-        assert budget("lead-4132-closed", max_n=5, order=9) == 5
-        assert budget("lead-4132-closed", max_n=8, order=6) == 6
+        assert budget("lead-4132-closed", max_n=5, order=9, count_n=10) == 5
+        assert budget("lead-4132-closed", max_n=8, order=6, count_n=10) == 6
         # closed-form identities at order
-        assert budget("schroder-cubic", max_n=5, order=9) == 9
+        assert budget("schroder-cubic", max_n=5, order=9, count_n=10) == 9
+
+    @pytest.mark.parametrize("identity_id", sorted(IDENTITIES))
+    def test_each_mutation_fails_through_run_check(self, monkeypatch, identity_id):
+        # the lowest budgets at which every mutation is still caught
+        budget = 6 if IDENTITIES[identity_id].enum_backed else 3
+        check_identity = series.check_identity
+        monkeypatch.setattr(verification, "check_identity",
+                            lambda iid, order: check_identity(iid, order, corrupt=True))
+        report = run_check(identity_id, budget, budget, count_n=budget)
+        (ex, et, eu), lhs, rhs = check_identity(identity_id, budget, corrupt=True)
+        assert report.max_n == budget and not report.passed
+        assert report.witnesses == [
+            ((), f"coefficient of x^{ex} t^{et} u^{eu}: lhs {lhs} != rhs {rhs}")
+        ]
 
     def test_each_check_builds_each_class_once(self, monkeypatch):
         # from an empty level cache, each level build (one
