@@ -470,10 +470,8 @@ def _in_workers(fn: Callable, shares: Sequence) -> list:
     reads every child's pipe to EOF and reaps every child, even when its
     own share or a child failed, then raises the first error in share
     order.  A child that does not exit 0 gives a ``RuntimeError`` with
-    its exit status.
+    its exit status.  One share forks nothing and imports no ``pickle``.
     """
-    import pickle
-
     children = []  # (pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -485,6 +483,8 @@ def _in_workers(fn: Callable, shares: Sequence) -> list:
             children.append((pid, read_end))
         results = [fn(shares[0])]
     finally:
+        if children:
+            import pickle
         outcomes = []
         for pid, read_end in children:
             with open(read_end, "rb") as pipe:
@@ -602,7 +602,8 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
     masks, until one has at least 32p members.  This process and p - 1
     forked workers (``_in_workers``) then each count the subtrees of one
     of p strided shares of them with the same step, and the per-level
-    totals are summed.
+    totals are summed.  At p = 1 this process counts the one share, the
+    root, and forks nothing.
 
     >>> count_class(PatternBasis([(1, 3, 2)]), 5)
     [1, 1, 2, 5, 14, 42]
@@ -618,13 +619,10 @@ def count_class(basis: PatternBasis, max_n: int, *, parallelism: int = 1) -> lis
             counts.append(len(nodes))
     depth = max_n + 1 - len(counts)
     if depth > 0:
-        if parallelism == 1:
-            shards = [_count_subtrees(nodes, depth, step)]
-        else:
-            # share i holds every p-th node from the i-th: strided, not
-            # contiguous, since the costly parents come first in lexicographic order
-            shards = _in_workers(lambda share: _count_subtrees(share, depth, step),
-                                 [nodes[i::parallelism] for i in range(parallelism)])
+        # share i holds every p-th node from the i-th: strided, not
+        # contiguous, since the costly parents come first in lexicographic order
+        shards = _in_workers(lambda share: _count_subtrees(share, depth, step),
+                             [nodes[i::parallelism] for i in range(parallelism)])
         counts.extend(sum(totals) for totals in zip(*shards))
     return counts
 

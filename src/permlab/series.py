@@ -10,17 +10,18 @@ floating point anywhere: coefficients are ints unless one is truly
 fractional, then :class:`fractions.Fraction`.
 
 A series computes one grade at a time (van der Hoeven, "Relax, but don't
-be too lazy", JSC 2002).  Grade d of a sum, product, rational multiple,
-quotient, square root or substitution is built from the grades of its
-operands up to d, and kept.  A quotient a / b is one node, which pairs
-only the nonzero grades of a complete b, so dividing by 1 - tx costs one
-slice product per grade; a substitution sums b^e * Q_e over the powers of
-one bound series b, one product per exponent and grade.  A series whose
-operands are complete is computed to its order at once, so every series
-the public functions return is complete; one built on an unknown of a
-fixed-point solve computes each grade when the solve asks for it.  All
-of them hand a grade's slice pairs to one dispatcher: two large all-int
-slices as packed ints (a bigint multiply), any other pair term by term.
+be too lazy", JSC 2002).  Grade d of a sum, product, quotient, square
+root or substitution is built from the grades of its operands up to d,
+and kept; a rational multiple is a product with a constant series.  A
+quotient a / b is one node, which pairs only the nonzero grades of a
+complete b, so dividing by 1 - tx costs one slice product per grade; a
+substitution sums b^e * Q_e over the powers of one bound series b, one
+product per exponent and grade.  A series whose operands are complete is
+computed to its order at once, so every series the public functions
+return is complete; one built on an unknown of a fixed-point solve
+computes each grade when the solve asks for it.  All of them hand a
+grade's slice pairs to one dispatcher: two large all-int slices as
+packed ints (a bigint multiply), any other pair term by term.
 
 On top of the arithmetic sit a registry of named series, a fixed-point
 solver for the functional equations those series satisfy, and a
@@ -107,7 +108,7 @@ def _norm_coeff(c):
 # changed once stored, so series share slices freely.
 _U_MASK = (1 << 32) - 1
 _U_CARRY = 1 << 31
-_HALF = Fraction(1, 2)
+_MINUS_HALF = Fraction(-1, 2)
 
 
 def _key(t: int, u: int) -> int:
@@ -324,12 +325,7 @@ class MSeries:
 
     @classmethod
     def const(cls, c, order: int, grading: str = X_GRADED) -> "MSeries":
-        return cls.monomial(c, order, grading)
-
-    @classmethod
-    def monomial(cls, c, order: int, grading: str = X_GRADED, *,
-                 x: int = 0, t: int = 0, u: int = 0) -> "MSeries":
-        return cls({(x, t, u): c if type(c) is int else Fraction(c)}, order, grading)
+        return cls({(0, 0, 0): c if type(c) is int else Fraction(c)}, order, grading)
 
     @classmethod
     def var(cls, name: str, order: int, grading: str = X_GRADED) -> "MSeries":
@@ -440,25 +436,12 @@ class MSeries:
         return self._coerce(other)._sum(self, -1)
 
     def __neg__(self) -> "MSeries":
-        return self._scale(-1)
+        return self * -1
 
     def __mul__(self, other) -> "MSeries":
-        if not isinstance(other, MSeries):
-            return self._scale(other if type(other) is int else _norm_coeff(Fraction(other)))
         return _product(self, self._coerce(other))
 
     __rmul__ = __mul__
-
-    def _scale(self, c) -> "MSeries":
-        """c times this series, for a rational c."""
-        a = self
-
-        def fill(slices, d):
-            sl = a.slice(d)
-            if sl and c:
-                _store_slice(slices, d, sl, c)
-
-        return _node(fill, self.order, self.grading, a)
 
     def __pow__(self, e: int) -> "MSeries":
         if e < 0:
@@ -518,7 +501,8 @@ class MSeries:
     def sqrt1(self) -> "MSeries":
         """Square root with constant term 1.
 
-        root_d = (a_d - sum(root_i * root_(d-i) for i in 1..d-1)) / 2.
+        root_d = (a_d - sum(root_i * root_(d-i) for i in 1..d-1)) / 2, stored
+        as (sum - a_d) scaled by -1/2.
         """
         a = self
 
@@ -530,10 +514,9 @@ class MSeries:
                 return
             acc: dict[int, object] = {}
             _convolve(acc, slices.get, slices.get, d, 1)  # root_d is not there yet
-            rhs = dict(a.slice(d) or {})
-            for k, c in acc.items():
-                rhs[k] = rhs.get(k, 0) - c
-            _store_slice(slices, d, rhs, _HALF)
+            for k, c in (a.slice(d) or {}).items():
+                acc[k] = acc.get(k, 0) - c
+            _store_slice(slices, d, acc, _MINUS_HALF)
 
         return _node(fill, self.order, self.grading, a)
 
@@ -624,7 +607,8 @@ def _product(a: MSeries, b: MSeries, eager: bool = True) -> MSeries:
 
     A complete operand with one term c t^k u^m, at grade g, shifts the other:
     grade d is c t^k u^m times the other's grade d - g, the other's own slice
-    when the term is 1.  Otherwise a complete operand (the one with fewer nonzero
+    when the term is 1.  So a rational multiple c * s is this product with
+    the constant c.  Otherwise a complete operand (the one with fewer nonzero
     grades, of two) walks the other's grades, and two lazy ones are convolved from
     the least grade each can have.
     """
@@ -637,7 +621,8 @@ def _product(a: MSeries, b: MSeries, eager: bool = True) -> MSeries:
                 def fill(slices, d):
                     sl = other.slice(d - g) if d >= g else None
                     if sl and (key or c != 1):
-                        _store_slice(slices, d, {k + key: v for k, v in sl.items()}, c)
+                        shifted = {k + key: v for k, v in sl.items()} if key else sl
+                        _store_slice(slices, d, shifted, c)
                     elif sl:
                         slices[d] = sl  # shared: slices never change
 
@@ -1149,13 +1134,10 @@ def fixed_point_solve(equation_id: str, order: int):
             if y._guess_read and y._slices.get(d) != y._guess.get(d):
                 raise NonContractionError(equation_id, d, d + 1)
             y._guess_read = False
-    solution = []
     for y in unknowns:
         y.definition = None  # the definitions refer back to the unknowns: free them now
-        s = MSeries({}, order, y.grading)
-        s._slices = y._slices  # every grade is stored: the result is complete
-        solution.append(s)
-    return tuple(solution) if len(solution) > 1 else solution[0]
+    solution = _cut(unknowns, order)  # every grade is stored: complete
+    return solution if len(solution) > 1 else solution[0]
 
 
 # ---------------------------------------------------------------------------

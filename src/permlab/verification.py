@@ -216,15 +216,8 @@ def _one_gap_pairs(levels: Sequence[Sequence[Perm]], max_core: int,
 
 
 def _with_trailing_runs(core: Perm, tag: CaseTag, max_n: int):
-    m = 0
-    while len(core) + m <= max_n:
+    for m in range(max_n - len(core) + 1):
         yield direct_sum(core, identity(m)), tag
-        m += 1
-
-
-def _sep_append(x: Perm, beta: Perm) -> Perm:
-    b = len(beta)
-    return (b + 1,) + tuple(v + b + 1 for v in x) + beta
 
 
 def _gen_254613(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
@@ -250,12 +243,10 @@ def _gen_254613(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
     while frontier:
         x, tag = frontier.pop()
         yield from _with_trailing_runs(x, tag, max_n)
-        for k in range(max_n - len(x)):
-            for b_len in range(1, max_n - len(x) - k + 1):
-                if len(x) + k + 1 + b_len > max_n:
-                    continue
+        for k in range(max_n - len(x) - 1):
+            for b_len in range(1, max_n - len(x) - k):
                 for beta in levels[b_len]:
-                    x2 = direct_sum(identity(k), _sep_append(x, beta))
+                    x2 = direct_sum(identity(k), skew_sum(direct_sum((1,), x), beta))
                     frontier.append((x2, CaseTag("multi-gap", tag.payload + (k, beta))))
 
 
@@ -329,8 +320,6 @@ def _rebuild_check(basis: PatternBasis,
     produced: Counter[Perm] = Counter()
     tags: dict[Perm, list[CaseTag]] = {}
     for p, tag in gen(max_n):
-        if len(p) > max_n:
-            continue
         produced[p] += 1
         tags.setdefault(p, []).append(tag)
     members: set[Perm] = set()
@@ -468,20 +457,15 @@ def check_simples_construction(max_n: int) -> Iterator[tuple[Perm, str]]:
 
 
 def _is_one_of_132(p: Perm, i: int) -> bool:
-    n = len(p)
-    return any(
-        p[i - 1] < p[k - 1] < p[j - 1]
-        for j in range(i + 1, n + 1)
-        for k in range(j + 1, n + 1)
-    )
+    """p_i is the 1 of a 132: the later entries above p_i are not increasing."""
+    above = [v for v in p[i:] if v > p[i - 1]]
+    return any(a > b for a, b in zip(above, above[1:]))
 
 
 def _is_three_of_213(p: Perm, i: int) -> bool:
-    return any(
-        p[b - 1] < p[a - 1] < p[i - 1]
-        for a in range(1, i)
-        for b in range(a + 1, i)
-    )
+    """p_i is the 3 of a 213: the earlier entries below p_i are not increasing."""
+    below = [v for v in p[:i - 1] if v < p[i - 1]]
+    return any(a > b for a, b in zip(below, below[1:]))
 
 
 @_structural("inflation-rules")

@@ -66,6 +66,8 @@ def argvs() -> list[list[str]]:
                          "simples-gf-vs-enumeration")
     ]
     out.append(["verify", "--all", "--max-n", "7", "--count-n", "8", "--format", "json"])
+    # the run the README documents: every check at the default budgets
+    out += [["verify", "--list-ids"], ["verify", "--all", "--format", "json"]]
     out += [
         ["stat", "--basis", basis, "--max-n", "7", "--stats", stats,
          "--filter", filter_id, "--format", fmt]
@@ -73,6 +75,11 @@ def argvs() -> list[list[str]]:
         for stats in (*STATISTICS, ",".join(STATISTICS))
         for filter_id in FILTERS
         for fmt in FORMATS
+    ]
+    out += [
+        ["stat", "--basis", basis, "--max-n", "8", "--stats", ",".join(STATISTICS),
+         "--format", "json"]
+        for basis in STAT_BASES
     ]
     out += [
         ["series", "--name", name, "--order", "8" if name in ENUM_BACKED else "12",
@@ -129,6 +136,7 @@ def argvs() -> list[list[str]]:
          "--filter", "last-is-max"],
         ["series", "--name", "no-such"],
         ["series", "--name", "lead-enum-4132", "--order", "13"],
+        ["verify", "--id", "lead-254613-functional", "--order", "13", "--max-n", "13"],
         ["verify", "--id", "no-such"],
         ["count", "--basis", "2 1,43", "--max-n", "2"],
         ["count", "--basis", "132", "--max-n", "-1"],

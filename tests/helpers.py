@@ -38,6 +38,25 @@ def all_perms(n: int):
         yield p
 
 
+def brute_is_one_of_132(p: Perm, i: int) -> bool:
+    """Some later p_j > p_k > p_i, j < k: position i is the 1 of a 132."""
+    n = len(p)
+    return any(
+        p[i - 1] < p[k - 1] < p[j - 1]
+        for j in range(i + 1, n + 1)
+        for k in range(j + 1, n + 1)
+    )
+
+
+def brute_is_three_of_213(p: Perm, i: int) -> bool:
+    """Some earlier p_b < p_a < p_i, a < b: position i is the 3 of a 213."""
+    return any(
+        p[b - 1] < p[a - 1] < p[i - 1]
+        for a in range(1, i)
+        for b in range(a + 1, i)
+    )
+
+
 def brute_class(patterns, n: int) -> list[Perm]:
     return sorted(p for p in all_perms(n) if brute_avoids_all(p, patterns))
 

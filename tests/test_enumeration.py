@@ -8,6 +8,8 @@ small lengths are checked against the brute-force S_n filter.
 import json
 import os
 import signal
+import subprocess
+import sys
 import textwrap
 import time
 from itertools import combinations, permutations
@@ -167,6 +169,19 @@ class TestEnumerate:
         assert count_class(basis, 9, parallelism=2) == SCHRODER[:10]
         assert started == [2]
         assert basis.patterns not in enumeration._LEVELS_CACHE
+
+    def test_serial_count_imports_no_pickle(self):
+        # a fresh interpreter: this one has loaded whatever earlier tests needed
+        code = (
+            "import sys\n"
+            "from permlab.enumeration import PatternBasis, count_class\n"
+            "counts = count_class(PatternBasis.from_text('2143,3142,254613'), 6)\n"
+            "print(counts, 'pickle' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(enumeration.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout == f"{SCHRODER[:7]} False\n"
 
     def test_capacity_error(self):
         from permlab import enumeration

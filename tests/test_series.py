@@ -446,6 +446,18 @@ class TestLazySeries:
         assert forced(a * lb) == forced(la * b) == term_product(a, b)
         assert forced(c * la) == term_scale(a, c) == a * c
 
+    @pytest.mark.parametrize("grading", [X_GRADED, TOTAL_GRADED])
+    @pytest.mark.parametrize("c", [0, 1, -1, 3, Fraction(1, 2)])
+    def test_rational_multiple(self, c, grading):
+        # a product with the constant c, the zero constant included
+        s = MSeries({(0, 0, 0): 2, (1, 1, 0): -3, (2, 0, 1): Fraction(1, 3),
+                     (3, 2, 2): 5}, 8, grading)
+        got = c * s
+        assert got._done > got.order  # complete, as s is
+        assert got == forced(c * lazy(s)) == term_scale(s, c)
+        assert (s * 0).is_zero()
+        assert -s == s * -1 == term_scale(s, -1)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_reciprocal_matches_mseries(self, data):
@@ -624,8 +636,8 @@ class TestPackedProducts:
         # grade 1 pairs a slice from u^0 with one from u^2, and one from t u^3
         # with one from u^0: the packed sum must place each product right
         p = [[t + 2 * u + 1 for u in range(3)] for t in range(3)]
-        a = block(2, 0, p) + term_product(MSeries.monomial(1, 2, t=1, u=3), block(2, 1, p))
-        b = block(2, 0, p) + term_product(MSeries.monomial(1, 2, u=2), block(2, 1, p))
+        a = block(2, 0, p) + term_product(MSeries({(0, 1, 3): 1}, 2), block(2, 1, p))
+        b = block(2, 0, p) + term_product(MSeries({(0, 0, 2): 1}, 2), block(2, 1, p))
         with calls_to(series_mod, "_pack") as packs, \
                 calls_to(series_mod, "_add_products") as fallbacks:
             got = a * b
@@ -1229,7 +1241,7 @@ print(json.dumps({"passed": passed, "steps": steps}))
         # raised, not asserted, so python -O keeps the check
         monkeypatch.setattr(
             series_mod, "stat132_ending_max",
-            lambda order, **kwargs: MSeries.monomial(1, order, x=2, t=2),
+            lambda order, **kwargs: MSeries({(2, 2, 0): 1}, order),
         )
         with pytest.raises(SeriesError, match=r"\(2, 2, 0\)"):
             series_mod.simples_gf_from_stats.__wrapped__(6)

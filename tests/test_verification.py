@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_decompositions, calls_to, skew_components, sum_components
+from helpers import (
+    all_perms,
+    brute_decompositions,
+    brute_is_one_of_132,
+    brute_is_three_of_213,
+    calls_to,
+    skew_components,
+    sum_components,
+)
 from permlab import enumeration, series, verification
 from permlab.enumeration import PatternBasis, class_levels
 from permlab.series import IDENTITIES, PAPER_BASES
@@ -51,6 +59,7 @@ from permlab.verification import (
     _gap_blocks,
     _in_relocation_domain,
     _lex_rank,
+    _rebuild_check,
 )
 
 P = parse_permutation
@@ -130,6 +139,18 @@ class TestRebuilds:
         tags = [tag for p, tag in _gen_254613(5) if p == P("1234")]
         assert [t.case_id for t in tags] == ["no-gap"]
 
+    def test_overshooting_generator_is_a_witness(self):
+        # a permutation longer than max_n is not in the class to max_n
+        basis = PAPER_BASES["4132"]
+
+        def overshooting(max_n):
+            for level in class_levels(basis, max_n):
+                yield from ((p, CaseTag("no-gap")) for p in level)
+            yield P("213456"), CaseTag("no-gap")
+
+        assert list(_rebuild_check(basis, overshooting, 5)) == [
+            (P("213456"), "generated 1x but not in the class")]
+
     def test_case_tag_str(self):
         assert str(CaseTag("no-gap")) == "no-gap"
         assert "one-gap" in str(CaseTag("one-gap", (P("231"), 1)))
@@ -180,6 +201,15 @@ class TestSimplesChecks:
             for i in range(1, 5)
         }
         assert flags == {1: True, 2: False, 3: False, 4: True}
+
+    def test_position_roles_match_the_double_loops(self):
+        from permlab.verification import _is_one_of_132, _is_three_of_213
+
+        for n in range(8):
+            for p in all_perms(n):
+                for i in range(1, n + 1):
+                    assert _is_one_of_132(p, i) == brute_is_one_of_132(p, i), (p, i)
+                    assert _is_three_of_213(p, i) == brute_is_three_of_213(p, i), (p, i)
 
     def test_inflation_probe_examples(self):
         basis = PatternBasis.from_text("2143,3142,263514")
