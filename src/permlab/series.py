@@ -16,7 +16,9 @@ and kept; a rational multiple is a product with a constant series.  A
 quotient a / b is one node, which pairs only the nonzero grades of a
 complete b, so dividing by 1 - tx costs one slice product per grade; a
 substitution sums b^e * Q_e over the powers of one bound series b, one
-product per exponent and grade.  A series whose operands are complete is
+product per exponent and grade.  The extraction (a(t=1) - t*a) / (1 - t)
+of the leading-maxima equations is one node too, which reads grade d of a
+alone.  A series whose operands are complete is
 computed to its order at once, so every series the public functions
 return is complete; one built on an unknown of a fixed-point solve
 computes each grade when the solve asks for it.  All of them hand a
@@ -47,6 +49,7 @@ from typing import Callable, Mapping
 
 from permlab.enumeration import PatternBasis, class_levels, enumerate_simples, refined_count
 from permlab.perms import (
+    Perm,
     is_skew_decomposable,
     is_sum_decomposable,
     lr_minima,
@@ -346,13 +349,6 @@ class MSeries:
                 self._fill = None  # complete: let go of the operands
         return self._slices.get(d)
 
-    def _require_complete(self, operation: str) -> None:
-        """Raise unless every grade is stored: ``operation`` needs every term."""
-        if self._done <= self.order:
-            raise SeriesError(
-                f"{operation} needs every term, and this series is still being solved"
-            )
-
     # -- inspection: the grades stored so far --------------------------------
 
     @property
@@ -522,24 +518,6 @@ class MSeries:
 
     # -- operations on every term, on the (x, t, u) view ---------------------
 
-    def divide_one_minus(self, var: str) -> "MSeries":
-        """Exact division by (1 - var); raises if the division is inexact."""
-        self._require_complete("divide_one_minus")
-        idx = _VAR_INDEX[var]
-        groups: dict[tuple[int, int], dict[int, object]] = {}
-        for key, c in self.coeffs.items():
-            groups.setdefault(key[:idx] + key[idx + 1:], {})[key[idx]] = c
-        out: dict[Key, object] = {}
-        for rest, poly in groups.items():
-            acc, deg = 0, max(poly)
-            for e in range(deg):  # the quotient's coefficient of var^e
-                acc = acc + poly.get(e, 0)
-                if acc:
-                    out[rest[:idx] + (e,) + rest[idx:]] = acc
-            if acc + poly[deg] != 0:
-                raise SeriesError(f"series is not divisible by (1 - {var})")
-        return MSeries(out, self.order, self.grading)
-
     def substitute(self, bindings: Mapping[str, "MSeries | Fraction | int"]) -> "MSeries":
         """Compose: replace each bound variable by a series or rational.
 
@@ -558,7 +536,8 @@ class MSeries:
         complete Q_e pairs only its nonzero grades with b^e's.  A rational is
         bound as a constant series.  The powers compute only the grades read.
         """
-        self._require_complete("substitute")
+        if self._done <= self.order:
+            raise SeriesError("substitute needs every term, and this series is still being solved")
         unknown = set(bindings) - set(_VAR_INDEX)
         if unknown:
             raise SeriesError(f"unknown variables in bindings: {sorted(unknown)}")
@@ -913,25 +892,15 @@ PAPER_BASES = {
 }
 
 
-def _check_enum_order(name: str, order: int) -> None:
-    if order > ENUM_DEPTH_LIMIT:
-        raise SeriesError(
-            f"series {name!r} is enumeration-backed; order {order} exceeds "
-            f"the enumeration depth limit {ENUM_DEPTH_LIMIT}"
-        )
-
-
-def lead_enum(basis_name: str, order: int, filter_id: str = "none") -> MSeries:
+def _lead_enum(basis_name: str, order: int, filter_id: str = "none") -> MSeries:
     """Sum of t^(leading maxima) x^n over an enumerated class."""
-    _check_enum_order(f"lead-enum-{basis_name}", order)
     counts = refined_count(PAPER_BASES[basis_name], order, ["leading-maxima"], filter_id)
     return MSeries({(n, ell, 0): count for (n, (ell,)), count in counts.items()},
                    order, X_GRADED)
 
 
-def stat132_ending_max_enum(order: int) -> MSeries:
+def _stat132_ending_max_enum(order: int) -> MSeries:
     """Enumerated bond/LR-min table over Av(132) with last entry = length, n >= 2."""
-    _check_enum_order("stat132-enum-ending-max", order)
     counts = refined_count(
         PAPER_BASES["132"], order, ["bond", "lr-min"], "last-entry-equals-length"
     )
@@ -939,15 +908,10 @@ def stat132_ending_max_enum(order: int) -> MSeries:
                    order, X_GRADED)
 
 
-def class_gf_enum(basis_name: str, order: int, kind: str | None = None) -> MSeries:
-    """Plain counting series of an enumerated class, from length 1 (no empty permutation).
-
-    With ``kind`` "sum" or "skew", only its sum- or skew-decomposable
-    members are counted.
-    """
-    _check_enum_order(f"gf-enum-{basis_name}" + (f"-{kind}" if kind else ""), order)
-    keep = {"sum": is_sum_decomposable, "skew": is_skew_decomposable}.get(kind)
-    levels = class_levels(PAPER_BASES[basis_name], order)
+def _class_gf_enum(order: int, keep: Callable[[Perm], bool] | None = None) -> MSeries:
+    """Plain counting series of the 263514 class from length 1 (no empty permutation),
+    or of its members that pass ``keep`` (``is_sum_decomposable``, say)."""
+    levels = class_levels(PAPER_BASES["263514"], order)
     return MSeries(
         {(n, 0, 0): len(lv) if keep is None else sum(map(keep, lv))
          for n, lv in enumerate(levels) if n},
@@ -956,9 +920,8 @@ def class_gf_enum(basis_name: str, order: int, kind: str | None = None) -> MSeri
     )
 
 
-def simples_gf_enum(order: int) -> MSeries:
+def _simples_gf_enum(order: int) -> MSeries:
     """Brute-force simples series: u^(n-lrmin-1) x^(lrmin+1) over stripped simples."""
-    _check_enum_order("simples-gf-enum", order)
     coeffs: dict[Key, object] = {}
     simples = enumerate_simples(PAPER_BASES["263514"], order)
     for n in range(4, order + 1):
@@ -1156,8 +1119,6 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
     "a033321": a033321_series,
     "lead-4132": lead_4132_closed,
     "lead-4132-first-not-one": lead_4132_first_not_one_closed,
-    "extract-524361": lambda order: _extraction_from(lead_enum("524361", order)),
-    "extract-546132": lambda order: _extraction_from(lead_enum("546132", order)),
     "stat132-last-not-max": lambda order: stat132_system(order)[0],
     "stat132-first-not-max": lambda order: stat132_system(order)[1],
     "stat132-ending-max": stat132_ending_max,
@@ -1166,37 +1127,63 @@ _NAMED: dict[str, Callable[[int], MSeries]] = {
     "gf-263514": gf_263514_fixed,
     "gf-263514-sum-part": lambda order: _sum_part(gf_263514_fixed(order)),
     "gf-263514-skew-part": lambda order: _skew_part(gf_263514_fixed(order)),
-    "lead-enum-254613": lambda order: lead_enum("254613", order),
-    "lead-enum-524361": lambda order: lead_enum("524361", order),
-    "lead-enum-546132": lambda order: lead_enum("546132", order),
-    "lead-enum-4132": lambda order: lead_enum("4132", order),
-    "lead-enum-4132-first-not-one": lambda order: lead_enum(
+}
+
+# the series that read enumerated levels, and so stop at ENUM_DEPTH_LIMIT
+_ENUMERATED: dict[str, Callable[[int], MSeries]] = {
+    "extract-524361": lambda order: _extraction_from(_lead_enum("524361", order)),
+    "extract-546132": lambda order: _extraction_from(_lead_enum("546132", order)),
+    "lead-enum-254613": lambda order: _lead_enum("254613", order),
+    "lead-enum-524361": lambda order: _lead_enum("524361", order),
+    "lead-enum-546132": lambda order: _lead_enum("546132", order),
+    "lead-enum-4132": lambda order: _lead_enum("4132", order),
+    "lead-enum-4132-first-not-one": lambda order: _lead_enum(
         "4132", order, "first-entry-not-one"
     ),
-    "stat132-enum-ending-max": stat132_ending_max_enum,
-    "simples-gf-enum": simples_gf_enum,
+    "stat132-enum-ending-max": _stat132_ending_max_enum,
+    "simples-gf-enum": _simples_gf_enum,
 }
+
+
+def _extractions(a: MSeries) -> MSeries:
+    """(a(t=1) - t*a) / (1 - t), as a node: each term c t^k u^m of a grade
+    becomes c (1 + t + ... + t^k) u^m, so [t^e u^m] is the sum of [t^k u^m]
+    over k >= e.
+
+    (a(1) - t*a) / (1 - t) = sum c x^n u^m (1 - t^(k+1)) / (1 - t) over the
+    terms c x^n t^k u^m of a.  t has weight 0 in the x grading, so no term
+    changes grade and grade d reads only grade d of a; both callers are
+    x-graded.
+    """
+
+    def fill(slices, d):
+        acc: dict[int, object] = {}
+        for k, c in (a.slice(d) or {}).items():
+            for key in range(k & _U_MASK, k + 1, 1 << 32):  # t^0 u^m .. t^k u^m
+                acc[key] = acc.get(key, 0) + c
+        _store_slice(slices, d, acc)
+
+    return _node(fill, a.order, a.grading, a)
 
 
 def _extraction_from(a: MSeries) -> MSeries:
     """(A(1,x) - t*A(t,x)) / (1-t) - catalan-layered / (1-tx)."""
-    order = a.order
-    x, t = _x(order), _t(order)
-    b = a.substitute({"t": 1})
-    first = (b - t * a).divide_one_minus("t")
-    return first - catalan_layered(order) / (1 - t * x)
+    x, t = _x(a.order), _t(a.order)
+    return _extractions(a) - catalan_layered(a.order) / (1 - t * x)
 
 
 def series_names() -> list[str]:
-    return sorted(_NAMED)
+    return sorted([*_NAMED, *_ENUMERATED])
 
 
 def named_series(name: str, order: int) -> MSeries:
-    if name not in _NAMED:
-        raise SeriesError(
-            f"unknown series {name!r}; known: {', '.join(series_names())}"
-        )
-    return _NAMED[name](order)
+    build = _NAMED.get(name) or _ENUMERATED.get(name)
+    if build is None:
+        raise SeriesError(f"unknown series {name!r}; known: {', '.join(series_names())}")
+    if name in _ENUMERATED and order > ENUM_DEPTH_LIMIT:
+        raise SeriesError(f"series {name!r} is enumeration-backed; order {order} exceeds "
+                          f"the enumeration depth limit {ENUM_DEPTH_LIMIT}")
+    return build(order)
 
 
 # ---------------------------------------------------------------------------
@@ -1245,11 +1232,11 @@ def _identity_lead_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Enumerated leading-maxima series over the 254613 class satisfies its
     extraction/gap/block functional equation.
     """
-    a = lead_enum("254613", order)
+    a = _lead_enum("254613", order)
     x, t = _x(order), _t(order)
     b = a.substitute({"t": 1})
     tx_inv = 1 / (1 - t * x)
-    e = (b - t * a).divide_one_minus("t") - tx_inv
+    e = _extractions(a) - tx_inv
     if corrupt:
         e = e + tx_inv - 1
     gap_factor = x * (b - 1) / (1 - x) / (1 - t * x)
@@ -1300,7 +1287,7 @@ def _identity_kernel_254613(order: int, corrupt: bool) -> tuple[MSeries, MSeries
 @_identity("lead-524361-functional", enum_backed=True)
 def _identity_lead_524361(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Enumerated series over the 524361 class satisfies its functional equation."""
-    return _lead_functional_sides(lead_enum("524361", order), corrupt)
+    return _lead_functional_sides(_lead_enum("524361", order), corrupt)
 
 
 @_identity("lead-546132-functional", enum_backed=True)
@@ -1308,13 +1295,13 @@ def _identity_lead_546132(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Enumerated series over the 546132 class satisfies the same functional
     equation (no extra t on the inflation term).
     """
-    return _lead_functional_sides(lead_enum("546132", order), corrupt)
+    return _lead_functional_sides(_lead_enum("546132", order), corrupt)
 
 
 @_identity("lead-4132-closed", enum_backed=True)
 def _identity_lead_4132_closed(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Enumerated leading-maxima series over the 4132 class matches its closed form."""
-    return lead_enum("4132", order), lead_4132_closed(order, corrupt=corrupt)
+    return _lead_enum("4132", order), lead_4132_closed(order, corrupt=corrupt)
 
 
 @_identity("lead-4132-first-not-one-closed", enum_backed=True)
@@ -1323,7 +1310,7 @@ def _identity_first_not_one_closed(order: int, corrupt: bool) -> tuple[MSeries, 
     entry != 1 matches its closed form.
     """
     closed = lead_4132_first_not_one_closed(order, corrupt=corrupt)
-    return lead_enum("4132", order, "first-entry-not-one"), closed
+    return _lead_enum("4132", order, "first-entry-not-one"), closed
 
 
 @_identity("first-not-one-from-full")
@@ -1388,7 +1375,7 @@ def _identity_stat132_system(order: int, corrupt: bool) -> list[tuple[MSeries, M
 @_identity("stat132-ending-max-enum", enum_backed=True)
 def _identity_stat132_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Ending-max table from the system matches enumeration."""
-    return stat132_ending_max_enum(order), stat132_ending_max(order, corrupt=corrupt)
+    return _stat132_ending_max_enum(order), stat132_ending_max(order, corrupt=corrupt)
 
 
 @_identity("simples-gf-two-ways")
@@ -1400,7 +1387,7 @@ def _identity_simples_two_ways(order: int, corrupt: bool) -> tuple[MSeries, MSer
 @_identity("simples-gf-vs-enumeration", enum_backed=True)
 def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Simples series matches brute-force statistics over enumerated simples."""
-    lhs = simples_gf_enum(order)
+    lhs = _simples_gf_enum(order)
     rhs = simples_gf_from_stats(order)
     if corrupt:
         rhs = rhs * MSeries.var("u", order, TOTAL_GRADED)
@@ -1410,15 +1397,15 @@ def _identity_simples_vs_enum(order: int, corrupt: bool) -> tuple[MSeries, MSeri
 @_identity("sum-decomposable-split", enum_backed=True)
 def _identity_sum_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Sum-decomposable members are counted by 2xf - x^2(f+1)."""
-    f = class_gf_enum("263514", order)
-    return class_gf_enum("263514", order, "sum"), _sum_part(f, corrupt=corrupt)
+    f = _class_gf_enum(order)
+    return _class_gf_enum(order, is_sum_decomposable), _sum_part(f, corrupt=corrupt)
 
 
 @_identity("skew-decomposable-split", enum_backed=True)
 def _identity_skew_split(order: int, corrupt: bool) -> tuple[MSeries, MSeries]:
     """Skew-decomposable members are counted by f^2/(1+f)."""
-    f = class_gf_enum("263514", order)
-    return class_gf_enum("263514", order, "skew"), _skew_part(f, corrupt=corrupt)
+    f = _class_gf_enum(order)
+    return _class_gf_enum(order, is_skew_decomposable), _skew_part(f, corrupt=corrupt)
 
 
 @_identity("gf-263514-schroder")

@@ -474,10 +474,12 @@ def check_inflation_rules(max_n: int) -> Iterator[tuple[Perm, str]]:
     constrained positions tolerate only increasing blocks, free positions
     tolerate every small class member."""
     basis = PAPER_BASES["263514"].patterns
-    levels = class_levels(PAPER_BASES["263514"], max_n)
-    small_blocks = [p for level in levels[2:4] for p in level if p != identity(len(p))]
+    simples = enumerate_simples(PAPER_BASES["263514"], max_n)
+    # asked after the simples, so that it continues no cached prefix
+    levels = class_levels(PAPER_BASES["263514"], min(max_n, 3))
+    small_blocks = [p for level in levels[2:] for p in level if p != identity(len(p))]
     for n in range(4, max_n + 1):
-        for sigma in filter(is_simple, levels[n]):
+        for sigma in simples[n]:
             ell = leading_maxima_count(sigma)
             suffix_lrmin = set(lr_minima(standardize(sigma[ell:])))
             constrained = set()

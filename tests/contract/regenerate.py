@@ -27,18 +27,12 @@ import re
 
 from permlab.cli import main
 from permlab.enumeration import FILTERS, STATISTICS
-from permlab.series import IDENTITIES, series_names
+from permlab.series import IDENTITIES, _ENUMERATED, series_names
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "manifest.json")
 VERBATIM_LIMIT = 1000
 _ELAPSED = re.compile(r',\n *"elapsedMillis": [^\n]*')
 FORMATS = ("table", "csv", "json")
-# the series that read enumerated levels, and so stop at the enumeration depth limit
-ENUM_BACKED = {
-    "extract-524361", "extract-546132", "lead-enum-254613", "lead-enum-4132",
-    "lead-enum-4132-first-not-one", "lead-enum-524361", "lead-enum-546132",
-    "simples-gf-enum", "stat132-enum-ending-max",
-}
 PAPER_CLASSES = [f"2143,3142,{tau}" for tau in ("254613", "524361", "546132", "263514",
                                                 "4132", "246135", "236145")]
 STAT_BASES = ("132", "2143,3142,4132", "2143,3142,254613")
@@ -82,14 +76,14 @@ def argvs() -> list[list[str]]:
         for basis in STAT_BASES
     ]
     out += [
-        ["series", "--name", name, "--order", "8" if name in ENUM_BACKED else "12",
+        ["series", "--name", name, "--order", "8" if name in _ENUMERATED else "12",
          "--format", fmt]
         for name in series_names()
         for fmt in FORMATS
     ]
     # descending, since each closed form keeps its highest build and cuts lower orders from it;
     # the closed-form identities at order 40 come right after the order-40 builds they share
-    closed = [name for name in series_names() if name not in ENUM_BACKED]
+    closed = [name for name in series_names() if name not in _ENUMERATED]
     # substitutions at a high order: S(f, x/(1-x)), C(x/(1 - tx)), C* at the kernel root, and
     # the 4132 closed form built on C(x/(1 - tx))
     out += [["series", "--name", name, "--order", "60", "--format", "json"]
@@ -136,6 +130,8 @@ def argvs() -> list[list[str]]:
          "--filter", "last-is-max"],
         ["series", "--name", "no-such"],
         ["series", "--name", "lead-enum-4132", "--order", "13"],
+        ["series", "--name", "extract-524361", "--order", "13"],
+        ["series", "--name", "extract-546132", "--order", "13"],
         ["verify", "--id", "lead-254613-functional", "--order", "13", "--max-n", "13"],
         ["verify", "--id", "no-such"],
         ["count", "--basis", "2 1,43", "--max-n", "2"],

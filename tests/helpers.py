@@ -320,3 +320,33 @@ def naive_substitute(s: MSeries, bindings) -> MSeries:
                             term_power(factor("u"), eu))
         total = term_sum(total, term_scale(term, c))
     return total
+
+
+def term_extractions(s: MSeries) -> MSeries:
+    """Each term c t^k of s as the sum of c t^e over e <= k, one term at a time."""
+    out = {}
+    for (ex, et, eu), c in s.coeffs.items():
+        for e in range(et + 1):
+            out[(ex, e, eu)] = out.get((ex, e, eu), 0) + c
+    return MSeries(out, s.order, s.grading)
+
+
+def divide_one_minus(s: MSeries, var: str) -> MSeries:
+    """s / (1 - var), exact, by prefix sums over each polynomial in var.
+
+    Raises ``SeriesError`` if (1 - var) does not divide s.
+    """
+    idx = "xtu".index(var)
+    groups: dict[tuple[int, int], dict[int, object]] = {}
+    for key, c in s.coeffs.items():
+        groups.setdefault(key[:idx] + key[idx + 1:], {})[key[idx]] = c
+    out = {}
+    for rest, poly in groups.items():
+        acc, deg = 0, max(poly)
+        for e in range(deg):  # the quotient's coefficient of var^e
+            acc = acc + poly.get(e, 0)
+            if acc:
+                out[rest[:idx] + (e,) + rest[idx:]] = acc
+        if acc + poly[deg] != 0:
+            raise SeriesError(f"series is not divisible by (1 - {var})")
+    return MSeries(out, s.order, s.grading)

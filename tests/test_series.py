@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     calls_to,
+    divide_one_minus,
     forced,
     geometric_reciprocal,
     lazy,
     naive_substitute,
+    term_extractions,
     term_product,
     term_scale,
     term_sum,
@@ -40,6 +42,7 @@ from permlab.series import (
     _PACK_MIN,
     _Equation,
     _built_once,
+    _extractions,
     _node,
     check_identity,
     fixed_point_solve,
@@ -838,23 +841,26 @@ class TestSubstitute:
         assert y == named_series("a033321", 12)
 
 
-class TestDivision:
-    def test_divide_one_minus_t(self):
-        # (1 - t^3) / (1 - t) = 1 + t + t^2
-        s = 1 - t(5) ** 3
-        q = s.divide_one_minus("t")
-        assert q.coeffs == {(0, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1}
+class TestExtractions:
+    """The extraction node (s(t=1) - t s) / (1 - t), one grade at a time."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_divide_one_minus_inverts_the_product(self, data):
+    def test_matches_term_by_term_and_the_quotient(self, data):
         s = random_series(data, X_GRADED)
-        for var in ("t", "u"):
-            assert (s * (1 - MSeries.var(var, s.order))).divide_one_minus(var) == s
+        numerator = term_sum(naive_substitute(s, {"t": 1}), term_product(t(s.order), s), -1)
+        assert _extractions(s) == term_extractions(s) == divide_one_minus(numerator, "t")
 
-    def test_inexact_division_rejected(self):
-        with pytest.raises(SeriesError, match="not divisible"):
-            (1 + t(5)).divide_one_minus("t")
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_reads_its_operand_to_the_grade_asked_for(self, data):
+        s = random_series(data, X_GRADED)
+        pending = lazy(s)
+        node = _extractions(pending)
+        for d in range(s.order + 1):
+            node.slice(d)
+            assert pending._done == d + 1
+        assert node == _extractions(s)
 
 
 class TestFixedPoints:
@@ -1082,7 +1088,6 @@ class TestRampedSolver:
 
     @pytest.mark.parametrize("operation, call", [
         ("substitute", lambda y: y.substitute({"t": 1})),
-        ("divide_one_minus", lambda y: y.divide_one_minus("t")),
     ])
     def test_operations_on_every_term_refuse_a_series_being_solved(self, operation, call):
         EQUATIONS["needs-every-term"] = _Equation(
@@ -1126,6 +1131,19 @@ class TestNamedSeries:
     def test_enum_backed_depth_guard(self):
         with pytest.raises(SeriesError, match="depth limit"):
             named_series("lead-enum-254613", ENUM_DEPTH_LIMIT + 1)
+
+    @pytest.mark.parametrize("build, name", [
+        *((named_series, name) for name in sorted(series_mod._ENUMERATED)),
+        *((check_identity, i) for i in sorted(IDENTITIES) if IDENTITIES[i].enum_backed),
+    ])
+    def test_order_past_the_depth_limit_builds_no_level(self, build, name):
+        # the error names the series or identity asked for, and comes before any level
+        with calls_to(series_mod, "class_levels") as levels, \
+                calls_to(series_mod, "refined_count") as counts, \
+                calls_to(series_mod, "enumerate_simples") as simples:
+            with pytest.raises(SeriesError, match=f"'{name}' is enumeration-backed"):
+                build(name, ENUM_DEPTH_LIMIT + 1)
+        assert levels == counts == simples == []
 
     def test_unknown_name(self):
         with pytest.raises(SeriesError, match="unknown series"):
