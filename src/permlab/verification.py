@@ -3,8 +3,10 @@
 Every structural check here either scans an exhaustively enumerated
 class for a claimed property or rebuilds a class from a case
 decomposition and compares multisets, so its failures come with a
-concrete witness permutation.  Reconstruction checks demand every
-element be produced exactly once: overcounting is as much a failure as
+concrete witness permutation.  A scan hands each permutation to a
+helper that reads it in one pass and builds a witness's text only when
+the property fails.  Reconstruction checks demand every element be
+produced exactly once: overcounting is as much a failure as
 undercounting.  Cross counts and series identities yield witnesses with
 no permutation.  A check returns a ``VerificationReport`` of plain data,
 which ``permlab.cli`` renders; it passes when it has no witness.
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from permlab.enumeration import (
@@ -47,7 +49,6 @@ from permlab.perms import (
     perm_to_text,
     skew_sum,
     standardize,
-    strip_leading_maxima,
 )
 from permlab.series import IDENTITIES, PAPER_BASES, check_identity, identity_ids, named_series
 
@@ -130,25 +131,46 @@ def _structural(check_id: str, *, cap: int | None = None):
 # structural scans
 
 
+def _top_values_witnesses(p: Perm) -> Iterator[tuple[Perm, str]]:
+    """The top-values witnesses of ``p``, read in one pass.
+
+    ell is the length of the increasing prefix, so p_ell is the last
+    leading maximum.  The LR-maxima from position ell onward must be
+    the values p_ell, ..., n, every other entry must lie below p_ell,
+    and unless p is the identity, the entry after p_ell must be no
+    LR-maximum (which holds by the choice of ell).
+    """
+    n = len(p)
+    if not n:
+        return
+    ell = 1
+    while ell < n and p[ell] > p[ell - 1]:
+        ell += 1
+    top = p[ell - 1]
+    tail = [top]  # the LR-maxima values from position ell on
+    low = 0  # the largest other entry
+    for v in p[ell:]:
+        if v > tail[-1]:
+            tail.append(v)
+        elif v > low:
+            low = v
+    expect = list(range(top, n + 1))
+    if tail != expect:
+        yield p, f"LR tail values {tail} != {expect}"
+    if low > top:
+        yield p, "a non-LR-maximum exceeds the last leading maximum"
+    if ell < n and p[ell] > top:
+        yield p, "last leading maximum is not a horizontal gap"
+
+
 @_structural("top-values")
 def check_top_values(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143): the LR-maxima from the last leading maximum onward
     carry exactly the top values, and that position is a horizontal gap
     unless the permutation is the identity."""
-    for n, level in enumerate(class_levels(BASIS_2143, max_n)):
-        if n == 0:
-            continue
+    for level in class_levels(BASIS_2143, max_n):
         for p in level:
-            ell = leading_maxima_count(p)
-            lrset = set(lr_maxima(p))
-            tail = {p[i - 1] for i in lrset if i >= ell}
-            expect = set(range(p[ell - 1], n + 1))
-            if tail != expect:
-                yield p, f"LR tail values {sorted(tail)} != {sorted(expect)}"
-            if any(p[ell - 1] <= p[i - 1] for i in range(1, n + 1) if i not in lrset):
-                yield p, "a non-LR-maximum exceeds the last leading maximum"
-            if p != identity(n) and ell not in horizontal_gaps(p):
-                yield p, "last leading maximum is not a horizontal gap"
+            yield from _top_values_witnesses(p)
 
 
 def _gap_blocks(p: Perm) -> list[Perm]:
@@ -166,19 +188,52 @@ def _gap_blocks(p: Perm) -> list[Perm]:
     return [standardize(b) for b in blocks]
 
 
+def _gap_staircase_witnesses(p: Perm) -> Iterator[tuple[Perm, str]]:
+    """The witness of ``p``, if deleting its LR-maxima does not leave the
+    skew sum of its gap blocks.
+
+    The non-LR entries after each horizontal gap form one block, and
+    they stack as a skew sum exactly when each block lies below every
+    entry of the blocks before it.  One pass compares each entry with
+    the least entry before its block; only a failure builds the witness.
+    """
+    top = 0
+    low = bound = inf  # the least non-LR entry so far, and before this block
+    for v in p:
+        if v > top:  # an LR-maximum: the next non-LR entry starts a block
+            top = v
+            bound = low
+        elif v > bound:
+            break
+        elif v < low:
+            low = v
+    else:
+        return
+    stacked: Perm = ()
+    for b in _gap_blocks(p):
+        stacked = skew_sum(stacked, b)
+    yield p, f"deleting LR-maxima gives {delete_lr_maxima(p)}, gap blocks stack to {stacked}"
+
+
 @_structural("gap-staircase")
 def check_gap_staircase(max_n: int) -> Iterator[tuple[Perm, str]]:
     """Over Av(2143,3142): deleting all LR-maxima leaves the skew sum of
     the per-gap blocks."""
     for level in class_levels(BASIS_2143_3142, max_n):
         for p in level:
-            blocks = _gap_blocks(p)
-            stacked: Perm = ()
-            for b in blocks:
-                stacked = skew_sum(stacked, b)
-            got = delete_lr_maxima(p)
-            if got != stacked:
-                yield p, f"deleting LR-maxima gives {got}, gap blocks stack to {stacked}"
+            yield from _gap_staircase_witnesses(p)
+
+
+def _strip_132_witnesses(p: Perm, member: bool) -> Iterator[tuple[Perm, str]]:
+    """The witness of ``p``, if ``member`` (p is in the 4132 class) disagrees
+    with p stripped avoiding 132.
+
+    The stripped permutation is read as the unstandardized rest after
+    the increasing prefix: ``contains`` reads only relative order.
+    """
+    stripped_ok = not contains(p[leading_maxima_count(p):], PAT_132)
+    if member != stripped_ok:
+        yield p, f"class membership {member} but stripped-avoids-132 {stripped_ok}"
 
 
 @_structural("strip-132")
@@ -193,10 +248,7 @@ def check_strip_characterization(max_n: int) -> Iterator[tuple[Perm, str]]:
     for n in range(max_n + 1):
         members = set(levels[n])
         for p in permutations(range(1, n + 1)):
-            member = p in members
-            stripped_ok = not contains(strip_leading_maxima(p), PAT_132)
-            if member != stripped_ok:
-                yield p, f"class membership {member} but stripped-avoids-132 {stripped_ok}"
+            yield from _strip_132_witnesses(p, p in members)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +368,17 @@ def _gen_546132(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
 def _rebuild_check(basis: PatternBasis,
                    gen: Callable[[int], Iterator[tuple[Perm, CaseTag]]],
                    max_n: int) -> Iterator[tuple[Perm, str]]:
-    """Witnesses that ``gen`` does not produce each member of the class once."""
-    produced: Counter[Perm] = Counter()
-    tags: dict[Perm, list[CaseTag]] = {}
-    for p, tag in gen(max_n):
-        produced[p] += 1
-        tags.setdefault(p, []).append(tag)
+    """Witnesses that ``gen`` does not produce each member of the class once.
+
+    Only a permutation produced more than once is reported with its
+    cases, so ``gen`` runs a second time only to collect those.
+    """
+    produced = Counter(p for p, _ in gen(max_n))
+    tags: dict[Perm, list[CaseTag]] = {p: [] for p, got in produced.items() if got > 1}
+    if tags:
+        for p, tag in gen(max_n):
+            if p in tags:
+                tags[p].append(tag)
     members: set[Perm] = set()
     for level in class_levels(basis, max_n):
         for p in level:

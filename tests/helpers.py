@@ -3,9 +3,10 @@
 Everything here is deliberately naive (subsequence scans over
 itertools.combinations, full S_n filters, every component of a sum or
 skew sum, every cut set of a deflation, one occurrence search per slot,
-every interval, series arithmetic term by term on (x, t, u) dicts) so
-that it cannot share a bug with the pruned search paths or the series
-engine it is used to check.  ``count_pools`` records the worker groups
+every interval, series arithmetic term by term on (x, t, u) dicts, the
+structural scans with every set and standardization they first had) so
+that it cannot share a bug with the pruned search paths, the one-pass
+scans or the series engine it is used to check.  ``count_pools`` records the worker groups
 a call starts, and ``calls_to`` the calls of one module function.
 """
 
@@ -16,8 +17,22 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from permlab.perms import Perm, is_simple, occurs_with_new_max, standardize
+from permlab.perms import (
+    Perm,
+    contains,
+    delete_lr_maxima,
+    horizontal_gaps,
+    identity,
+    is_simple,
+    leading_maxima_count,
+    lr_maxima,
+    occurs_with_new_max,
+    skew_sum,
+    standardize,
+    strip_leading_maxima,
+)
 from permlab.series import TOTAL_GRADED, X_GRADED, MSeries, SeriesError, _Unknown
+from permlab.verification import _gap_blocks
 
 
 def brute_contains(host: Perm, pattern: Perm) -> bool:
@@ -87,6 +102,44 @@ def brute_length3_patterns(host) -> set[Perm]:
     shapes = {(a < b, a < c, b < c): (a, b, c) for a, b, c in permutations((1, 2, 3))}
     seen = {(x < y, x < z, y < z) for x, y, z in combinations(host, 3)}
     return {shapes[s] for s in seen}
+
+
+def top_values_oracle(p: Perm) -> list[tuple[Perm, str]]:
+    """The top-values witnesses of ``p``, from the LR-maxima as a set."""
+    n = len(p)
+    if not n:
+        return []
+    out = []
+    ell = leading_maxima_count(p)
+    lrset = set(lr_maxima(p))
+    tail = {p[i - 1] for i in lrset if i >= ell}
+    expect = set(range(p[ell - 1], n + 1))
+    if tail != expect:
+        out.append((p, f"LR tail values {sorted(tail)} != {sorted(expect)}"))
+    if any(p[ell - 1] <= p[i - 1] for i in range(1, n + 1) if i not in lrset):
+        out.append((p, "a non-LR-maximum exceeds the last leading maximum"))
+    if p != identity(n) and ell not in horizontal_gaps(p):
+        out.append((p, "last leading maximum is not a horizontal gap"))
+    return out
+
+
+def gap_staircase_oracle(p: Perm) -> list[tuple[Perm, str]]:
+    """The gap-staircase witness of ``p``: the blocks stacked and compared."""
+    stacked: Perm = ()
+    for b in _gap_blocks(p):
+        stacked = skew_sum(stacked, b)
+    got = delete_lr_maxima(p)
+    if got != stacked:
+        return [(p, f"deleting LR-maxima gives {got}, gap blocks stack to {stacked}")]
+    return []
+
+
+def strip_132_oracle(p: Perm, member: bool) -> list[tuple[Perm, str]]:
+    """The strip-132 witness of ``p``, on the standardized stripped permutation."""
+    stripped_ok = not contains(strip_leading_maxima(p), (1, 3, 2))
+    if member != stripped_ok:
+        return [(p, f"class membership {member} but stripped-avoids-132 {stripped_ok}")]
+    return []
 
 
 def sum_components(p: Perm) -> list[Perm]:

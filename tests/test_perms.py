@@ -131,6 +131,13 @@ class TestContains:
         assert contains(host, pat) == want
         assert contains(tuple(host), pat) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), unique=True, max_size=12))
+    def test_length_3_reads_only_relative_order(self, host):
+        # strip-132 tests the increasing prefix's rest without standardizing it
+        for pat in all_perms(3):
+            assert contains(host, pat) == contains(standardize(host), pat), (host, pat)
+
     def test_avoids_all(self):
         basis = [P("2143"), P("3142"), P("254613")]
         assert avoids_all(P("243156"), basis) is True
@@ -209,6 +216,13 @@ class TestStatistics:
         for n in range(1, 6):
             for p in all_perms(n):
                 assert n not in horizontal_gaps(p)
+
+    def test_horizontal_gaps_are_lr_maxima_before_a_non_lr_maximum(self):
+        for n in range(9):
+            for p in all_perms(n):
+                lr = set(lr_maxima(p))
+                want = tuple(i for i in sorted(lr) if i < n and (i + 1) not in lr)
+                assert horizontal_gaps(p) == want, p
 
 
 class TestComposition:

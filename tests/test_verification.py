@@ -20,8 +20,11 @@ from helpers import (
     brute_is_one_of_132,
     brute_is_three_of_213,
     calls_to,
+    gap_staircase_oracle,
     skew_components,
+    strip_132_oracle,
     sum_components,
+    top_values_oracle,
 )
 from permlab import enumeration, series, verification
 from permlab.enumeration import PatternBasis, class_levels
@@ -57,9 +60,12 @@ from permlab.verification import (
     run_check,
     _deflation_tallies,
     _gap_blocks,
+    _gap_staircase_witnesses,
     _in_relocation_domain,
     _lex_rank,
     _rebuild_check,
+    _strip_132_witnesses,
+    _top_values_witnesses,
 )
 
 P = parse_permutation
@@ -95,16 +101,13 @@ class TestStructuralScans:
         # stripped rest lacks); the witnesses are recomputed by brute force
         from helpers import all_perms, brute_avoids_all, brute_contains
 
-        def strip_first_entry(p):
-            return standardize(p[1:])
-
-        monkeypatch.setattr(verification, "strip_leading_maxima", strip_first_entry)
+        monkeypatch.setattr(verification, "leading_maxima_count", lambda p: min(len(p), 1))
         r = check_strip_characterization(6)
         expected = []
         for n in range(7):
             for p in all_perms(n):
                 member = brute_avoids_all(p, [P("2143"), P("3142"), P("4132")])
-                stripped_ok = not brute_contains(strip_first_entry(p), P("132"))
+                stripped_ok = not brute_contains(standardize(p[1:]), P("132"))
                 if member != stripped_ok:
                     expected.append(
                         (p, f"class membership {member} but stripped-avoids-132 {stripped_ok}")
@@ -112,6 +115,22 @@ class TestStructuralScans:
         assert expected and not r.passed
         assert r.witnesses == expected
 
+    @pytest.mark.parametrize("helper, oracle", [
+        (_top_values_witnesses, top_values_oracle),
+        (_gap_staircase_witnesses, gap_staircase_oracle),
+        *((lambda p, m=member: _strip_132_witnesses(p, m),
+           lambda p, m=member: strip_132_oracle(p, m)) for member in (False, True)),
+    ], ids=["top-values", "gap-staircase", "strip-132-nonmember", "strip-132-member"])
+    def test_one_pass_scan_matches_its_oracle(self, helper, oracle):
+        # every permutation to n = 8, most of them outside the scanned
+        # class, so that each witness text is compared as well
+        failing = 0
+        for n in range(9):
+            for p in all_perms(n):
+                want = oracle(p)
+                assert list(helper(p)) == want, p
+                failing += bool(want)
+        assert failing > 1000
 
 class TestRebuilds:
     def test_rebuild_254613(self):
@@ -150,6 +169,21 @@ class TestRebuilds:
 
         assert list(_rebuild_check(basis, overshooting, 5)) == [
             (P("213456"), "generated 1x but not in the class")]
+
+    def test_repeats_name_their_first_three_cases(self):
+        basis = PAPER_BASES["4132"]
+
+        def repeating(max_n):
+            for level in class_levels(basis, max_n):
+                yield from ((p, CaseTag("no-gap")) for p in level)
+            for i in range(4):
+                yield P("21"), CaseTag("one-gap", (P("1"), i))
+            yield P("1"), CaseTag("multi-gap")
+
+        assert list(_rebuild_check(basis, repeating, 3)) == [
+            (P("1"), "generated 2 times (via no-gap, multi-gap)"),
+            (P("21"), "generated 5 times (via no-gap, one-gap((1,), 0), one-gap((1,), 1))"),
+        ]
 
     def test_case_tag_str(self):
         assert str(CaseTag("no-gap")) == "no-gap"
