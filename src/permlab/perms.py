@@ -318,14 +318,9 @@ def horizontal_gaps(p: Perm) -> tuple[int, ...]:
     >>> horizontal_gaps((2, 4, 3, 1, 5, 6))
     (2,)
     """
-    gaps = []
-    best = 0
-    for i, (v, w) in enumerate(zip(p, p[1:]), start=1):
-        if v > best:
-            best = v
-            if w < v:  # the entry after an LR-maximum is one too unless it descends
-                gaps.append(i)
-    return tuple(gaps)
+    n = len(p)
+    lr = set(lr_maxima(p))
+    return tuple(i for i in sorted(lr) if i < n and (i + 1) not in lr)
 
 
 def bond_count(p: Perm) -> int:

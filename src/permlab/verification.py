@@ -136,16 +136,14 @@ def _top_values_witnesses(p: Perm) -> Iterator[tuple[Perm, str]]:
 
     ell is the length of the increasing prefix, so p_ell is the last
     leading maximum.  The LR-maxima from position ell onward must be
-    the values p_ell, ..., n, every other entry must lie below p_ell,
-    and unless p is the identity, the entry after p_ell must be no
-    LR-maximum (which holds by the choice of ell).
+    the values p_ell, ..., n, and every other entry must lie below
+    p_ell.  Position ell is a horizontal gap off the identity by the
+    choice of ell: the entry after it descends.
     """
     n = len(p)
     if not n:
         return
-    ell = 1
-    while ell < n and p[ell] > p[ell - 1]:
-        ell += 1
+    ell = leading_maxima_count(p)
     top = p[ell - 1]
     tail = [top]  # the LR-maxima values from position ell on
     low = 0  # the largest other entry
@@ -159,8 +157,6 @@ def _top_values_witnesses(p: Perm) -> Iterator[tuple[Perm, str]]:
         yield p, f"LR tail values {tail} != {expect}"
     if low > top:
         yield p, "a non-LR-maximum exceeds the last leading maximum"
-    if ell < n and p[ell] > top:
-        yield p, "last leading maximum is not a horizontal gap"
 
 
 @_structural("top-values")
@@ -368,17 +364,12 @@ def _gen_546132(max_n: int) -> Iterator[tuple[Perm, CaseTag]]:
 def _rebuild_check(basis: PatternBasis,
                    gen: Callable[[int], Iterator[tuple[Perm, CaseTag]]],
                    max_n: int) -> Iterator[tuple[Perm, str]]:
-    """Witnesses that ``gen`` does not produce each member of the class once.
-
-    Only a permutation produced more than once is reported with its
-    cases, so ``gen`` runs a second time only to collect those.
-    """
-    produced = Counter(p for p, _ in gen(max_n))
-    tags: dict[Perm, list[CaseTag]] = {p: [] for p, got in produced.items() if got > 1}
-    if tags:
-        for p, tag in gen(max_n):
-            if p in tags:
-                tags[p].append(tag)
+    """Witnesses that ``gen`` does not produce each member of the class once."""
+    produced: Counter[Perm] = Counter()
+    tags: dict[Perm, list[CaseTag]] = {}
+    for p, tag in gen(max_n):
+        produced[p] += 1
+        tags.setdefault(p, []).append(tag)
     members: set[Perm] = set()
     for level in class_levels(basis, max_n):
         for p in level:

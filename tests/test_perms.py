@@ -217,13 +217,6 @@ class TestStatistics:
             for p in all_perms(n):
                 assert n not in horizontal_gaps(p)
 
-    def test_horizontal_gaps_are_lr_maxima_before_a_non_lr_maximum(self):
-        for n in range(9):
-            for p in all_perms(n):
-                lr = set(lr_maxima(p))
-                want = tuple(i for i in sorted(lr) if i < n and (i + 1) not in lr)
-                assert horizontal_gaps(p) == want, p
-
 
 class TestComposition:
     def test_sums(self):

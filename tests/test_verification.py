@@ -132,6 +132,7 @@ class TestStructuralScans:
                 failing += bool(want)
         assert failing > 1000
 
+
 class TestRebuilds:
     def test_rebuild_254613(self):
         assert check_rebuild_254613(7).passed
